@@ -1,7 +1,7 @@
 """Fundamental system of the degenerate oscillator y'' = lambda^2 t^m y.
 
 V1 and V2 are the solutions normalized to (1,0) and (0,1) at t = 0, built
-from the confluent hypergeometric kernel.  An adaptive high-order
+from modified Bessel functions of order +-1/(m+2).  An adaptive high-order
 integrator serves as an independent oracle, and the two-point propagators
 Phi1, Phi2 reproduce unit data at any interior time s.
 """
@@ -21,7 +21,7 @@ from tricomilab.tricomi_ode import (
     phi_of_t,
 )
 
-print("=== hypergeometric pair vs integration oracle (scaled) ===")
+print("=== Bessel-basis pair vs integration oracle (scaled) ===")
 for m, lam in ((0.5, 1.0), (1.0, 2.0), (2.0, 0.3), (3.0, 5.0)):
     params = OdeParams(m, lam)
     t = 5.0

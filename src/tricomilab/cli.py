@@ -79,6 +79,28 @@ def dump_json(payload: dict) -> str:
 # schema[command][section][key] = (type, default); REQUIRED means no default
 REQUIRED = object()
 
+# the PDE model and grid sections shared by simulate and scan (scan
+# overrides the defaults that differ)
+_MODEL = {
+    "m": (float, REQUIRED),
+    "n": (int, REQUIRED),
+    "p": (float, REQUIRED),
+    "big_r": (float, 1.0),
+    "eps": (float, 1.0),
+}
+_GRID = {
+    "dx": (float, 0.02),
+    "t_max": (float, 10.0),
+    "cfl_safety": (float, 0.4),
+    "blowup_threshold": (float, 1e8),
+    "domain_radius": (float, float("nan")),
+    "profile": (str, "bump"),
+    "u1_mode": (str, "same"),
+    "linear_only": (bool, False),
+    "track_f": (bool, True),
+    "n_f_samples": (int, 64),
+}
+
 _SCHEMA = {
     "specfun": {
         "specfun": {
@@ -139,53 +161,15 @@ _SCHEMA = {
             "ceiling_log": (float, 30.0),
         }
     },
-    "simulate": {
-        "model": {
-            "m": (float, REQUIRED),
-            "n": (int, REQUIRED),
-            "p": (float, REQUIRED),
-            "big_r": (float, 1.0),
-            "eps": (float, 1.0),
-        },
-        "grid": {
-            "dx": (float, 0.02),
-            "t_max": (float, 10.0),
-            "cfl_safety": (float, 0.4),
-            "blowup_threshold": (float, 1e8),
-            "domain_radius": (float, float("nan")),
-            "profile": (str, "bump"),
-            "u1_mode": (str, "same"),
-            "linear_only": (bool, False),
-            "track_f": (bool, True),
-            "n_f_samples": (int, 64),
-        },
-    },
+    "simulate": {"model": _MODEL, "grid": _GRID},
     "scan": {
-        "model": {
-            "m": (float, REQUIRED),
-            "n": (int, REQUIRED),
-            "p": (float, REQUIRED),
-            "big_r": (float, 1.0),
-            "eps": (float, 1.0),
-        },
-        "grid": {
-            "dx": (float, 0.02),
-            "t_max": (float, 40.0),
-            "cfl_safety": (float, 0.4),
-            "blowup_threshold": (float, 1e8),
-            "domain_radius": (float, float("nan")),
-            "profile": (str, "bump"),
-            "u1_mode": (str, "same"),
-            "linear_only": (bool, False),
-            "track_f": (bool, False),
-            "n_f_samples": (int, 64),
-        },
+        "model": _MODEL,
+        "grid": {**_GRID, "t_max": (float, 40.0), "track_f": (bool, False)},
         "scan": {
             "eps_list": (str, REQUIRED),  # comma-separated
             "fit_mode": (str, "subcritical"),
         },
     },
-    "report": {"report": {}},
 }
 
 
@@ -283,12 +267,34 @@ def _csv(header_lines: list[str], columns: list[str], rows: list[tuple]) -> str:
     return buf.getvalue()
 
 
+def _json_doc(args: argparse.Namespace, cfg: dict, doc: dict) -> str:
+    return dump_json({"config": config_echo(args.command, cfg), **doc})
+
+
+def _emit(args: argparse.Namespace, cfg: dict, doc: dict, header=(), columns=None, rows=None) -> int:
+    """Write one artifact in ``args.format``: the JSON ``doc``, or the CSV table.
+
+    Both start with the resolved config.  ``header`` holds the CSV comment
+    lines that follow it; a single-row ``doc`` is its own table when no
+    ``columns``/``rows`` are given.
+    """
+    if args.format == "json":
+        text = _json_doc(args, cfg, doc)
+    else:
+        if columns is None:
+            columns = sorted(doc)
+            rows = [tuple(doc[k] for k in columns)]
+        text = _csv(config_lines(args.command, cfg) + list(header), columns, rows)
+    _write(args.output, text)
+    return EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
 
-def _cmd_specfun(cfg: dict, out: str | None, fmt_kind: str) -> int:
+def _cmd_specfun(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["specfun"]
     op = c["op"]
     if op == "kummer":
@@ -331,18 +337,14 @@ def _cmd_specfun(cfg: dict, out: str | None, fmt_kind: str) -> int:
         }
     else:
         raise ConfigError(f"unknown specfun op {op!r}")
-    if fmt_kind == "json":
-        _write(out, dump_json({"config": config_echo("specfun", cfg), **payload}))
-    else:
-        cols = sorted(payload)
-        _write(
-            out,
-            _csv(config_lines("specfun", cfg), cols, [tuple(payload[k] for k in cols)]),
-        )
-    return EXIT_OK
+    return _emit(args, cfg, payload)
 
 
-def _cmd_odecheck(cfg: dict, out: str | None, fmt_kind: str) -> int:
+def _rel_dev(got: float, ref: float) -> float:
+    return abs(got / ref - 1.0) if ref else abs(got - ref)
+
+
+def _cmd_odecheck(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["odecheck"]
     params = ode.OdeParams(c["m"], c["lambda"])
     t = c["t"]
@@ -351,8 +353,10 @@ def _cmd_odecheck(cfg: dict, out: str | None, fmt_kind: str) -> int:
     w1 = ode.ode_oracle_scaled(params, t, (1.0, 0.0), rtol=c["oracle_rtol"])
     w2 = ode.ode_oracle_scaled(params, t, (0.0, 1.0), rtol=c["oracle_rtol"])
     dev = max(
-        abs(scaled.v1 / w1[0] - 1.0) if w1[0] else abs(scaled.v1 - w1[0]),
-        abs(scaled.v2 / w2[0] - 1.0) if w2[0] else abs(scaled.v2 - w2[0]),
+        _rel_dev(scaled.v1, w1[0]),
+        _rel_dev(scaled.dv1, w1[1]),
+        _rel_dev(scaled.v2, w2[0]),
+        _rel_dev(scaled.dv2, w2[1]),
     )
     growth = params.lam * ode.phi_of_t(params.m, t)
     payload = {
@@ -372,18 +376,10 @@ def _cmd_odecheck(cfg: dict, out: str | None, fmt_kind: str) -> int:
         payload["phi1"] = ode.phi1(t, c["s"], params)
         payload["phi2"] = ode.phi2(t, c["s"], params)
         payload["phi2_ratio"] = ode.phi2_ratio(t, c["s"], params)
-    if fmt_kind == "json":
-        _write(out, dump_json({"config": config_echo("odecheck", cfg), **payload}))
-    else:
-        cols = sorted(payload)
-        _write(
-            out,
-            _csv(config_lines("odecheck", cfg), cols, [tuple(payload[k] for k in cols)]),
-        )
-    return EXIT_OK
+    return _emit(args, cfg, payload)
 
 
-def _cmd_exponents(cfg: dict, out: str | None, fmt_kind: str) -> int:
+def _cmd_exponents(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["exponents"]
     pc = expmod.p_crit(c["m"], c["n"])
     p = pc if math.isnan(c["p"]) else c["p"]
@@ -406,19 +402,10 @@ def _cmd_exponents(cfg: dict, out: str | None, fmt_kind: str) -> int:
     if not math.isnan(c["eps"]):
         payload["eps"] = c["eps"]
         payload["lifespan_bound"] = expmod.lifespan_prediction(ctx, c["eps"], c["constant"])
-    doc = {"config": config_echo("exponents", cfg), **payload}
-    if fmt_kind == "csv":
-        cols = sorted(payload)
-        _write(
-            out,
-            _csv(config_lines("exponents", cfg), cols, [tuple(payload[k] for k in cols)]),
-        )
-    else:
-        _write(out, dump_json(doc))
-    return EXIT_OK
+    return _emit(args, cfg, payload)
 
 
-def _cmd_testfun(cfg: dict, out: str | None, fmt_kind: str) -> int:
+def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["testfun"]
     q = c["q"]
     if math.isnan(q):
@@ -430,48 +417,25 @@ def _cmd_testfun(cfg: dict, out: str | None, fmt_kind: str) -> int:
         t_max=c["t_max"], nt=c["nt"], ns=c["ns"], nx=c["nx"]
     )
     report = tfmod.lemma22_report(params, grid, rtol=c["rtol"])
-    header = config_lines("testfun", cfg)
-    header.append(f"# resolved.q = {fmt(q)}")
+    header = [f"# resolved.q = {fmt(q)}"]
     for part in sorted(report.constants):
         header.append(f"# constant.{part} = {fmt(report.constants[part])}")
     header.append(f"# excluded_points = {report.excluded}")
+    cols = ["part", "t", "s", "x_norm", "value", "envelope", "ratio"]
     rows = [
         (r.part, r.t, r.s, r.x_norm, r.value, r.envelope, r.ratio)
         for r in report.rows
     ]
-    if fmt_kind == "json":
-        _write(
-            out,
-            dump_json(
-                {
-                    "config": config_echo("testfun", cfg),
-                    "resolved_q": q,
-                    "constants": report.constants,
-                    "excluded_points": report.excluded,
-                    "rows": [
-                        dict(
-                            part=r.part,
-                            t=r.t,
-                            s=r.s,
-                            x_norm=r.x_norm,
-                            value=r.value,
-                            envelope=r.envelope,
-                            ratio=r.ratio,
-                        )
-                        for r in report.rows
-                    ],
-                }
-            ),
-        )
-    else:
-        _write(
-            out,
-            _csv(header, ["part", "t", "s", "x_norm", "value", "envelope", "ratio"], rows),
-        )
-    return EXIT_OK
+    doc = {
+        "resolved_q": q,
+        "constants": report.constants,
+        "excluded_points": report.excluded,
+        "rows": [dict(zip(cols, r)) for r in rows],
+    }
+    return _emit(args, cfg, doc, header, cols, rows)
 
 
-def _cmd_iterate(cfg: dict, out: str | None, fmt_kind: str) -> int:
+def _cmd_iterate(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["iterate"]
     mode = c["mode"]
     if mode not in ("subcritical", "critical"):
@@ -481,8 +445,7 @@ def _cmd_iterate(cfg: dict, out: str | None, fmt_kind: str) -> int:
     if math.isnan(p):
         p = pc if mode == "critical" else 0.5 * (1.0 + pc)
     ctx = expmod.ExponentContext(c["m"], c["n"], p)
-    header = config_lines("iterate", cfg)
-    header.append(f"# resolved.p = {fmt(p)}")
+    header = [f"# resolved.p = {fmt(p)}"]
     if mode == "subcritical":
         d1 = c["c2"] * c["eps"] ** p
         seq = itmod.subcritical_run(ctx, d1=d1, t0=c["t0"], jmax=c["jmax"], c0=c["c0"])
@@ -511,21 +474,12 @@ def _cmd_iterate(cfg: dict, out: str | None, fmt_kind: str) -> int:
             for j in seq.j_index
         ]
     cols = ["j", "a_j", "b_j", "log_d_or_c_j", "l_j"]
-    if fmt_kind == "json":
-        _write(
-            out,
-            dump_json(
-                {
-                    "config": config_echo("iterate", cfg),
-                    "resolved_p": p,
-                    "threshold_log_t": log_t,
-                    "rows": [dict(zip(cols, r)) for r in rows],
-                }
-            ),
-        )
-    else:
-        _write(out, _csv(header, cols, rows))
-    return EXIT_OK
+    doc = {
+        "resolved_p": p,
+        "threshold_log_t": log_t,
+        "rows": [dict(zip(cols, r)) for r in rows],
+    }
+    return _emit(args, cfg, doc, header, cols, rows)
 
 
 def _build_run_config(cfg: dict) -> pde.RunConfig:
@@ -547,58 +501,36 @@ def _build_run_config(cfg: dict) -> pde.RunConfig:
     )
 
 
-def _cmd_simulate(cfg: dict, out: str | None, fmt_kind: str) -> int:
+def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     run_cfg = _build_run_config(cfg)
     record, series = pde.run_until_blowup(run_cfg)
-    header = config_lines("simulate", cfg)
-    header.append(f"# result.t_blowup = {fmt(record.t_blowup)}")
-    header.append(f"# result.censored = {fmt(record.censored)}")
-    header.append(f"# result.peak = {fmt(record.peak)}")
-    header.append(f"# result.threshold_sensitivity = {fmt(record.threshold_sensitivity)}")
+    result = {
+        "t_blowup": record.t_blowup,
+        "censored": record.censored,
+        "peak": record.peak,
+        "threshold_sensitivity": record.threshold_sensitivity,
+    }
+    header = [f"# result.{key} = {fmt(value)}" for key, value in result.items()]
     f_map = dict(zip(series.f_times.tolist(), series.f_values.tolist()))
-    rows = []
-    for i, t in enumerate(series.t.tolist()):
-        rows.append(
-            (
-                t,
-                series.max_u[i],
-                series.g[i],
-                f_map.get(t),
-                series.support_radius[i],
-            )
-        )
-    if fmt_kind == "json":
-        _write(
-            out,
-            dump_json(
-                {
-                    "config": config_echo("simulate", cfg),
-                    "result": {
-                        "t_blowup": record.t_blowup,
-                        "censored": record.censored,
-                        "peak": record.peak,
-                        "threshold_sensitivity": record.threshold_sensitivity,
-                    },
-                    "series": {
-                        "t": series.t.tolist(),
-                        "max_u": series.max_u.tolist(),
-                        "g": series.g.tolist(),
-                        "support_radius": series.support_radius.tolist(),
-                        "f_times": series.f_times.tolist(),
-                        "f_values": series.f_values.tolist(),
-                    },
-                }
-            ),
-        )
-    else:
-        _write(
-            out,
-            _csv(header, ["t", "max_u", "g", "f", "support_radius"], rows),
-        )
-    return EXIT_OK
+    rows = [
+        (t, series.max_u[i], series.g[i], f_map.get(t), series.support_radius[i])
+        for i, t in enumerate(series.t.tolist())
+    ]
+    doc = {
+        "result": result,
+        "series": {
+            "t": series.t.tolist(),
+            "max_u": series.max_u.tolist(),
+            "g": series.g.tolist(),
+            "support_radius": series.support_radius.tolist(),
+            "f_times": series.f_times.tolist(),
+            "f_values": series.f_values.tolist(),
+        },
+    }
+    return _emit(args, cfg, doc, header, ["t", "max_u", "g", "f", "support_radius"], rows)
 
 
-def _cmd_scan(cfg: dict, out: str | None, fmt_kind: str, fit_out: str | None) -> int:
+def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     run_cfg = _build_run_config(cfg)
     sc = cfg["scan"]
     try:
@@ -608,21 +540,13 @@ def _cmd_scan(cfg: dict, out: str | None, fmt_kind: str, fit_out: str | None) ->
     if not eps_values:
         raise ConfigError("scan.eps_list is empty")
     records = pde.lifespan_scan(run_cfg, eps_values)
-    header = config_lines("scan", cfg)
     rows = [
         (r.eps, r.t_blowup, r.censored, r.peak, r.threshold_sensitivity)
         for r in records
     ]
-    _write(
-        out,
-        _csv(
-            header,
-            ["eps", "t_blowup", "censored", "peak", "threshold_sensitivity"],
-            rows,
-        ),
-    )
-    all_censored = all(r.censored for r in records)
-    fit_payload: dict = {"config": config_echo("scan", cfg), "kind": "lifespan_fit"}
+    cols = ["eps", "t_blowup", "censored", "peak", "threshold_sensitivity"]
+    _emit(args, cfg, {}, (), cols, rows)
+    fit_doc: dict = {"kind": "lifespan_fit"}
     try:
         fit = pde.fit_scaling(records, sc["fit_mode"])
         md = run_cfg.model
@@ -633,7 +557,7 @@ def _cmd_scan(cfg: dict, out: str | None, fmt_kind: str, fit_out: str | None) ->
             if sc["fit_mode"] == "subcritical"
             else -md.p * (md.p - 1.0)
         )
-        fit_payload["fit"] = {
+        fit_doc["fit"] = {
             "slope": fit.slope,
             "intercept": fit.intercept,
             "residual": fit.residual,
@@ -642,10 +566,10 @@ def _cmd_scan(cfg: dict, out: str | None, fmt_kind: str, fit_out: str | None) ->
             "note": fit.note,
         }
     except DomainError as exc:
-        fit_payload["fit"] = None
-        fit_payload["fit_error"] = str(exc)
-    _write(fit_out if fit_out else None, dump_json(fit_payload))
-    return EXIT_CENSORED if all_censored else EXIT_OK
+        fit_doc["fit"] = None
+        fit_doc["fit_error"] = str(exc)
+    _write(args.fit_output, _json_doc(args, cfg, fit_doc))
+    return EXIT_CENSORED if all(r.censored for r in records) else EXIT_OK
 
 
 _REPORT_CHECKS = {
@@ -717,6 +641,19 @@ def _cmd_report(paths: list[str], out: str | None) -> int:
 # ---------------------------------------------------------------------------
 
 
+# command -> (handler, default --format, allowed --format values); the scan
+# records are CSV only, and its fit goes to --fit-output as JSON
+_COMMANDS = {
+    "specfun": (_cmd_specfun, "csv", ("csv", "json")),
+    "odecheck": (_cmd_odecheck, "csv", ("csv", "json")),
+    "testfun": (_cmd_testfun, "csv", ("csv", "json")),
+    "exponents": (_cmd_exponents, "json", ("csv", "json")),
+    "iterate": (_cmd_iterate, "csv", ("csv", "json")),
+    "simulate": (_cmd_simulate, "csv", ("csv", "json")),
+    "scan": (_cmd_scan, "csv", ("csv",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tricomilab",
@@ -724,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         "Tricomi equation u_tt - t^m Lap(u) = |u|^p.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("specfun", "odecheck", "testfun", "exponents", "iterate", "simulate", "scan"):
+    for name, (_, default_fmt, formats) in _COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument(
@@ -736,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override one config entry (repeatable)",
         )
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        p.add_argument("--format", choices=formats, default=default_fmt)
         if name == "scan":
             p.add_argument("--fit-output", default=None, help="fit JSON path")
     rep = sub.add_parser("report")
@@ -756,23 +693,7 @@ def dispatch(argv: list[str]) -> int:
         if args.command == "report":
             return _cmd_report(args.inputs, args.output)
         cfg = resolve_config(args.command, args.config, args.overrides)
-        default_fmt = {"exponents": "json"}.get(args.command, "csv")
-        fmt_kind = args.format or default_fmt
-        if args.command == "specfun":
-            return _cmd_specfun(cfg, args.output, fmt_kind)
-        if args.command == "odecheck":
-            return _cmd_odecheck(cfg, args.output, fmt_kind)
-        if args.command == "testfun":
-            return _cmd_testfun(cfg, args.output, fmt_kind)
-        if args.command == "exponents":
-            return _cmd_exponents(cfg, args.output, fmt_kind)
-        if args.command == "iterate":
-            return _cmd_iterate(cfg, args.output, fmt_kind)
-        if args.command == "simulate":
-            return _cmd_simulate(cfg, args.output, fmt_kind)
-        if args.command == "scan":
-            return _cmd_scan(cfg, args.output, fmt_kind, args.fit_output)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command][0](cfg, args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

@@ -232,7 +232,6 @@ def blowup_time_estimate(
     ctx: ExponentContext,
     eps: float,
     c2: float = 1.0,
-    t0: float = 0.0,
     c0: float = 1.0,
 ) -> float:
     """Lifespan bound C4 eps^{-2p(p-1)/gamma} with D1 = C2 eps^p.

@@ -163,7 +163,6 @@ class FitResult:
     intercept: float
     residual: float
     n_used: int
-    theory_slope: float | None
     note: str = (
         "theory slope comes from the lifespan upper bound; the fit tests "
         "consistency with that exponent, not sharpness"
@@ -427,5 +426,4 @@ def fit_scaling(records, mode: str = "subcritical") -> FitResult:
         intercept=float(intercept),
         residual=resid,
         n_used=len(used),
-        theory_slope=None,
     )

@@ -1,12 +1,13 @@
 """Confluent hypergeometric kernel M(a,b;z) and the radial eigenfunction.
 
-Everything downstream (fundamental ODE systems, test-function quadratures)
-is built from two special functions:
+Two special functions:
 
 * ``kummer_m`` -- Kummer's confluent hypergeometric function M(a,b;z) for
   real arguments, evaluated by a regime split between the Taylor series,
   the Kummer transformation M(a,b;z) = e^z M(b-a,b;-z), and the large-|z|
-  asymptotic expansion.
+  asymptotic expansion, with an error estimate.  It is the closed form
+  that the Bessel-basis fundamental system of ``tricomi_ode`` rewrites,
+  and the tests pin that rewriting to it.
 * ``varphi`` -- the sphere average of e^{x.w}, the radial eigenfunction of
   the Laplacian with eigenvalue one (Lap(phi) = phi).
 
@@ -16,7 +17,7 @@ All functions are pure; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -25,6 +26,7 @@ from scipy.special import gammasgn, ive
 from .errors import DomainError
 
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(sys.float_info.max)
 
 # Direct Taylor summation at negative z loses ~e^{|z|} * eps to alternating
 # cancellation; |z| <= 6 keeps the absolute loss below ~1e-13, which leaves
@@ -34,24 +36,14 @@ _EPS = float(np.finfo(float).eps)
 _DIRECT_NEG_CUT = 6.0
 _BLEND_LO = 30.0
 _BLEND_HI = 40.0
+# final rounding of a returned value, in units of its magnitude
+_ROUND_FLOOR = 4.0 * _EPS
 
 
 class KummerEval(NamedTuple):
     value: float
     regime: str
     error_estimate: float
-
-
-@dataclass(frozen=True)
-class KummerTriple:
-    """Argument triple of M(a,b;z); validates the parameter domain."""
-
-    a: float
-    b: float
-    z: float
-
-    def __post_init__(self):
-        validate_kummer_params(self.a, self.b)
 
 
 def validate_kummer_params(a: float, b: float) -> None:
@@ -68,11 +60,13 @@ def _taylor_series(a: float, b: float, z: float, max_terms: int = 2000):
     """Sum M's Taylor series by term-ratio recursion.
 
     Returns (sum, abs_error_estimate).  The estimate combines the last
-    retained term with the cancellation floor eps * max|partial sum|.
+    retained term, the cancellation floor eps * max|partial sum| and the
+    rounding that the recursion carries into term k (about k eps relative).
     """
     term = 1.0
     total = 1.0
     peak = 1.0
+    drift = 0.0
     k = 0
     z_hump = abs(z) + 10.0
     while k < max_terms:
@@ -80,9 +74,10 @@ def _taylor_series(a: float, b: float, z: float, max_terms: int = 2000):
         total += term
         peak = max(peak, abs(total), abs(term))
         k += 1
+        drift += k * abs(term)
         if abs(term) <= _EPS * abs(total) and k > z_hump:
             break
-    err = 4.0 * _EPS * peak + 2.0 * abs(term)
+    err = _EPS * (4.0 * peak + drift) + 2.0 * abs(term)
     return total, err
 
 
@@ -115,12 +110,12 @@ def _asymptotic_negative(a: float, b: float, x: float, max_terms: int = 200):
         if abs(term) <= _EPS * abs(total):
             break
     log_pref, sign = _gamma_ratio(b, b - a)
-    pref = sign * math.exp(log_pref - a * math.log(x))
+    pref, pref_err = _exp_times(log_pref - a * math.log(x), sign)
     value = pref * total
     # bound for the dropped exponentially small branch e^{-x} Gamma(b)/Gamma(a)
     log_exp_branch, _ = _gamma_ratio(b, a)
     dropped = math.exp(min(700.0, log_exp_branch - x + (a - b) * math.log(x)))
-    err = abs(pref) * (abs(term) + 4.0 * _EPS * abs(total)) + dropped
+    err = abs(pref) * (abs(term) + 4.0 * _EPS * abs(total)) + pref_err * abs(total) + dropped
     return value, err
 
 
@@ -148,30 +143,46 @@ def _eval_positive(a: float, b: float, z: float) -> KummerEval:
         val, err = _taylor_series(a, b, z)
         candidates.append(KummerEval(val, "series", err))
     if z > _BLEND_LO:
-        # M(a,b;z) = e^z M(b-a,b;-z); evaluate the reflected point asymptotically
-        # in log space so z beyond ~700 degrades to inf rather than nan.
+        # M(a,b;z) = e^z M(b-a,b;-z), the reflected point taken asymptotically
         asy, asy_err = _asymptotic_negative(b - a, b, z)
-        if asy > 0 and z + math.log(asy) > 709.0:
-            val = math.inf
-        else:
-            val = math.exp(min(z, 709.0)) * asy
-        err = math.exp(min(z, 700.0)) * asy_err
+        val, round_err = _exp_times(z, asy)
+        err = _exp_times(z, asy_err)[0] + round_err
         candidates.append(KummerEval(val, "asymptotic-kummer", err))
     return min(candidates, key=lambda c: c.error_estimate)
 
 
+def _exp_times(z: float, x: float) -> tuple[float, float]:
+    """(e^z x, its rounding error) in log space, so e^z alone may exceed the
+    double range; the product is inf only when it does itself."""
+    if x == 0.0:
+        return 0.0, 0.0
+    log_mag = z + math.log(abs(x))
+    if log_mag > _LOG_MAX:
+        return math.copysign(math.inf, x), math.inf
+    val = math.copysign(math.exp(log_mag), x)
+    if val == 0.0:
+        return val, 0.0
+    # exp turns the absolute rounding of log_mag into a relative error
+    return val, _EPS * (abs(z) + abs(log_mag)) * abs(val)
+
+
 def kummer_m_detail(a: float, b: float, z: float) -> KummerEval:
-    """M(a,b;z) together with the regime used and an error estimate."""
+    """M(a,b;z) together with the regime used and an error estimate.
+
+    Every estimate includes the rounding of the returned value itself.
+    """
     validate_kummer_params(a, b)
     if not math.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
     if a == b:
-        return KummerEval(math.exp(z) if z < 709.0 else math.inf, "exp", 0.0)
-    if z == 0.0:
+        ev = KummerEval(_exp_times(z, 1.0)[0], "exp", 0.0)
+    elif z == 0.0:
         return KummerEval(1.0, "series", 0.0)
-    if z < 0:
-        return _eval_negative(a, b, z)
-    return _eval_positive(a, b, z)
+    elif z < 0:
+        ev = _eval_negative(a, b, z)
+    else:
+        ev = _eval_positive(a, b, z)
+    return ev._replace(error_estimate=ev.error_estimate + _ROUND_FLOOR * abs(ev.value))
 
 
 def kummer_m(a: float, b: float, z: float) -> float:

@@ -6,19 +6,11 @@ y'' = lambda^2 t^m y against the radial eigenfunction:
     xi_q(x,t,s)  = int_0^{lam0} e^{-lam(phi(t)+R)} Phi1(t,s;lam) vphi(lam|x|) lam^q dlam
     eta_q(x,t,s) = int_0^{lam0} e^{-lam(phi(t)+R)} Phi2(t,s;lam)/(t-s) vphi(lam|x|) lam^q dlam
 
-Numerically everything is assembled from exponentially scaled pieces: the
-propagators in the modified-Bessel basis of the oscillator,
-
-    V1(t) = Gamma(1-nu) (nu lam)^{nu}  sqrt(t) I_{-nu}(x_t),
-    V2(t) = Gamma(1+nu) (nu lam)^{-nu} sqrt(t) I_{nu}(x_t),
-    nu = 1/(m+2),  x_t = lam phi(t),
-
-which is an exact rewriting of the hypergeometric forms.  Products of
-scaled Bessel functions (scipy ``ive``/``kve``) with explicit exponent
-bookkeeping keep every integrand bounded for arbitrarily large t, s, and
-the derivative terms use d/dx[x^nu I_nu] = x^nu I_{nu-1} and
-d/dx[x^nu K_nu] = -x^nu K_{nu-1}, so no subtractive cancellation occurs
-away from the diagonal s = t (where a series expansion takes over).
+The integrands are assembled from exponentially scaled pieces: the
+propagator kernels of ``tricomi_ode`` (modified-Bessel basis, scaled by
+e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
+and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
+bounded for arbitrarily large t, s.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -31,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ive, kve
 
 from .errors import DomainError
 from .specfun import varphi_scaled
-from .tricomi_ode import phi_of_t
+from .tricomi_ode import kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
 
 _EXP_CLIP = 700.0
 
@@ -68,66 +59,6 @@ class TestFnParams:
 def bracket(s):
     """Shifted absolute value <s> = 3 + |s| used in all envelope estimates."""
     return 3.0 + np.abs(s)
-
-
-# ---------------------------------------------------------------------------
-# scaled propagator kernels in the Bessel basis (vectorized over lambda)
-# ---------------------------------------------------------------------------
-
-
-def _nu(m: float) -> float:
-    return 1.0 / (m + 2.0)
-
-
-def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndarray:
-    """e^{-lam (phi(t)-phi(s))} Phi1(t,s;lam) for t >= s >= 0, elementwise in lam.
-
-    For s > 0 this is the sum of two positive Bessel products; for s = 0 it
-    reduces to the scaled V1.
-    """
-    nu = _nu(m)
-    lam = np.asarray(lam, dtype=float)
-    x_t = lam * phi_of_t(m, t)
-    if s == 0.0:
-        if t == 0.0:
-            return np.ones_like(lam)
-        pref = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t)
-        return pref * ive(-nu, x_t)
-    x_s = lam * phi_of_t(m, s)
-    delta = x_t - x_s
-    pref = 2.0 * nu * (2.0 * nu * lam) ** (-nu) * lam * s ** (m / 2.0) * math.sqrt(t)
-    grow = ive(nu, x_t) * x_s**nu * kve(nu - 1.0, x_s)
-    decay = np.exp(-2.0 * delta) * kve(nu, x_t) * x_s**nu * ive(nu - 1.0, x_s)
-    return pref * (grow + decay)
-
-
-def kernel_phi2_ratio_scaled(
-    t: float, s: float, lam: np.ndarray, m: float
-) -> np.ndarray:
-    """e^{-lam (phi(t)-phi(s))} Phi2(t,s;lam)/(t-s) for t > s >= 0.
-
-    Near the diagonal (t-s below 1e-6 max(1,t)) the determinant cancels,
-    so the quadratic expansion of the ratio takes over there.
-    """
-    nu = _nu(m)
-    lam = np.asarray(lam, dtype=float)
-    x_t = lam * phi_of_t(m, t)
-    dt = t - s
-    if s == 0.0:
-        if t == 0.0:
-            return np.ones_like(lam)
-        pref = math.gamma(1.0 + nu) * (nu * lam) ** (-nu) * math.sqrt(t) / t
-        return pref * ive(nu, x_t)
-    x_s = lam * phi_of_t(m, s)
-    if dt < 1e-6 * max(1.0, t):
-        # Phi2/(t-s) = 1 + lam^2 s^m (t-s)^2/6 + O((t-s)^3); rescale by e^{-delta}
-        corr = 1.0 + lam * lam * s**m * dt * dt / 6.0
-        return np.exp(-(x_t - x_s)) * corr
-    delta = x_t - x_s
-    pref = 2.0 * nu * math.sqrt(s * t) / dt
-    main = kve(nu, x_s) * ive(nu, x_t)
-    sub = np.exp(-2.0 * delta) * ive(nu, x_s) * kve(nu, x_t)
-    return pref * (main - sub)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +267,6 @@ class Lemma22Report:
         return [r for r in self.rows if r.part == part]
 
 
-def _alpha(m: float) -> float:
-    return m / (2.0 * (m + 2.0))
-
-
 def lemma22_report(
     p: TestFnParams, grid: Lemma22Grid, rtol: float = 1e-8
 ) -> Lemma22Report:
@@ -358,7 +285,7 @@ def lemma22_report(
     grid; hypothesis-violating grid points are excluded and counted.
     """
     m, n, q = p.m, p.n, p.q
-    alpha = _alpha(m)
+    alpha = m / (2.0 * (m + 2.0))
     rows: list[Lemma22Row] = []
     excluded = 0
 

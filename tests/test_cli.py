@@ -16,6 +16,7 @@ from tricomilab.cli import (
     resolve_config,
 )
 from tricomilab.errors import ConfigError
+from tricomilab.tricomi_ode import OdeParams, fundamental_pair_scaled, ode_oracle_scaled
 
 
 def run_cli(args):
@@ -237,3 +238,33 @@ def test_odecheck_propagators_present(tmp_path):
     assert "phi1" in doc and "phi2_ratio" in doc
     assert abs(doc["wronskian_residual"]) < 1e-8
     assert doc["oracle_rel_deviation"] < 1e-6
+
+
+def test_odecheck_deviation_covers_derivatives(tmp_path):
+    # the oracle returns (y, y') for both solutions; all four are compared
+    out = tmp_path / "ode.json"
+    run_cli(
+        ["odecheck", "--set", "odecheck.m=1", "--set", "odecheck.lambda=1",
+         "--set", "odecheck.t=2", "--format", "json", "--output", str(out)]
+    )
+    doc = json.loads(out.read_text())
+    params = OdeParams(1.0, 1.0)
+    fe = fundamental_pair_scaled(params, 2.0)
+    w1 = ode_oracle_scaled(params, 2.0, (1.0, 0.0))
+    w2 = ode_oracle_scaled(params, 2.0, (0.0, 1.0))
+    got = (fe.v1, fe.dv1, fe.v2, fe.dv2)
+    ref = (w1[0], w1[1], w2[0], w2[1])
+    dev = max(abs(g / r - 1.0) for g, r in zip(got, ref))
+    assert doc["oracle_rel_deviation"] == pytest.approx(dev, rel=1e-9)
+
+
+def test_scan_rejects_json_format(tmp_path, capsys):
+    # scan records are CSV only; asking for JSON is a usage error
+    code = run_cli(
+        ["scan", "--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2",
+         "--set", "scan.eps_list=1.0", "--format", "json",
+         "--output", str(tmp_path / "r.json")]
+    )
+    assert code == EXIT_CONFIG
+    assert "--format" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()

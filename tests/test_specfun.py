@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from tricomilab.errors import DomainError
 from tricomilab.specfun import (
-    KummerTriple,
     kummer_m,
     kummer_m_detail,
     kummer_m_deriv,
@@ -54,7 +54,7 @@ def test_invalid_parameters_raise():
     with pytest.raises(DomainError):
         kummer_m(0.3, 0.0, 1.0)
     with pytest.raises(DomainError):
-        KummerTriple(0.5, -2.0, 0.1)
+        kummer_m(0.5, -2.0, 0.1)
     # degenerate a = b at a pole location is allowed
     assert kummer_m(-1.0, -1.0, 0.5) == pytest.approx(math.exp(0.5))
 
@@ -111,6 +111,47 @@ def test_regimes_reported():
     assert kummer_m_detail(0.25, 0.5, -60.0).regime == "asymptotic"
     assert kummer_m_detail(0.25, 0.5, 60.0).regime == "asymptotic-kummer"
     assert kummer_m_detail(0.5, 0.5, 3.0).regime == "exp"
+
+
+# z grid for the high-precision oracle: the whole finite range, both blend
+# zones |z| in [30, 40], the direct-series cut at -6, and the points around
+# +-709 where e^z leaves the double range
+ORACLE_Z = sorted(
+    set(
+        np.round(
+            np.concatenate(
+                (
+                    np.linspace(-708.0, 711.0, 15),
+                    np.linspace(-40.0, -30.0, 6),
+                    np.linspace(30.0, 40.0, 6),
+                    np.linspace(-8.0, 8.0, 9),
+                    [-709.5, -708.9, 705.0, 708.0, 709.0, 709.5, 710.0, 710.5, 711.0],
+                )
+            ),
+            6,
+        ).tolist()
+    )
+)
+ORACLE_PAIRS = [
+    (0.25, 0.5), (0.75, 1.5), (1 / 6, 1 / 3), (7 / 6, 4 / 3), (1.0, 2.0), (0.5, 2.5), (2.5, 1.2),
+]
+
+
+def test_kummer_against_mpmath():
+    # independent 40-digit reference; every finite value must lie within its
+    # own error estimate, and inf only where the true value overflows
+    with mpmath.workdps(40):
+        huge = mpmath.mpf(np.finfo(float).max)
+        for a, b in ORACLE_PAIRS:
+            for z in ORACLE_Z:
+                detail = kummer_m_detail(a, b, z)
+                ref = mpmath.hyp1f1(a, b, z)
+                if math.isinf(detail.value):
+                    assert abs(ref) > huge, (a, b, z)
+                    continue
+                err = abs(mpmath.mpf(detail.value) - ref)
+                assert err <= detail.error_estimate, (a, b, z, detail)
+                assert err <= 1e-8 * abs(ref), (a, b, z, detail)
 
 
 def test_derivative_ratio_form():

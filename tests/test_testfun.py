@@ -15,12 +15,18 @@ from tricomilab.testfun import (
     bracket,
     eta_q,
     integrate_lambda_weighted,
-    kernel_phi1_scaled,
-    kernel_phi2_ratio_scaled,
     lemma22_report,
     xi_q,
 )
-from tricomilab.tricomi_ode import OdeParams, phi1, phi2, phi_of_t
+from tricomilab.tricomi_ode import (
+    OdeParams,
+    fundamental_pair,
+    kernel_phi1_scaled,
+    kernel_phi2_ratio_scaled,
+    phi1,
+    phi2,
+    phi_of_t,
+)
 
 
 def test_bracket():
@@ -68,8 +74,8 @@ def test_wave_reduction_direct_quadrature():
 
 @pytest.mark.parametrize("q", [0.4, -0.4])
 def test_against_propagator_determinant_quadrature(q):
-    # independent oracle: adaptive quadrature of the hypergeometric
-    # determinant propagators at small scales
+    # independent oracle for the graded Gauss rule: scipy's adaptive
+    # quadrature of the unscaled scalar propagators at small scales
     p = TestFnParams(q=q, lambda0=0.5, R=1.0, n=2, m=1.0)
     t, s, x = 3.0, 1.2, 0.9
 
@@ -98,8 +104,8 @@ def test_against_propagator_determinant_quadrature(q):
 
 
 def test_kernels_match_determinants_on_overlap():
-    # Bessel-basis kernels vs direct hypergeometric determinants where the
-    # latter are well-conditioned
+    # I/K-product kernels vs 2x2 determinants of the fundamental pair where
+    # the latter are well-conditioned
     lam = np.array([0.05, 0.2, 0.5])
     for m, t, s in ((1.0, 4.0, 1.5), (0.5, 3.0, 0.0), (2.0, 2.0, 1.0)):
         scale = np.exp(-lam * (phi_of_t(m, t) - phi_of_t(m, s)))
@@ -107,10 +113,11 @@ def test_kernels_match_determinants_on_overlap():
         k2 = kernel_phi2_ratio_scaled(t, s, lam, m)
         for i, la in enumerate(lam):
             pr = OdeParams(m, float(la))
-            assert k1[i] == pytest.approx(scale[i] * phi1(t, s, pr), rel=1e-10)
-            assert k2[i] == pytest.approx(
-                scale[i] * phi2(t, s, pr) / (t - s), rel=1e-10
-            )
+            at_t, at_s = fundamental_pair(pr, t), fundamental_pair(pr, s)
+            det1 = at_t.v1 * at_s.dv2 - at_t.v2 * at_s.dv1
+            det2 = at_s.v1 * at_t.v2 - at_s.v2 * at_t.v1
+            assert k1[i] == pytest.approx(scale[i] * det1, rel=1e-10)
+            assert k2[i] == pytest.approx(scale[i] * det2 / (t - s), rel=1e-10)
 
 
 def test_positivity():

@@ -16,8 +16,8 @@ from tricomilab.tricomi_ode import (
     phi2,
     phi2_ratio,
     phi_of_t,
-    z_of_t,
 )
+from tricomilab.specfun import kummer_m, kummer_m_deriv
 
 # Oracle anchor for m=2, lambda=1, ic=(0,1), t_end=2, recorded at local
 # tolerance 1e-10 and cross-checked at 1e-12 (agreement ~1e-10).
@@ -30,12 +30,6 @@ def test_phi_of_t_values():
     assert phi_of_t(0.0, 3.2) == pytest.approx(3.2, rel=1e-15)
     with pytest.raises(DomainError):
         phi_of_t(1.0, -0.1)
-
-
-def test_z_of_t_values():
-    assert z_of_t(OdeParams(2.0, 1.0), 2.0) == pytest.approx(-4.0, rel=1e-15)
-    assert z_of_t(OdeParams(1.3, 0.7), 0.0) == 0.0
-    assert z_of_t(OdeParams(1.0, 0.5), 1.0) == pytest.approx(-2.0 / 3.0, rel=1e-15)
 
 
 def test_initial_conditions_exact():
@@ -68,6 +62,54 @@ def test_wronskian_property(m, lam, frac):
     t = frac * min(t_cap, 20.0)
     fe = fundamental_pair(OdeParams(m, lam), t)
     assert abs(fe.v1 * fe.dv2 - fe.dv1 * fe.v2 - 1.0) <= 1e-8
+
+
+def _kummer_pair_scaled(m, lam, t):
+    """Reference: the hypergeometric closed form of the scaled pair,
+    V1 = e^{-z/2} M(alpha, gamma_k; z) and V2 = e^{-z/2} t M(1+alpha-gamma_k, 2-gamma_k; z)
+    with z = -2 lambda phi(t), alpha = m/(2(m+2)), gamma_k = m/(m+2)."""
+    alpha, gamma_k = m / (2.0 * (m + 2.0)), m / (m + 2.0)
+    a2, b2 = 1.0 + alpha - gamma_k, 2.0 - gamma_k
+    z = -2.0 * lam * phi_of_t(m, t)
+    dz = -2.0 * lam * t ** (m / 2.0)
+    m1, dm1 = kummer_m(alpha, gamma_k, z), kummer_m_deriv(alpha, gamma_k, z)
+    m2, dm2 = kummer_m(a2, b2, z), kummer_m_deriv(a2, b2, z)
+    return (m1, dz * (dm1 - 0.5 * m1), t * m2, m2 + t * dz * (dm2 - 0.5 * m2))
+
+
+def test_bessel_pair_matches_hypergeometric_form():
+    # the Bessel-basis pair is an exact rewriting of the Kummer forms
+    # (DLMF 13.6); seeded points with m > 0 inside lambda phi(t) <= 7
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = rng.uniform(0.05, 3.0)
+        lam = rng.uniform(0.1, 5.0)
+        t_cap = ((m + 2.0) * 7.0 / (2.0 * lam)) ** (2.0 / (m + 2.0))
+        t = rng.uniform(0.0, min(t_cap, 20.0))
+        fe = fundamental_pair_scaled(OdeParams(m, lam), t)
+        ref = _kummer_pair_scaled(m, lam, t)
+        for got, want in zip((fe.v1, fe.dv1, fe.v2, fe.dv2), ref):
+            assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_small_t_limit():
+    # far below the Bessel form's range the leading Taylor terms are exact
+    for m in (0.0, 1.0, 3.0):
+        params = OdeParams(m, 1.3)
+        for t in (1e-12, 1e-150, 5e-324):
+            fe = fundamental_pair(params, t)
+            assert (fe.v1, fe.v2, fe.dv2) == pytest.approx((1.0, t, 1.0), rel=1e-15)
+            assert fe.v1 * fe.dv2 - fe.dv1 * fe.v2 == pytest.approx(1.0, rel=1e-15)
+            assert phi1(t, 0.0, params) == pytest.approx(1.0, rel=1e-15)
+            assert phi2_ratio(t, 0.0, params) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_large_t_overflows_to_inf():
+    params = OdeParams(1.0, 1.0)
+    fe = fundamental_pair(params, 200.0)
+    assert fe.v1 == math.inf and fe.dv2 == math.inf
+    sc = fundamental_pair_scaled(params, 200.0)
+    assert 0.0 < sc.v1 < 1.0 and math.isfinite(sc.dv2)
 
 
 def test_wave_reduction_m0():
