@@ -13,12 +13,20 @@ formula (it reduces to plain leapfrog for constant dt):
     u^{k+1} = u^k + (dt_k/dt_{k-1}) (u^k - u^{k-1})
               + dt_k (dt_k + dt_{k-1})/2 * (t_k^m Lap_h(u^k) + |u^k|^p).
 
+Each step updates only the live window: the cells below the live extent,
+one past the last cell that may be nonzero, plus one ghost cell for the
+3-point Laplacian.  The extent starts at the support of the data and grows
+by one cell per step, capped at the grid end.  The window is exact, not an
+approximation: the explicit 3-point scheme moves information by at most one
+cell per step, so every cell past it stays exactly 0.0, and the windowed
+update is bit-identical to the full-grid one.
+
 Tracked functionals: G(t) = int u dx, the nonlinear mass int |u|^p dx,
 F(t) = int u(x,t) eta_q(x,t,t) dx, the discrete support radius, and the
 peak amplitude.  Runs end at a blow-up threshold crossing (with a
 threshold-sensitivity diagnostic), at a nonfinite value, or censored at
-the horizon.  ``lifespan_scan`` sweeps eps and ``fit_scaling`` extracts
-log-log lifespan slopes.
+the horizon.  ``lifespan_scan`` sweeps eps, keeping only each run's record
+(no per-step series), and ``fit_scaling`` extracts log-log lifespan slopes.
 """
 
 from __future__ import annotations
@@ -119,7 +127,11 @@ class RunConfig:
 
 @dataclass
 class SolverState:
-    """Mutable stepping state; one run owns its state exclusively."""
+    """Mutable stepping state; one run owns its state exclusively.
+
+    u and u_prev are exactly 0.0 from index ``live`` on.  ``step`` recycles
+    the buffer of u_prev for the new level.
+    """
 
     r: np.ndarray
     u: np.ndarray
@@ -127,6 +139,7 @@ class SolverState:
     t: float
     dt_prev: float
     step_index: int
+    live: int
     blown_up: bool = False
     blowup_time: float | None = None
     peak: float = 0.0
@@ -185,7 +198,8 @@ def initialize(cfg: RunConfig) -> SolverState:
     r = np.arange(n_cells + 1) * cfg.dx
     u0 = cfg.model.eps * _bump(r, cfg.model.R)
     state = SolverState(
-        r=r, u=u0, u_prev=None, t=0.0, dt_prev=0.0, step_index=0
+        r=r, u=u0, u_prev=None, t=0.0, dt_prev=0.0, step_index=0,
+        live=int(np.count_nonzero(r < cfg.model.R)),
     )
     state.peak = float(np.max(np.abs(u0)))
     return state
@@ -225,23 +239,30 @@ def _rhs(cfg: RunConfig, u: np.ndarray, r: np.ndarray, t: float) -> np.ndarray:
 
 
 def step(state: SolverState, cfg: RunConfig) -> SolverState:
-    """Advance one time level; flags blow-up on threshold or nonfinite values."""
+    """Advance one time level; flags blow-up on threshold or nonfinite values.
+
+    Only the live window is updated (see the module docstring); the cells
+    past it stay exactly 0.0.
+    """
     if state.blown_up:
         raise DomainError("cannot step a blown-up state")
     dt = _pick_dt(cfg, state.t)
+    size = state.u.size
+    state.live = min(state.live + 1, size)
+    win = slice(0, min(state.live + 1, size))  # plus the zero ghost cell
+    u, r = state.u[win], state.r[win]
     if state.step_index == 0:
         # Taylor start: u(dt) = u0 + dt u1 + dt^2/2 (t^m Lap u0 + |u0|^p)|_{t=0};
         # the degenerate factor t^m kills the Laplacian term for m > 0.
-        v0 = _initial_velocity(cfg, state.r)
-        u_new = state.u + dt * v0 + 0.5 * dt * dt * _rhs(cfg, state.u, state.r, 0.0)
+        v0 = _initial_velocity(cfg, r)
+        u_win = u + dt * v0 + 0.5 * dt * dt * _rhs(cfg, u, r, 0.0)
+        u_new = np.zeros_like(state.u)
     else:
         rho = dt / state.dt_prev
         coeff = 0.5 * dt * (dt + state.dt_prev)
-        u_new = (
-            state.u
-            + rho * (state.u - state.u_prev)
-            + coeff * _rhs(cfg, state.u, state.r, state.t)
-        )
+        u_win = u + rho * (u - state.u_prev[win]) + coeff * _rhs(cfg, u, r, state.t)
+        u_new = state.u_prev  # zero past the previous extent, so only win is written
+    u_new[win] = u_win
     u_new[-1] = 0.0
     state.u_prev = state.u
     state.u = u_new
@@ -250,7 +271,7 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
     state.step_index += 1
 
     with np.errstate(invalid="ignore"):
-        amp = float(np.max(np.abs(u_new)))
+        amp = float(np.max(np.abs(u_new[win])))
     if not math.isfinite(amp):
         state.blown_up = True
         state.blowup_time = state.t
@@ -304,52 +325,60 @@ def support_radius(state: SolverState, rel_tol: float = 1e-4) -> float:
     return float(state.r[idx[-1]]) if len(idx) else 0.0
 
 
-def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
+def _solve(cfg: RunConfig, observe=None) -> LifespanRecord:
     """Step until blow-up, nonfinite values, or the horizon (censored).
 
-    The record's threshold sensitivity compares the crossing times of
-    blowup_threshold and blowup_threshold/100; a small value certifies the
-    reported time is insensitive to the detection level.
+    ``observe(state)`` is called on the initial state and after every step
+    that does not blow up.
     """
     state = initialize(cfg)
-    tf = cfg.default_testfn() if cfg.track_f else None
-    ts, amps, gs, lps, supps = [], [], [], [], []
-    f_t, f_v = [], []
-    f_next = 0.0
-    f_stride = cfg.t_max / max(1, cfg.n_f_samples)
-
-    def record():
-        ts.append(state.t)
-        amps.append(float(np.max(np.abs(state.u))))
-        gs.append(functional_G(state, cfg))
-        lps.append(functional_lp(state, cfg))
-        supps.append(support_radius(state))
-
-    record()
-    if cfg.track_f:
-        f_t.append(0.0)
-        f_v.append(functional_F(state, cfg, tf))
-        f_next = f_stride
+    if observe is not None:
+        observe(state)
     while not state.blown_up and state.t < cfg.t_max:
         step(state, cfg)
-        if not state.blown_up:
-            record()
-            if cfg.track_f and state.t >= f_next:
-                f_t.append(state.t)
-                f_v.append(functional_F(state, cfg, tf))
-                f_next += f_stride
+        if observe is not None and not state.blown_up:
+            observe(state)
     censored = not state.blown_up
     sens = None
     low = cfg.blowup_threshold / 100.0
     if not censored and low in state.crossings and state.blowup_time:
         sens = (state.blowup_time - state.crossings[low]) / state.blowup_time
-    record_out = LifespanRecord(
+    return LifespanRecord(
         eps=cfg.model.eps,
         t_blowup=None if censored else state.blowup_time,
         censored=censored,
         peak=state.peak,
         threshold_sensitivity=sens,
     )
+
+
+def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
+    """Step until blow-up, nonfinite values, or the horizon (censored).
+
+    The record's threshold sensitivity compares the crossing times of
+    blowup_threshold and blowup_threshold/100; a small value certifies the
+    reported time is insensitive to the detection level.  The series holds
+    the per-step scalars and, with ``track_f``, about n_f_samples F values.
+    """
+    tf = cfg.default_testfn() if cfg.track_f else None
+    ts, amps, gs, lps, supps = [], [], [], [], []
+    f_t, f_v = [], []
+    f_next = 0.0
+    f_stride = cfg.t_max / max(1, cfg.n_f_samples)
+
+    def record(state):
+        nonlocal f_next
+        ts.append(state.t)
+        amps.append(float(np.max(np.abs(state.u))))
+        gs.append(functional_G(state, cfg))
+        lps.append(functional_lp(state, cfg))
+        supps.append(support_radius(state))
+        if tf is not None and state.t >= f_next:
+            f_t.append(state.t)
+            f_v.append(functional_F(state, cfg, tf))
+            f_next += f_stride
+
+    record_out = _solve(cfg, record)
     series = TimeSeries(
         t=np.asarray(ts),
         max_u=np.asarray(amps),
@@ -374,7 +403,10 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
 
     Horizons are auto-sized from the theoretical scaling calibrated on the
     largest eps; censored runs are retried once with a doubled horizon and
-    kept (flagged) if still censored.  Records return sorted by eps.
+    kept (flagged) if still censored.  Records return sorted by eps.  Each
+    run is the stepping loop of ``run_until_blowup`` without its per-step
+    series: no functional is computed, and every step updates only the live
+    window.
     """
     eps_sorted = sorted(float(e) for e in eps_values)
     if any(e <= 0 for e in eps_sorted):
@@ -393,10 +425,10 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
             t_max=t_horizon,
             domain_radius=None,
         )
-        rec, _ = run_until_blowup(run_cfg)
+        rec = _solve(run_cfg)
         if rec.censored:
             run_cfg = replace(run_cfg, t_max=2.0 * run_cfg.t_max, domain_radius=None)
-            rec, _ = run_until_blowup(run_cfg)
+            rec = _solve(run_cfg)
         if rec.t_blowup is not None and c_emp is None:
             c_emp = rec.t_blowup * eps**theta
         records[eps] = rec

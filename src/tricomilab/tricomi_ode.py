@@ -28,7 +28,7 @@ for arbitrarily large t:
   vectorized over lambda for the test-function quadratures.  Away from the
   diagonal s = t they are sums of positive Bessel products, so no
   subtractive cancellation occurs; a (t-s)-series takes over at the
-  diagonal.
+  diagonal, and the leading small-s terms where lambda phi(s) < 1e-8.
 
 ``fundamental_pair``, ``phi1``, ``phi2`` and ``phi2_ratio`` are the unscaled
 scalar forms.  ``ode_oracle`` is an independent check: adaptive high-order
@@ -141,11 +141,33 @@ def fundamental_pair_scaled(params: OdeParams, t: float) -> FundamentalEval:
     return _pair(params, t, scaled=True)
 
 
+def _small_s_factors(t: float, lam: np.ndarray, m: float):
+    """(e^{-x_t} V1(t), e^{-x_t} V2(t)/t), elementwise in lam, for the small-s forms.
+
+    V1 uses I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu (DLMF 10.27.2), so only the
+    orders +nu are evaluated (the negative order costs ~3x in scipy); both
+    terms are positive.  Below _SMALL_X both values are e^{-x_t}, as in ``_pair``.
+    """
+    nu = _nu(m)
+    x_t = lam * phi_of_t(m, t)
+    i_nu = ive(nu, x_t)
+    k_nu = np.exp(-2.0 * x_t) * kve(nu, x_t)
+    v1 = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t) * (
+        i_nu + 2.0 / math.pi * math.sin(nu * math.pi) * k_nu
+    )
+    v2_ratio = math.gamma(1.0 + nu) * (nu * lam) ** (-nu) * math.sqrt(t) / t * i_nu
+    tiny = x_t < _SMALL_X
+    return np.where(tiny, np.exp(-x_t), v1), np.where(tiny, np.exp(-x_t), v2_ratio)
+
+
 def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndarray:
     """e^{-lam (phi(t)-phi(s))} Phi1(t,s;lam) for t >= s >= 0, elementwise in lam.
 
     For s > 0 this is the sum of two positive Bessel products; for s = 0 it
-    reduces to the scaled V1.
+    reduces to the scaled V1.  Where x_s < _SMALL_X those products lose
+    digits and finally underflow to 0 * inf, so Phi1 = V1(t) V2'(s) -
+    V2(t) V1'(s) is taken with V2'(s) = 1 and V1'(s) = lam^2 s^{m+1}/(m+1),
+    whose relative corrections are O(x_s^2).
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
@@ -156,11 +178,20 @@ def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndar
         pref = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t)
         return np.where(x_t < _SMALL_X, np.exp(-x_t), pref * ive(-nu, x_t))
     x_s = lam * phi_of_t(m, s)
+    small = x_s < _SMALL_X
+    out = np.empty_like(lam)
+    lo = lam[small]
+    v1, v2_ratio = _small_s_factors(t, lo, m)
+    out[small] = np.exp(x_s[small]) * (
+        v1 - lo * lo * s ** (m + 1.0) / (m + 1.0) * t * v2_ratio
+    )
+    lam, x_t, x_s = lam[~small], x_t[~small], x_s[~small]
     delta = x_t - x_s
     pref = 2.0 * nu * (2.0 * nu * lam) ** (-nu) * lam * s ** (m / 2.0) * math.sqrt(t)
     grow = ive(nu, x_t) * x_s**nu * kve(nu - 1.0, x_s)
     decay = np.exp(-2.0 * delta) * kve(nu, x_t) * x_s**nu * ive(nu - 1.0, x_s)
-    return pref * (grow + decay)
+    out[~small] = pref * (grow + decay)
+    return out
 
 
 # below this separation the Bessel difference cancels more than the local
@@ -173,7 +204,9 @@ def kernel_phi2_ratio_scaled(
 ) -> np.ndarray:
     """e^{-lam (phi(t)-phi(s))} Phi2(t,s;lam)/(t-s) for t >= s >= 0.
 
-    The ratio is continuous through the diagonal (limit 1 at s = t).
+    The ratio is continuous through the diagonal (limit 1 at s = t).  Where
+    x_s < _SMALL_X, Phi2 = V2(t) V1(s) - V1(t) V2(s) is taken with V1(s) = 1
+    and V2(s) = s, as in ``kernel_phi1_scaled``.
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
@@ -190,11 +223,17 @@ def kernel_phi2_ratio_scaled(
         lam2 = lam * lam
         corr = lam2 * s**m * dt * dt / 6.0 + lam2 * m * s ** (m - 1.0) * dt**3 / 24.0
         return np.exp(-(x_t - x_s)) * (1.0 + corr)
+    small = x_s < _SMALL_X
+    out = np.empty_like(lam)
+    v1, v2_ratio = _small_s_factors(t, lam[small], m)
+    out[small] = np.exp(x_s[small]) * (t * v2_ratio - s * v1) / dt
+    x_t, x_s = x_t[~small], x_s[~small]
     delta = x_t - x_s
     pref = 2.0 * nu * math.sqrt(s * t) / dt
     main = kve(nu, x_s) * ive(nu, x_t)
     sub = np.exp(-2.0 * delta) * ive(nu, x_s) * kve(nu, x_t)
-    return pref * (main - sub)
+    out[~small] = pref * (main - sub)
+    return out
 
 
 def _unscaled(kernel, t: float, s: float, params: OdeParams) -> float:

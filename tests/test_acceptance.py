@@ -245,7 +245,7 @@ def test_criterion_08_and_09_lifespan_scaling():
     assert all(not r.censored for r in records)
     fit = fit_scaling(records, "subcritical")
     assert -1.2 <= fit.slope <= -0.8, fit
-    _report(8, f"lifespan sweep slope {fit.slope:.3f} in [-1.2,-0.8]", t0, 900.0)
+    _report(8, f"lifespan sweep slope {fit.slope:.3f} in [-1.2,-0.8]", t0, 120.0)
 
     # criterion 9 rides in the same budget: Lemma-3.2-type lower envelope
     t9 = time.perf_counter()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tricomilab.pde_solver as pde
 from tricomilab.errors import ConfigError, DomainError
 from tricomilab.pde_solver import (
     FitResult,
@@ -58,6 +59,70 @@ def test_taylor_start_velocity_only():
     dt = s1.t
     bump = initialize(cfg_same).u  # eps * u0
     assert np.allclose(s1.u - s0.u, dt * bump, atol=1e-14)
+
+
+def _full_grid_step(u, u_prev, r, t, dt, dt_prev, cfg, v0):
+    """The scheme on the whole grid: Taylor start when u_prev is None, else
+    the nonuniform leapfrog update; the outer boundary cell is held at 0."""
+    md = cfg.model
+    rhs = t**md.m * radial_laplacian(u, r, cfg.dx, md.n)
+    if not cfg.linear_only:
+        rhs = rhs + np.abs(u) ** md.p
+    if u_prev is None:
+        u_new = u + dt * v0 + 0.5 * dt * dt * rhs
+    else:
+        u_new = u + dt / dt_prev * (u - u_prev) + 0.5 * dt * (dt + dt_prev) * rhs
+    u_new[-1] = 0.0
+    return u_new
+
+
+def _assert_steps_match_full_grid(cfg, n_steps):
+    state = initialize(cfg)
+    v0 = state.u.copy() if cfg.u1_mode == "same" else np.zeros_like(state.u)
+    u, u_prev, dt_prev = state.u.copy(), None, 0.0
+    for _ in range(n_steps):
+        if state.blown_up:
+            break
+        t = state.t
+        step(state, cfg)
+        dt = state.dt_prev
+        u, u_prev = _full_grid_step(u, u_prev, state.r, t, dt, dt_prev, cfg, v0), u
+        dt_prev = dt
+        assert state.u.tobytes() == u.tobytes(), (cfg, state.step_index)
+    return state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2.0, 2.7])
+@pytest.mark.parametrize("u1_mode", ["same", "zero"])
+def test_step_matches_full_grid_scheme(n, p, u1_mode):
+    # the live window is exact: every step is bit-identical to the scheme
+    # applied to the whole grid
+    cfg = small_cfg(model=ModelParams(1.0, n, p, eps=0.8), dx=0.05, t_max=3.0,
+                    u1_mode=u1_mode)
+    state = _assert_steps_match_full_grid(cfg, 60)
+    assert state.live < state.u.size  # the window never reached the boundary
+
+
+def test_step_matches_full_grid_scheme_through_blowup():
+    cfg = small_cfg(dx=0.05)
+    state = _assert_steps_match_full_grid(cfg, 10_000)
+    assert state.blown_up
+
+
+def test_step_matches_full_grid_scheme_at_outer_boundary():
+    # a long linear run on the smallest allowed domain: the window reaches
+    # the outer boundary cell and keeps stepping there
+    cfg = RunConfig(
+        model=ModelParams(0.0, 2, 2.0, R=1.0, eps=1.0),
+        dx=0.05,
+        t_max=1.0,
+        linear_only=True,
+        domain_radius=1.0 + 1.0 + 5.0 * 0.05,
+    )
+    state = _assert_steps_match_full_grid(cfg, 200)
+    assert state.live == state.u.size
+    assert state.step_index == 200
 
 
 def test_radial_laplacian_quadratic_exact():
@@ -260,6 +325,29 @@ def test_lifespan_scan_monotone_and_fit():
     fit = fit_scaling(records, "subcritical")
     assert -1.3 < fit.slope < -0.4
     assert fit.n_used == 4
+
+
+def test_lifespan_scan_records_equal_run_until_blowup(monkeypatch):
+    # each scan record must be the record run_until_blowup gives for the
+    # configuration the scan ran last for that eps (horizon sizing and the
+    # censored retry included)
+    runs = []
+    solve = pde._solve
+
+    def spy(cfg, observe=None):
+        rec = solve(cfg, observe)
+        runs.append((cfg, rec))
+        return rec
+
+    monkeypatch.setattr(pde, "_solve", spy)
+    records = lifespan_scan(small_cfg(dx=0.05, t_max=2.0), [0.7, 1.0, 1.3])
+    monkeypatch.undo()
+    assert len(runs) > len(records)
+    assert runs[0][1].censored and runs[1][0].t_max == 2.0 * runs[0][0].t_max
+    last = {cfg.model.eps: cfg for cfg, _ in runs}
+    for rec in records:
+        ref, _ = run_until_blowup(last[rec.eps])
+        assert rec == ref  # t_blowup, censored, peak, threshold_sensitivity, eps
 
 
 def test_fit_scaling_synthetic():

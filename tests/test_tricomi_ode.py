@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from tricomilab.tricomi_ode import (
     OdeParams,
     fundamental_pair,
     fundamental_pair_scaled,
+    kernel_phi1_scaled,
+    kernel_phi2_ratio_scaled,
     ode_oracle,
     ode_oracle_scaled,
     phi1,
@@ -222,3 +225,46 @@ def test_argument_order_errors():
         OdeParams(-0.5, 1.0)
     with pytest.raises(DomainError):
         OdeParams(1.0, 0.0)
+
+
+def _mp_kernels(m, lam, t, s):
+    """e^{-(x_t-x_s)} (Phi1, Phi2/(t-s)) from the Bessel pair at 50 digits."""
+    with mpmath.workdps(50):
+        m, lam, t, s = (mpmath.mpf(v) for v in (m, lam, t, s))
+        nu = 1 / (m + 2)
+
+        def pair(tau):
+            x = lam * 2 / (m + 2) * tau ** ((m + 2) / 2)
+            c1 = mpmath.gamma(1 - nu) * (nu * lam) ** nu * mpmath.sqrt(tau)
+            c2 = mpmath.gamma(1 + nu) * (nu * lam) ** -nu * mpmath.sqrt(tau)
+            dx = lam * tau ** (m / 2)
+            return (c1 * mpmath.besseli(-nu, x), c1 * mpmath.besseli(1 - nu, x) * dx,
+                    c2 * mpmath.besseli(nu, x), c2 * mpmath.besseli(nu - 1, x) * dx, x)
+
+        v1t, _, v2t, _, x_t = pair(t)
+        v1s, dv1s, v2s, dv2s, x_s = pair(s)
+        scale = mpmath.exp(x_s - x_t)
+        return (float(scale * (v1t * dv2s - v2t * dv1s)),
+                float(scale * (v2t * v1s - v1t * v2s) / (t - s)))
+
+
+def test_kernels_at_tiny_s():
+    # once lam phi(s) underflows, the Bessel products x_s^nu K_{nu-1}(x_s)
+    # and x_s^nu I_{nu-1}(x_s) are 0 * inf; the leading small-s terms take over
+    assert math.isfinite(phi1(1.0, 1e-300, OdeParams(1.0, 1.0)))
+    assert math.isfinite(phi2_ratio(1.0, 1e-300, OdeParams(1.0, 1.0)))
+    lam = np.array([1e-3, 0.05, 0.3, 1.0, 4.0])
+    for m in (0.0, 0.3, 1.0, 2.5):
+        for t in (0.4, 3.0):
+            for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
+                at_zero = kernel(t, 0.0, lam, m)
+                tiny = kernel(t, 1e-300, lam, m)
+                assert np.all(np.isfinite(tiny))
+                assert np.allclose(tiny, at_zero, rtol=1e-14, atol=0.0)
+            for s in (1e-30, 1e-12, 1e-9, 1e-6):
+                k1 = kernel_phi1_scaled(t, s, lam, m)
+                k2 = kernel_phi2_ratio_scaled(t, s, lam, m)
+                for i, lam_i in enumerate(lam):
+                    r1, r2 = _mp_kernels(m, lam_i, t, s)
+                    assert k1[i] == pytest.approx(r1, rel=1e-13), (m, t, s, lam_i)
+                    assert k2[i] == pytest.approx(r2, rel=1e-13), (m, t, s, lam_i)
