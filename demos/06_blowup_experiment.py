@@ -9,7 +9,7 @@ eps then recovers the lifespan scaling T ~ eps^{-2p(p-1)/gamma}.
 
 import numpy as np
 
-from tricomilab.exponents import ExponentContext, gamma_mnp
+from tricomilab.exponents import ExponentContext, lifespan_law
 from tricomilab.pde_solver import (
     ModelParams,
     RunConfig,
@@ -45,8 +45,8 @@ records = lifespan_scan(RunConfig(model=model, dx=0.04, t_max=40.0,
 print("     eps    T_blowup  censored")
 for r in records:
     print(f"  {r.eps:6.3f}  {r.t_blowup:9.4f}  {r.censored}")
-fit = fit_scaling(records, "subcritical")
-theory = -2 * model.p * (model.p - 1) / gamma_mnp(ExponentContext(model.m, model.n, model.p))
+fit = fit_scaling(records)
+theory = -lifespan_law(ExponentContext(model.m, model.n, model.p)).theta
 print(f"\n  fitted slope of log T vs log eps: {fit.slope:.4f}  (theory {theory})")
 print(f"  fit residual: {fit.residual:.2e}")
 print(f"  note: {fit.note}")

@@ -94,7 +94,6 @@ _GRID = {
     "cfl_safety": (float, 0.4),
     "blowup_threshold": (float, 1e8),
     "domain_radius": (float, float("nan")),
-    "profile": (str, "bump"),
     "u1_mode": (str, "same"),
     "linear_only": (bool, False),
     "track_f": (bool, True),
@@ -165,10 +164,7 @@ _SCHEMA = {
     "scan": {
         "model": _MODEL,
         "grid": {**_GRID, "t_max": (float, 40.0), "track_f": (bool, False)},
-        "scan": {
-            "eps_list": (str, REQUIRED),  # comma-separated
-            "fit_mode": (str, "subcritical"),
-        },
+        "scan": {"eps_list": (str, REQUIRED)},  # comma-separated
     },
 }
 
@@ -493,7 +489,6 @@ def _build_run_config(cfg: dict) -> pde.RunConfig:
         cfl_safety=gc["cfl_safety"],
         blowup_threshold=gc["blowup_threshold"],
         domain_radius=None if math.isnan(domain) else domain,
-        profile=gc["profile"],
         u1_mode=gc["u1_mode"],
         linear_only=gc["linear_only"],
         track_f=gc["track_f"],
@@ -548,21 +543,15 @@ def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     _emit(args, cfg, {}, (), cols, rows)
     fit_doc: dict = {"kind": "lifespan_fit"}
     try:
-        fit = pde.fit_scaling(records, sc["fit_mode"])
+        fit = pde.fit_scaling(records)
         md = run_cfg.model
-        ctx = expmod.ExponentContext(md.m, md.n, md.p)
-        g = expmod.gamma_mnp(ctx)
-        theory = (
-            -2.0 * md.p * (md.p - 1.0) / g
-            if sc["fit_mode"] == "subcritical"
-            else -md.p * (md.p - 1.0)
-        )
+        law = expmod.lifespan_law(expmod.ExponentContext(md.m, md.n, md.p))
         fit_doc["fit"] = {
             "slope": fit.slope,
             "intercept": fit.intercept,
             "residual": fit.residual,
             "n_used": fit.n_used,
-            "theory_slope": theory,
+            "theory_slope": -law.theta,
             "note": fit.note,
         }
     except DomainError as exc:

@@ -143,26 +143,40 @@ def critical_identities(ctx: ExponentContext) -> tuple[float, float]:
     return (frame, initiate)
 
 
-def lifespan_prediction(ctx: ExponentContext, eps: float, constant: float) -> float:
-    """Lifespan upper-bound law evaluated at eps.
+class LifespanLaw(NamedTuple):
+    """The law that applies and its eps-exponent: theta = 2p(p-1)/gamma in
+    T <= C eps^{-theta} (subcritical), theta = p(p-1) in T <= exp(C eps^{-theta})
+    (critical)."""
 
-    Subcritical (gamma > 0): C eps^{-2p(p-1)/gamma}.  Critical (|gamma| within
-    CRITICAL_GAMMA_TOL): exp(C eps^{-p(p-1)}), which may overflow to inf for
-    small eps.  Supercritical gamma < 0 is outside the blow-up theory.
-    """
-    if eps <= 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
-    if constant <= 0:
-        raise DomainError(f"constant must be > 0, got {constant}")
+    regime: str
+    theta: float
+    gamma: float
+
+
+def lifespan_law(ctx: ExponentContext) -> LifespanLaw:
+    """The one regime test: |gamma| <= CRITICAL_GAMMA_TOL is critical, larger
+    gamma subcritical; supercritical gamma < 0 raises DomainError."""
     g = gamma_mnp(ctx)
     p = ctx.p
     if abs(g) <= CRITICAL_GAMMA_TOL:
-        arg = constant * eps ** (-p * (p - 1.0))
-        return math.exp(arg) if arg < 709.0 else math.inf
+        return LifespanLaw("critical", p * (p - 1.0), g)
     if g < 0:
         raise DomainError(
             f"gamma(m,n,p) = {g} < 0 (supercritical): no lifespan bound applies"
         )
+    return LifespanLaw("subcritical", 2.0 * p * (p - 1.0) / g, g)
+
+
+def lifespan_prediction(ctx: ExponentContext, eps: float, constant: float) -> float:
+    """The ``lifespan_law`` bound at eps; the critical law may overflow to inf."""
+    if eps <= 0:
+        raise DomainError(f"eps must be > 0, got {eps}")
+    if constant <= 0:
+        raise DomainError(f"constant must be > 0, got {constant}")
+    law = lifespan_law(ctx)
+    if law.regime == "critical":
+        arg = constant * eps ** -law.theta
+        return math.exp(arg) if arg < 709.0 else math.inf
     # log space: the exponent blows up as p approaches the root from below
-    log_t = math.log(constant) - 2.0 * p * (p - 1.0) / g * math.log(eps)
+    log_t = math.log(constant) - law.theta * math.log(eps)
     return math.exp(log_t) if log_t < 709.0 else math.inf

@@ -28,8 +28,10 @@ the double-exponential lifespan scaling T(eps) <= exp(C eps^{-p(p-1)}).
 
 All sequence arithmetic is carried in the log domain: D_j and C_j overflow
 double precision near j ~ 20 otherwise.  The universal constants (C0, C2,
-B1, the frame constant C) are calibration inputs with default 1; every
-scaling-law extraction here is constant-free (slopes only).
+B1, the frame constant C) are calibration inputs of the engines, default
+1; the threshold curves use the defaults, as every scaling-law extraction
+here is constant-free (slopes only).  ``exponents.lifespan_law`` decides
+which engine applies.
 """
 
 from __future__ import annotations
@@ -40,13 +42,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exponents import (
-    CRITICAL_GAMMA_TOL,
-    ExponentContext,
-    gamma_mnp,
-    iteration_exponents,
-    p_crit,
-)
+from .exponents import ExponentContext, iteration_exponents, lifespan_law, p_crit
+
+# unused here; re-exported because the benchmark tracer wraps this name in this module
+from .exponents import gamma_mnp  # noqa: F401
 
 _JMAX_HARD = 60
 
@@ -113,10 +112,10 @@ def subcritical_run(
         raise DomainError(f"D1 must be > 0, got {d1}")
     if t0 < 0:
         raise DomainError(f"T0 must be >= 0, got {t0}")
-    g = gamma_mnp(ctx)
-    if not g > CRITICAL_GAMMA_TOL:
+    law = lifespan_law(ctx)
+    if law.regime != "subcritical":
         raise DomainError(
-            f"subcritical engine needs 1 < p < p_crit(m,n) (gamma > 0), got gamma={g}"
+            f"subcritical engine needs 1 < p < p_crit(m,n) (gamma > 0), got gamma={law.gamma}"
         )
     m, n, p = ctx.m, ctx.n, ctx.p
     ex = iteration_exponents(ctx)
@@ -149,7 +148,7 @@ def subcritical_run(
         mu=ex.mu,
         alpha_it=ex.alpha_it,
         beta_it=ex.beta_it,
-        gamma=g,
+        gamma=law.gamma,
         j_index=js,
         a_j=a,
         b_j=b,
@@ -201,27 +200,25 @@ def j_threshold_time(seq: SubcriticalSequences) -> float:
     return max(t_star, 2.0 * seq.t0 + 1.0)
 
 
-def threshold_time_log_scan(
-    seq: SubcriticalSequences, level: float = 1.0, refine_bits: int = 50
-) -> float:
-    """log of the first time with J(t) > level, by doubling scan + bisection.
+def threshold_time_log_scan(seq: SubcriticalSequences) -> float:
+    """log of the first time with J(t) > 1, by doubling scan + 50 bisections.
 
     Constant-free extraction: the returned log-time inherits the exact
     -2p(p-1)/gamma scaling in log(eps) through D1.
     """
     lo = math.log(max(seq.t0 * 2.0 + 1.0, seq.t0 + 1e-9, 1e-9))
-    if j_function_log(lo, seq) > level:
+    if j_function_log(lo, seq) > 1.0:
         return lo
     hi = lo
     for _ in range(100000):
         hi = hi + math.log(2.0)
-        if j_function_log(hi, seq) > level:
+        if j_function_log(hi, seq) > 1.0:
             break
     else:
-        raise DomainError("J(t) never exceeded the level; not a subcritical setup?")
-    for _ in range(refine_bits):
+        raise DomainError("J(t) never exceeded 1; not a subcritical setup?")
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if j_function_log(mid, seq) > level:
+        if j_function_log(mid, seq) > 1.0:
             hi = mid
         else:
             lo = mid
@@ -241,28 +238,24 @@ def blowup_time_estimate(
     """
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    g = gamma_mnp(ctx)
-    if not g > CRITICAL_GAMMA_TOL:
-        raise DomainError(f"subcritical bound needs gamma > 0, got {g}")
+    law = lifespan_law(ctx)
+    if law.regime != "subcritical":
+        raise DomainError(f"subcritical bound needs gamma > 0, got {law.gamma}")
     ex = iteration_exponents(ctx)
     c3 = c0 / ex.beta_it**2
     spinf = sp_infinity(ctx.p, c3)
-    expo = 2.0 * (ctx.p - 1.0) / g
-    c4 = math.exp(expo * (spinf + ex.alpha_it * math.log(2.0) + 1.0 - math.log(c2)))
-    return c4 * eps ** (-2.0 * ctx.p * (ctx.p - 1.0) / g)
+    # log space: C4 alone overflows near p_crit; its exponent 2(p-1)/gamma is theta/p
+    log_c4 = law.theta / ctx.p * (spinf + ex.alpha_it * math.log(2.0) + 1.0 - math.log(c2))
+    log_t = log_c4 - law.theta * math.log(eps)
+    return math.exp(log_t) if log_t < 709.0 else math.inf
 
 
-def subcritical_threshold_curve(
-    ctx: ExponentContext,
-    eps_values,
-    c2: float = 1.0,
-    t0: float = 0.0,
-    c0: float = 1.0,
-) -> np.ndarray:
-    """log T*(eps) from the J(t) > 1 scan, for slope fits against log(eps)."""
+def subcritical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:
+    """log T*(eps) from the J(t) > 1 scan (D1 = eps^p, T0 = 0), for slope
+    fits against log(eps)."""
     out = []
     for eps in eps_values:
-        seq = subcritical_run(ctx, d1=c2 * eps**ctx.p, t0=t0, jmax=2, c0=c0)
+        seq = subcritical_run(ctx, d1=eps**ctx.p, jmax=2)
         out.append(threshold_time_log_scan(seq))
     return np.asarray(out)
 
@@ -288,8 +281,6 @@ class CriticalSequences:
     log_c1: float
     m_const: float
     n_const: float
-    e_const: float
-    l0: float = 1.5
 
     def a_closed(self, j) -> np.ndarray:
         j = np.asarray(j, dtype=float)
@@ -326,28 +317,26 @@ def critical_run(
     c0: float = 1.0,
     b1: float = 1.0,
     jmax: int = 40,
-    n_denominator: float | None = None,
 ) -> CriticalSequences:
     """Build the critical slicing sequences for j = 1..jmax (log domain).
 
-    Constants: M = C0 B1 / 27, N = C M^p / n_denominator (default
-    denominator 3^2 * 7 * (p+1)), C1 = N eps^{p^2}, E = C (p-1)/(72 p^2).
+    Constants: M = C0 B1 / 27, N = C M^p / (3^2 * 7 * (p+1)),
+    C1 = N eps^{p^2}.  The constant E = C (p-1)/(72 p^2) of the defining
+    expression cancels in log C_j (see ``log_c_closed``).
     """
     if not 0 < jmax <= _JMAX_HARD:
         raise DomainError(f"jmax must be in (0, {_JMAX_HARD}], got {jmax}")
     if eps <= 0:
         raise DomainError(f"eps must be > 0, got {eps}")
-    g = gamma_mnp(ctx)
-    if abs(g) > CRITICAL_GAMMA_TOL:
+    law = lifespan_law(ctx)
+    if law.regime != "critical":
         raise DomainError(
-            f"critical engine needs p = p_crit(m,n) (|gamma| <= {CRITICAL_GAMMA_TOL}), "
-            f"got gamma={g}; p_crit={p_crit(ctx.m, ctx.n)}"
+            f"critical engine needs p = p_crit(m,n), got gamma={law.gamma}; "
+            f"p_crit={p_crit(ctx.m, ctx.n)}"
         )
     p = ctx.p
     m_const = c0 * b1 / 27.0
-    denom = 9.0 * 7.0 * (p + 1.0) if n_denominator is None else float(n_denominator)
-    n_const = c * m_const**p / denom
-    e_const = c * (p - 1.0) / (72.0 * p * p)
+    n_const = c * m_const**p / (9.0 * 7.0 * (p + 1.0))
     log_c1 = math.log(n_const) + p * p * math.log(eps)
 
     js = np.arange(1, jmax + 1)
@@ -380,7 +369,6 @@ def critical_run(
         log_c1=log_c1,
         m_const=m_const,
         n_const=n_const,
-        e_const=e_const,
     )
 
 
@@ -415,7 +403,7 @@ def critical_lower_bound_log(
 
 
 def critical_divergence_log_time(
-    seq: CriticalSequences, ceiling_log: float = 30.0, refine_bits: int = 50
+    seq: CriticalSequences, ceiling_log: float = 30.0
 ) -> float:
     """log of the first time the slicing bound tops a fixed ceiling.
 
@@ -441,7 +429,7 @@ def critical_divergence_log_time(
         lo = w
     if hi is None:
         raise DomainError("slicing bound never reached the ceiling (jmax too small?)")
-    for _ in range(refine_bits):
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
         if best(math.exp(mid)) > ceiling_log:
             hi = mid
@@ -450,18 +438,11 @@ def critical_divergence_log_time(
     return math.exp(hi)
 
 
-def critical_threshold_curve(
-    ctx: ExponentContext,
-    eps_values,
-    c: float = 1.0,
-    c0: float = 1.0,
-    b1: float = 1.0,
-    jmax: int = 60,
-    ceiling_log: float = 30.0,
-) -> np.ndarray:
-    """log T*(eps) for the critical engine (constant-free slope extraction)."""
+def critical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:
+    """log T*(eps) for the critical engine (constant-free slope extraction,
+    jmax = 60, default constants and ceiling)."""
     out = []
     for eps in eps_values:
-        seq = critical_run(ctx, eps, c=c, c0=c0, b1=b1, jmax=jmax)
-        out.append(critical_divergence_log_time(seq, ceiling_log=ceiling_log))
+        seq = critical_run(ctx, eps, jmax=60)
+        out.append(critical_divergence_log_time(seq))
     return np.asarray(out)

@@ -25,8 +25,9 @@ Tracked functionals: G(t) = int u dx, the nonlinear mass int |u|^p dx,
 F(t) = int u(x,t) eta_q(x,t,t) dx, the discrete support radius, and the
 peak amplitude.  Runs end at a blow-up threshold crossing (with a
 threshold-sensitivity diagnostic), at a nonfinite value, or censored at
-the horizon.  ``lifespan_scan`` sweeps eps, keeping only each run's record
-(no per-step series), and ``fit_scaling`` extracts log-log lifespan slopes.
+the horizon.  ``lifespan_scan`` sweeps eps, subcritical only (the regime
+and the eps-exponent come from ``exponents.lifespan_law``), keeping only
+each run's record (no per-step series); ``fit_scaling`` fits its slope.
 """
 
 from __future__ import annotations
@@ -37,12 +38,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exponents import ExponentContext, gamma_mnp, q_choice
+from .exponents import ExponentContext, lifespan_law, q_choice
 from .specfun import surface_area
 from .testfun import TestFnParams, eta_q
 from .tricomi_ode import phi_of_t
 
-_PROFILES = ("bump",)
+# unused here; re-exported because the benchmark tracer wraps this name in this module
+from .exponents import gamma_mnp  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,10 @@ class RunConfig:
     cfl_safety: float = 0.4
     blowup_threshold: float = 1e8
     domain_radius: float | None = None
-    profile: str = "bump"
     u1_mode: str = "same"  # "same" -> u1 = u0, "zero" -> u1 = 0
     linear_only: bool = False
     track_f: bool = False
     n_f_samples: int = 64
-    testfn: TestFnParams | None = None
 
     def __post_init__(self):
         if not self.dx > 0:
@@ -96,8 +96,6 @@ class RunConfig:
             raise ConfigError(f"cfl_safety must be in (0,1), got {self.cfl_safety}")
         if not self.t_max > 0:
             raise ConfigError(f"t_max must be > 0, got {self.t_max}")
-        if self.profile not in _PROFILES:
-            raise ConfigError(f"unknown profile {self.profile!r}; options: {_PROFILES}")
         if self.u1_mode not in ("same", "zero"):
             raise ConfigError(f"u1_mode must be 'same' or 'zero', got {self.u1_mode}")
         if not self.blowup_threshold > 1:
@@ -117,8 +115,6 @@ class RunConfig:
         return self.min_domain_radius() + max(0.5, 5.0 * self.dx)
 
     def default_testfn(self) -> TestFnParams:
-        if self.testfn is not None:
-            return self.testfn
         md = self.model
         return TestFnParams(
             q=q_choice(md.n, md.p), lambda0=0.5, R=md.R, n=md.n, m=md.m
@@ -302,25 +298,22 @@ def functional_lp(state: SolverState, cfg: RunConfig) -> float:
     )
 
 
-def functional_F(
-    state: SolverState, cfg: RunConfig, tf: TestFnParams | None = None
-) -> float:
-    """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight)."""
-    tf = tf if tf is not None else cfg.default_testfn()
+def functional_F(state: SolverState, cfg: RunConfig) -> float:
+    """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``)."""
     n = cfg.model.n
-    eta_diag = eta_q(state.r, state.t, state.t, tf)
+    eta_diag = eta_q(state.r, state.t, state.t, cfg.default_testfn())
     w = state.r ** (n - 1) if n > 1 else np.ones_like(state.r)
     return surface_area(n) * float(np.trapezoid(state.u * eta_diag * w, dx=cfg.dx))
 
 
-def support_radius(state: SolverState, rel_tol: float = 1e-4) -> float:
-    """Largest radius where |u| exceeds rel_tol * max(1, |u|_inf).
+def support_radius(state: SolverState) -> float:
+    """Largest radius where |u| exceeds 1e-4 * max(1, |u|_inf).
 
     The threshold must sit above the dispersive precursor of the
     second-order scheme (measured O(dx^2.5), ~1e-5 relative at dx = 0.02),
     otherwise scheme noise ahead of the true front is counted as support.
     """
-    thresh = rel_tol * max(1.0, float(np.max(np.abs(state.u))))
+    thresh = 1e-4 * max(1.0, float(np.max(np.abs(state.u))))
     idx = np.nonzero(np.abs(state.u) > thresh)[0]
     return float(state.r[idx[-1]]) if len(idx) else 0.0
 
@@ -360,7 +353,6 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
     reported time is insensitive to the detection level.  The series holds
     the per-step scalars and, with ``track_f``, about n_f_samples F values.
     """
-    tf = cfg.default_testfn() if cfg.track_f else None
     ts, amps, gs, lps, supps = [], [], [], [], []
     f_t, f_v = [], []
     f_next = 0.0
@@ -373,9 +365,9 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
         gs.append(functional_G(state, cfg))
         lps.append(functional_lp(state, cfg))
         supps.append(support_radius(state))
-        if tf is not None and state.t >= f_next:
+        if cfg.track_f and state.t >= f_next:
             f_t.append(state.t)
-            f_v.append(functional_F(state, cfg, tf))
+            f_v.append(functional_F(state, cfg))
             f_next += f_stride
 
     record_out = _solve(cfg, record)
@@ -391,18 +383,24 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
     return record_out, series
 
 
-def _theory_exponent(md: ModelParams) -> float:
-    g = gamma_mnp(ExponentContext(md.m, md.n, md.p))
-    if g <= 0:
-        raise DomainError("lifespan scaling applies to subcritical runs only")
-    return 2.0 * md.p * (md.p - 1.0) / g
+def _horizon_power(eps: float, expo: float) -> float:
+    """eps**expo of the horizon law; a DomainError where it leaves the double range."""
+    try:
+        out = eps**expo
+    except OverflowError:
+        out = math.inf
+    if not 0.0 < out < math.inf:
+        raise DomainError(f"horizon law eps^-theta leaves the double range at "
+                          f"eps={eps:.12g}, theta={abs(expo):.12g}")
+    return out
 
 
 def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
-    """Independent runs over eps (sorted descending internally).
+    """Independent subcritical runs over eps (sorted descending internally).
 
-    Horizons are auto-sized from the theoretical scaling calibrated on the
-    largest eps; censored runs are retried once with a doubled horizon and
+    Horizons are auto-sized from the theoretical scaling eps^{-theta}
+    calibrated on the largest eps (a DomainError where that leaves the
+    double range); censored runs are retried once with a doubled horizon and
     kept (flagged) if still censored.  Records return sorted by eps.  Each
     run is the stepping loop of ``run_until_blowup`` without its per-step
     series: no functional is computed, and every step updates only the live
@@ -411,14 +409,17 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     eps_sorted = sorted(float(e) for e in eps_values)
     if any(e <= 0 for e in eps_sorted):
         raise ConfigError("eps values must be positive")
-    theta = _theory_exponent(cfg.model)
+    md = cfg.model
+    law = lifespan_law(ExponentContext(md.m, md.n, md.p))
+    if law.regime != "subcritical":
+        raise DomainError("lifespan scaling applies to subcritical runs only")
     records: dict[float, LifespanRecord] = {}
     c_emp = None
     for eps in reversed(eps_sorted):
         if c_emp is None:
             t_horizon = cfg.t_max
         else:
-            t_horizon = min(4.0 * c_emp * eps**-theta, 1e4)
+            t_horizon = min(4.0 * c_emp * _horizon_power(eps, -law.theta), 1e4)
         run_cfg = replace(
             cfg,
             model=replace(cfg.model, eps=eps),
@@ -430,18 +431,16 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
             run_cfg = replace(run_cfg, t_max=2.0 * run_cfg.t_max, domain_radius=None)
             rec = _solve(run_cfg)
         if rec.t_blowup is not None and c_emp is None:
-            c_emp = rec.t_blowup * eps**theta
+            c_emp = rec.t_blowup * _horizon_power(eps, law.theta)
         records[eps] = rec
     return [records[e] for e in eps_sorted]
 
 
-def fit_scaling(records, mode: str = "subcritical") -> FitResult:
-    """Least squares of log T (or log log T) against log eps.
+def fit_scaling(records) -> FitResult:
+    """Least squares of log T against log eps (slope -theta in theory).
 
     Censored records are excluded; at least 4 uncensored points required.
     """
-    if mode not in ("subcritical", "critical"):
-        raise DomainError(f"mode must be 'subcritical' or 'critical', got {mode}")
     used = [r for r in records if not r.censored and r.t_blowup]
     if len(used) < 4:
         raise DomainError(
@@ -450,7 +449,7 @@ def fit_scaling(records, mode: str = "subcritical") -> FitResult:
         )
     x = np.log([r.eps for r in used])
     t = np.asarray([r.t_blowup for r in used])
-    y = np.log(t) if mode == "subcritical" else np.log(np.log(t))
+    y = np.log(t)
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
     return FitResult(

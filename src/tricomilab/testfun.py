@@ -227,14 +227,14 @@ class Lemma22Grid:
             x_fractions=tuple(np.linspace(0.0, 0.95, nx)),
         )
 
-    def refined(self, factor: int = 2) -> "Lemma22Grid":
-        """Grid with `factor` times as many points along each axis."""
+    def refined(self) -> "Lemma22Grid":
+        """Grid with every gap along each axis halved."""
 
         def densify(vals):
             v = np.asarray(sorted(set(float(x) for x in vals)))
             out = list(v)
             for a, b in zip(v[:-1], v[1:]):
-                extra = np.linspace(a, b, factor + 1)[1:-1]
+                extra = np.linspace(a, b, 3)[1:-1]
                 out.extend(extra)
             return tuple(sorted(out))
 
@@ -261,7 +261,6 @@ class Lemma22Report:
     rows: tuple
     constants: dict
     excluded: int
-    params: TestFnParams
 
     def rows_for(self, part: str):
         return [r for r in self.rows if r.part == part]
@@ -345,7 +344,7 @@ def lemma22_report(
     for part, agg in (("i-xi", min), ("i-eta", min), ("ii", min), ("iii", max)):
         ratios = [r.ratio for r in rows if r.part == part]
         constants[part] = agg(ratios) if ratios else math.nan
-    return Lemma22Report(tuple(rows), constants, excluded, p)
+    return Lemma22Report(tuple(rows), constants, excluded)
 
 
 def _unique_sorted(values):

@@ -243,7 +243,7 @@ def test_criterion_08_and_09_lifespan_scaling():
     eps = np.geomspace(0.3, 1.2, 7)
     records = lifespan_scan(cfg, eps)
     assert all(not r.censored for r in records)
-    fit = fit_scaling(records, "subcritical")
+    fit = fit_scaling(records)
     assert -1.2 <= fit.slope <= -0.8, fit
     _report(8, f"lifespan sweep slope {fit.slope:.3f} in [-1.2,-0.8]", t0, 120.0)
 

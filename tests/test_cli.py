@@ -268,3 +268,40 @@ def test_scan_rejects_json_format(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "--format" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "p, words",
+    [
+        # p_crit(1,2) as the 12-digit config echo writes it: gamma = 2.6e-11,
+        # within the critical tolerance
+        ("2.18614066163", "subcritical runs only"),
+        # gamma = 5.7e-8: subcritical, but eps^theta overflows (theta ~ 9e7)
+        ("2.18614065163", "double range"),
+    ],
+)
+def test_scan_near_p_crit_is_a_domain_error(tmp_path, capsys, p, words):
+    code = run_cli(
+        ["scan", "--set", "model.m=1", "--set", "model.n=2", "--set", f"model.p={p}",
+         "--set", "scan.eps_list=1.5,2,3,4", "--set", "grid.dx=0.05",
+         "--output", str(tmp_path / "r.csv"), "--fit-output", str(tmp_path / "f.json")]
+    )
+    assert code == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert words in err
+    if words == "double range":
+        assert "eps=" in err and "theta=" in err
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("scan", "scan.fit_mode=subcritical"), ("simulate", "grid.profile=bump"),
+     ("scan", "grid.profile=bump")],
+)
+def test_removed_keys_are_unknown(command, key, capsys):
+    argv = [command, "--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2",
+            "--set", key]
+    if command == "scan":
+        argv += ["--set", "scan.eps_list=1.0"]
+    assert run_cli(argv) == EXIT_CONFIG
+    assert "unknown config key" in capsys.readouterr().err

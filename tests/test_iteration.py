@@ -127,7 +127,6 @@ def test_critical_first_values():
     assert seq.a_j[0] == pytest.approx(PC12 + 1.0, rel=1e-14)
     assert seq.b_j[0] == pytest.approx(PC12 - 1.0, rel=1e-14)
     assert seq.l_j[0] == pytest.approx(1.75)
-    assert seq.l0 == 1.5
     assert seq.m_const == pytest.approx(1.0 / 27.0)
 
 
@@ -189,9 +188,3 @@ def test_initiation_envelope():
     assert np.all(np.diff(vals) > 0)
     with pytest.raises(DomainError):
         initiation_envelope(1.0, 0.2, 2.0, 0.5)
-
-
-def test_n_denominator_configurable():
-    base = critical_run(CTXC, eps=0.1, jmax=5)
-    other = critical_run(CTXC, eps=0.1, jmax=5, n_denominator=1.0)
-    assert other.n_const == pytest.approx(base.n_const * 9.0 * 7.0 * (PC12 + 1.0))

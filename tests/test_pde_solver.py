@@ -322,7 +322,7 @@ def test_lifespan_scan_monotone_and_fit():
     assert all(not r.censored for r in records)
     times = [r.t_blowup for r in records]
     assert all(a > b for a, b in zip(times, times[1:]))  # decreasing in eps
-    fit = fit_scaling(records, "subcritical")
+    fit = fit_scaling(records)
     assert -1.3 < fit.slope < -0.4
     assert fit.n_used == 4
 
@@ -356,16 +356,9 @@ def test_fit_scaling_synthetic():
                        threshold_sensitivity=None)
         for e in (0.1, 0.2, 0.4, 0.8)
     ]
-    fit = fit_scaling(recs, "subcritical")
+    fit = fit_scaling(recs)
     assert fit.slope == pytest.approx(-1.0, abs=1e-12)
     assert fit.residual == pytest.approx(0.0, abs=1e-12)
-    recs_c = [
-        LifespanRecord(eps=e, t_blowup=math.exp(e**-2.0), censored=False,
-                       peak=1.0, threshold_sensitivity=None)
-        for e in (0.5, 0.7, 1.0, 1.4)
-    ]
-    fit_c = fit_scaling(recs_c, "critical")
-    assert fit_c.slope == pytest.approx(-2.0, abs=1e-10)
 
 
 def test_fit_scaling_requires_four_points():
@@ -378,7 +371,7 @@ def test_fit_scaling_requires_four_points():
                        threshold_sensitivity=None)
     ]
     with pytest.raises(DomainError):
-        fit_scaling(recs, "subcritical")
+        fit_scaling(recs)
 
 
 def test_single_eps_scan():

@@ -44,13 +44,32 @@ def test_initial_conditions_exact():
 
 
 def test_wronskian_fixed_samples():
-    # lambda chosen so lambda*phi(t) stays below ~8: beyond that the decaying
+    # lambda chosen so lambda*phi(t) stays below 8: beyond that the decaying
     # mode falls under double-precision eps relative to the growing one and
     # the identity cannot be represented by the returned values
-    for t, lam in ((0.5, 2.0), (1.0, 1.5), (5.0, 0.5), (20.0, 0.05)):
-        for m in (0.5, 1.0, 2.0):
+    samples = (
+        (0.5, 2.0, (0.5, 1.0, 2.0)),
+        (1.0, 1.5, (0.5, 1.0, 2.0)),
+        (5.0, 0.5, (0.5, 1.0, 2.0)),
+        (20.0, 0.05, (0.5, 1.0)),  # m = 2 gives lambda*phi = 10, see below
+    )
+    for t, lam, ms in samples:
+        for m in ms:
+            assert lam * phi_of_t(m, t) <= 8.0, (m, lam, t)
             fe = fundamental_pair(OdeParams(m, lam), t)
             assert abs(fe.v1 * fe.dv2 - fe.dv1 * fe.v2 - 1.0) <= 1e-8
+
+
+def test_pair_against_mpmath_past_the_wronskian_window():
+    # at lambda*phi(t) = 10 the Wronskian's products are ~1.7e8, so even the
+    # correctly rounded pair misses W = 1 by 2.98e-8; check the components
+    m, lam, t = 2.0, 0.05, 20.0
+    assert lam * phi_of_t(m, t) == pytest.approx(10.0, rel=1e-14)
+    fe = fundamental_pair(OdeParams(m, lam), t)
+    with mpmath.workdps(50):
+        ref = _mp_pair(*(mpmath.mpf(v) for v in (m, lam, t)))[:4]
+        for got, want in zip((fe.v1, fe.dv1, fe.v2, fe.dv2), ref):
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -227,22 +246,23 @@ def test_argument_order_errors():
         OdeParams(1.0, 0.0)
 
 
+def _mp_pair(m, lam, tau):
+    """(V1, V1', V2, V2', lambda phi(tau)) from the Bessel form, in mpmath."""
+    nu = 1 / (m + 2)
+    x = lam * 2 / (m + 2) * tau ** ((m + 2) / 2)
+    c1 = mpmath.gamma(1 - nu) * (nu * lam) ** nu * mpmath.sqrt(tau)
+    c2 = mpmath.gamma(1 + nu) * (nu * lam) ** -nu * mpmath.sqrt(tau)
+    dx = lam * tau ** (m / 2)
+    return (c1 * mpmath.besseli(-nu, x), c1 * mpmath.besseli(1 - nu, x) * dx,
+            c2 * mpmath.besseli(nu, x), c2 * mpmath.besseli(nu - 1, x) * dx, x)
+
+
 def _mp_kernels(m, lam, t, s):
     """e^{-(x_t-x_s)} (Phi1, Phi2/(t-s)) from the Bessel pair at 50 digits."""
     with mpmath.workdps(50):
         m, lam, t, s = (mpmath.mpf(v) for v in (m, lam, t, s))
-        nu = 1 / (m + 2)
-
-        def pair(tau):
-            x = lam * 2 / (m + 2) * tau ** ((m + 2) / 2)
-            c1 = mpmath.gamma(1 - nu) * (nu * lam) ** nu * mpmath.sqrt(tau)
-            c2 = mpmath.gamma(1 + nu) * (nu * lam) ** -nu * mpmath.sqrt(tau)
-            dx = lam * tau ** (m / 2)
-            return (c1 * mpmath.besseli(-nu, x), c1 * mpmath.besseli(1 - nu, x) * dx,
-                    c2 * mpmath.besseli(nu, x), c2 * mpmath.besseli(nu - 1, x) * dx, x)
-
-        v1t, _, v2t, _, x_t = pair(t)
-        v1s, dv1s, v2s, dv2s, x_s = pair(s)
+        v1t, _, v2t, _, x_t = _mp_pair(m, lam, t)
+        v1s, dv1s, v2s, dv2s, x_s = _mp_pair(m, lam, s)
         scale = mpmath.exp(x_s - x_t)
         return (float(scale * (v1t * dv2s - v2t * dv1s)),
                 float(scale * (v2t * v1s - v1t * v2s) / (t - s)))
