@@ -170,22 +170,31 @@ def j_function(t: float, seq: SubcriticalSequences) -> float:
 
 
 def j_function_log(log_t: float, seq: SubcriticalSequences) -> float:
-    """J evaluated at t = e^{log_t}; stable for astronomically large t."""
-    log1p_t = log_t + math.log1p(math.exp(-log_t)) if log_t > 0 else math.log1p(
-        math.exp(log_t)
-    )
+    """J evaluated at t = e^{log_t}; stable for astronomically large t.
+
+    Written as (beta_it - alpha_it) log t plus bounded corrections: near
+    p_crit beta_it - alpha_it is ~gamma and the threshold log t ~1/gamma, so
+    the two products beta_it log t and alpha_it log t would cancel.
+    """
+    # log((1+t)/t)
+    if log_t > 0:
+        log_ratio_1 = math.log1p(math.exp(-log_t))
+    else:
+        log_ratio_1 = math.log1p(math.exp(log_t)) - log_t
+    # log((t-T0)/t)
     if seq.t0 == 0.0:
-        log_t_minus_t0 = log_t
+        log_ratio_t0 = 0.0
     else:
         rel = seq.t0 * math.exp(-log_t)
         if rel >= 1.0:
             raise DomainError("J(t) needs t > T0")
-        log_t_minus_t0 = log_t + math.log1p(-rel)
+        log_ratio_t0 = math.log1p(-rel)
     return (
         math.log(seq.d1)
         - seq.sp_infinity
-        - seq.alpha_it * log1p_t
-        + seq.beta_it * log_t_minus_t0
+        + (seq.beta_it - seq.alpha_it) * log_t
+        - seq.alpha_it * log_ratio_1
+        + seq.beta_it * log_ratio_t0
     )
 
 
@@ -193,36 +202,43 @@ def j_threshold_time(seq: SubcriticalSequences) -> float:
     """Closed-form time past which J(t) > 1 is guaranteed.
 
     max{T0 + (e^{S_p(inf) + alpha_it log 2 + 1} / D1)^{1/(beta_it - alpha_it)},
-        2 T0 + 1}; the exponent equals 2(p-1)/gamma.
+        2 T0 + 1}; the exponent equals 2(p-1)/gamma.  Evaluated in log space;
+    inf once the power-law term passes e^709 (near p_crit).
     """
     log_base = seq.sp_infinity + seq.alpha_it * math.log(2.0) + 1.0 - math.log(seq.d1)
-    t_star = seq.t0 + math.exp(log_base / (seq.beta_it - seq.alpha_it))
-    return max(t_star, 2.0 * seq.t0 + 1.0)
+    log_power = log_base / (seq.beta_it - seq.alpha_it)
+    if log_power >= 709.0:
+        return math.inf
+    return max(seq.t0 + math.exp(log_power), 2.0 * seq.t0 + 1.0)
 
 
 def threshold_time_log_scan(seq: SubcriticalSequences) -> float:
-    """log of the first time with J(t) > 1, by doubling scan + 50 bisections.
+    """log of the first time with J(t) > 1, by galloping search + bisection.
 
+    J is increasing in t (beta_it > alpha_it), so steps of 1, 2, 4, ... in
+    log t bracket the crossing in O(log log T*) tries, and bisection shrinks
+    the bracket to adjacent doubles; the first double with J > 1 is returned.
     Constant-free extraction: the returned log-time inherits the exact
     -2p(p-1)/gamma scaling in log(eps) through D1.
     """
     lo = math.log(max(seq.t0 * 2.0 + 1.0, seq.t0 + 1e-9, 1e-9))
     if j_function_log(lo, seq) > 1.0:
         return lo
-    hi = lo
-    for _ in range(100000):
-        hi = hi + math.log(2.0)
-        if j_function_log(hi, seq) > 1.0:
-            break
-    else:
-        raise DomainError("J(t) never exceeded 1; not a subcritical setup?")
-    for _ in range(50):
+    step = 1.0
+    hi = lo + step
+    while not j_function_log(hi, seq) > 1.0:  # also steps past a nan J
+        lo, step = hi, 2.0 * step
+        hi = lo + step
+        if not math.isfinite(hi):
+            raise DomainError(f"J(t) stays <= 1 up to log t = {lo:.6g}")
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
         if j_function_log(mid, seq) > 1.0:
             hi = mid
         else:
             lo = mid
-    return hi
 
 
 def blowup_time_estimate(

@@ -12,6 +12,14 @@ e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
 and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
 bounded for arbitrarily large t, s.
 
+The factor varphi_scaled(n, lam|x|) depends only on the lambda nodes and
+the radii, not on t or s.  ``_exp_profile`` takes it from a module memo
+keyed on the exact inputs (n, lambda nodes, radii), holding at most 4
+read-only blocks (one per Gauss level of ``integrate_lambda_weighted``)
+and evicting first-in-first-out; so F(t) sampled along a run, or repeated
+radii in ``lemma22_report``, build the block once.  A miss calls
+``varphi_scaled`` afresh, and results are bit-identical to that.
+
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
 constant B2) on user grids.
@@ -139,13 +147,37 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
+# one block per Gauss level of integrate_lambda_weighted (see module docstring)
+_VPHI_MEMO: dict[tuple, np.ndarray] = {}
+_VPHI_MEMO_SIZE = 4
+
+
+def _vphi_block(n: int, lam: np.ndarray, xn: np.ndarray) -> np.ndarray:
+    """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized."""
+    key = (n, lam.tobytes(), xn.shape, xn.tobytes())
+    block = _VPHI_MEMO.get(key)
+    if block is None:
+        block = varphi_scaled(n, lam[None, :] * xn[:, None])
+        block.flags.writeable = False
+        if len(_VPHI_MEMO) >= _VPHI_MEMO_SIZE:
+            del _VPHI_MEMO[next(iter(_VPHI_MEMO))]
+        _VPHI_MEMO[key] = block
+    return block
+
+
 def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams):
-    """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|), shape (X, L)."""
+    """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|), shape (X, L).
+
+    Returns a fresh array; the t-independent varphi factor comes from the memo.
+    """
     xn = np.atleast_1d(np.asarray(x_norm, dtype=float))
-    arg = lam[None, :] * (xn[:, None] - phi_of_t(p.m, s) - p.R)
-    return np.exp(np.minimum(arg, _EXP_CLIP)) * varphi_scaled(
-        p.n, lam[None, :] * xn[:, None]
-    )
+    # fetched first, so no profile array is alive while a block is built
+    block = _vphi_block(p.n, lam, xn)
+    out = lam[None, :] * (xn[:, None] - phi_of_t(p.m, s) - p.R)
+    np.minimum(out, _EXP_CLIP, out=out)
+    np.exp(out, out=out)
+    out *= block
+    return out
 
 
 def _check_point(x_norm, t: float, s: float) -> np.ndarray:

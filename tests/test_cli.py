@@ -108,6 +108,25 @@ def test_determinism_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_determinism_with_f_tracking_ignores_call_history(tmp_path):
+    # testfun memoizes the varphi block of the F weight across calls: the
+    # same run repeated, with a run on another grid in between, must give
+    # the same bytes
+    base = [
+        "simulate", "--set", "model.m=1", "--set", "model.n=2",
+        "--set", "model.p=2", "--set", "grid.t_max=1", "--set", "grid.n_f_samples=4",
+        "--set", "grid.track_f=true",
+    ]
+    outs = [tmp_path / f"f{k}.csv" for k in range(4)]
+    for out, dx in zip(outs, ("0.05", "0.05", "0.04", "0.05")):
+        assert run_cli(base + ["--set", f"grid.dx={dx}", "--output", str(out)]) == EXIT_OK
+    same = outs[0].read_bytes()
+    assert outs[1].read_bytes() == same and outs[3].read_bytes() == same
+    rows = [l.split(",") for l in same.decode().splitlines() if not l.startswith("#")]
+    f_col = rows[0].index("f")
+    assert sum(1 for r in rows[1:] if r[f_col]) >= 2  # F was sampled
+
+
 def test_determinism_subprocess(tmp_path):
     # same invocation through a fresh interpreter: still byte-identical
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
@@ -225,6 +244,22 @@ def test_iterate_csv_columns(tmp_path):
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "j,a_j,b_j,log_d_or_c_j,l_j"
     assert any(l.startswith("# threshold.log_t_scan") for l in lines)
+
+
+def test_iterate_near_p_crit(tmp_path):
+    # gamma = 5.7e-8: the threshold is finite (log t ~ 6.5e8), the closed
+    # form passes e^709 and is written as inf
+    out = tmp_path / "it.csv"
+    code = run_cli(
+        ["iterate", "--set", "iterate.m=1", "--set", "iterate.n=2",
+         "--set", "iterate.p=2.18614065163", "--output", str(out)]
+    )
+    assert code == EXIT_OK
+    header = dict(
+        l[2:].split(" = ") for l in out.read_text().splitlines() if l.startswith("# threshold")
+    )
+    assert float(header["threshold.log_t_scan"]) == pytest.approx(6.46102624e8, rel=1e-8)
+    assert header["threshold.t_closed_form"] == "inf"
 
 
 def test_odecheck_propagators_present(tmp_path):

@@ -9,15 +9,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
-# 06 runs the PDE solver for ~20 s; that path is covered by test_pde_solver
-# and the acceptance criteria, so it is left out of the smoke run
-SLOW = {"06_blowup_experiment.py"}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    if demo.name in SLOW:
-        pytest.skip("takes ~20 s; its pde_solver path is covered elsewhere")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))

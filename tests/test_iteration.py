@@ -103,6 +103,20 @@ def test_subcritical_slope_extraction():
     assert slope == pytest.approx(theory, rel=0.05)
 
 
+def test_threshold_near_p_crit():
+    # gamma = 5.7e-8: the J > 1 crossing sits at log t ~ 6.5e8, past e^709
+    ctx = ExponentContext(1.0, 2, 2.18614065163)
+    seq = subcritical_run(ctx, d1=0.1**ctx.p, jmax=2)
+    rate = seq.beta_it - seq.alpha_it
+    slack = seq.alpha_it * math.log(2.0)  # log(2t) >= log(1+t) in the closed form
+    log_closed = (seq.sp_infinity + slack + 1.0 - math.log(seq.d1)) / rate
+    assert log_closed == pytest.approx(8.47218e8, rel=1e-5)
+    assert j_threshold_time(seq) == math.inf
+    log_t = threshold_time_log_scan(seq)
+    assert log_t < log_closed
+    assert log_t == pytest.approx(log_closed - slack / rate, rel=1e-9)
+
+
 def test_subcritical_scope_errors():
     with pytest.raises(DomainError):
         subcritical_run(ExponentContext(1.0, 2, 3.0), d1=0.1)  # supercritical

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tricomilab import testfun
 from tricomilab.errors import DomainError
 from tricomilab.exponents import p_crit, q_choice
-from tricomilab.specfun import varphi
+from tricomilab.pde_solver import ModelParams, RunConfig, initialize
+from tricomilab.specfun import varphi, varphi_scaled
 from tricomilab.testfun import (
     Lemma22Grid,
     TestFnParams,
     _eta_q_full,
+    _exp_profile,
     _xi_q_full,
     bracket,
     eta_q,
@@ -218,3 +221,61 @@ def test_hypothesis_violations_raise_or_exclude():
         xi_q(0.5, 1.0, 2.0, TestFnParams(q=0.0))  # s > t
     with pytest.raises(DomainError):
         eta_q(-0.5, 1.0, 0.0, TestFnParams(q=0.0))  # negative radius
+
+
+# ---------------------------------------------------------------------------
+# memoized varphi block of the exp profile
+# ---------------------------------------------------------------------------
+
+
+def _eta_diag_reference(xn, t, p):
+    """Diagonal eta_q with the profile built from scratch on every call."""
+
+    def g(lam):
+        arg = lam[None, :] * (xn[:, None] - phi_of_t(p.m, t) - p.R)
+        return np.exp(np.minimum(arg, 700.0)) * varphi_scaled(
+            p.n, lam[None, :] * xn[:, None]
+        )
+
+    return integrate_lambda_weighted(g, p.q, p.lambda0)[0]
+
+
+def test_memoized_profile_is_bit_identical(monkeypatch):
+    # the grid and weight of an F-tracked n = 2 run (1,136 radii, q = 0)
+    cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
+    xn = initialize(cfg).r
+    p = cfg.default_testfn()
+    assert xn.size == 1136 and p.q == 0.0
+    misses = []
+
+    def counted(n, r):
+        misses.append(r.shape)
+        return varphi_scaled(n, r)
+
+    monkeypatch.setattr(testfun, "varphi_scaled", counted)
+    testfun._VPHI_MEMO.clear()
+    for t in (0.0, 3.7, 10.0):
+        ref = _eta_diag_reference(xn, t, p)
+        # t = 0 fills the memo, every later call hits it
+        assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
+        assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
+        assert len(testfun._VPHI_MEMO) <= testfun._VPHI_MEMO_SIZE
+    # one block per Gauss level visited, all built on the first call
+    assert 2 <= len(misses) == len(testfun._VPHI_MEMO) <= 4
+
+    # a caller that writes into a returned profile cannot reach the memo
+    lam, _ = testfun._graded_rule(p.q, p.lambda0, 16)
+    _exp_profile(lam, xn, 2.0, p)[:] = np.nan
+    ref = _eta_diag_reference(xn, 2.0, p)
+    assert eta_q(xn, 2.0, 2.0, p).tobytes() == ref.tobytes()
+    assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
+
+
+def test_memo_holds_at_most_four_blocks():
+    p = TestFnParams(q=0.5, n=3, m=1.0)
+    testfun._VPHI_MEMO.clear()
+    for k in range(12):
+        xn = np.linspace(0.0, 1.0 + k, 7)
+        ref = _eta_diag_reference(xn, 1.5, p)
+        assert eta_q(xn, 1.5, 1.5, p).tobytes() == ref.tobytes()
+        assert len(testfun._VPHI_MEMO) <= 4
