@@ -290,49 +290,32 @@ def _emit(args: argparse.Namespace, cfg: dict, doc: dict, header=(), columns=Non
 # ---------------------------------------------------------------------------
 
 
+# op -> (input keys, evaluator returning (value, regime, error_estimate)),
+# the shape of KummerEval
+_SPECFUN_OPS = {
+    "kummer": (("a", "b", "z"), kummer_m_detail),
+    "kummer_deriv": (
+        ("a", "b", "z"),
+        lambda a, b, z: (kummer_m_deriv(a, b, z), "derivative", None),
+    ),
+    "varphi": (
+        ("n", "r"),
+        lambda n, r: (varphi(n, r), "closed-form" if n <= 3 else "bessel", None),
+    ),
+    "log_gamma": (("x",), lambda x: (log_gamma(x), "lgamma", None)),
+}
+
+
 def _cmd_specfun(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["specfun"]
     op = c["op"]
-    if op == "kummer":
-        detail = kummer_m_detail(c["a"], c["b"], c["z"])
-        payload = {
-            "op": op,
-            "a": c["a"],
-            "b": c["b"],
-            "z": c["z"],
-            "value": detail.value,
-            "regime": detail.regime,
-            "error_estimate": detail.error_estimate,
-        }
-    elif op == "kummer_deriv":
-        payload = {
-            "op": op,
-            "a": c["a"],
-            "b": c["b"],
-            "z": c["z"],
-            "value": kummer_m_deriv(c["a"], c["b"], c["z"]),
-            "regime": "derivative",
-            "error_estimate": None,
-        }
-    elif op == "varphi":
-        payload = {
-            "op": op,
-            "n": c["n"],
-            "r": c["r"],
-            "value": varphi(c["n"], c["r"]),
-            "regime": "closed-form" if c["n"] <= 3 else "bessel",
-            "error_estimate": None,
-        }
-    elif op == "log_gamma":
-        payload = {
-            "op": op,
-            "x": c["x"],
-            "value": log_gamma(c["x"]),
-            "regime": "lgamma",
-            "error_estimate": None,
-        }
-    else:
+    if op not in _SPECFUN_OPS:
         raise ConfigError(f"unknown specfun op {op!r}")
+    keys, evaluate = _SPECFUN_OPS[op]
+    inputs = {k: c[k] for k in keys}
+    value, regime, error_estimate = evaluate(*inputs.values())
+    payload = {"op": op, **inputs, "value": value, "regime": regime,
+               "error_estimate": error_estimate}
     return _emit(args, cfg, payload)
 
 
@@ -479,21 +462,11 @@ def _cmd_iterate(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _build_run_config(cfg: dict) -> pde.RunConfig:
+    """The grid section's keys are RunConfig's fields; a nan domain_radius means auto."""
     mc, gc = cfg["model"], cfg["grid"]
     model = pde.ModelParams(mc["m"], mc["n"], mc["p"], R=mc["big_r"], eps=mc["eps"])
-    domain = gc["domain_radius"]
-    return pde.RunConfig(
-        model=model,
-        dx=gc["dx"],
-        t_max=gc["t_max"],
-        cfl_safety=gc["cfl_safety"],
-        blowup_threshold=gc["blowup_threshold"],
-        domain_radius=None if math.isnan(domain) else domain,
-        u1_mode=gc["u1_mode"],
-        linear_only=gc["linear_only"],
-        track_f=gc["track_f"],
-        n_f_samples=gc["n_f_samples"],
-    )
+    domain = None if math.isnan(gc["domain_radius"]) else gc["domain_radius"]
+    return pde.RunConfig(model=model, **{**gc, "domain_radius": domain})
 
 
 def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:

@@ -23,8 +23,13 @@ Critical engine (gamma = 0): slicing sequences on l_j = 2 - 2^{-(j+1)},
     log C_j = p^{j-1} (log C_1 - S_j log(2p)),  S_j = sum_{i<j} i/p^i,
 
 feeding the lower bound <t>^{m/4} F(t) >= C_j (log<t>)^{-b_j} log(t/l_j)^{a_j}.
-Scanning for the first (t, j) where the bound passes a fixed ceiling yields
-the double-exponential lifespan scaling T(eps) <= exp(C eps^{-p(p-1)}).
+The first t where the best bound over j passes a fixed ceiling yields the
+double-exponential lifespan scaling T(eps) <= exp(C eps^{-p(p-1)}).
+
+Both engines stop at a first crossing of an increasing function, found by
+one search (``_first_crossing``): galloping steps, then bisection down to
+adjacent doubles.  The subcritical engine searches log t for J > 1, the
+critical one w = log log t for the ceiling, with no upper cap.
 
 All sequence arithmetic is carried in the log domain: D_j and C_j overflow
 double precision near j ~ 20 otherwise.  The universal constants (C0, C2,
@@ -48,6 +53,12 @@ from .exponents import ExponentContext, iteration_exponents, lifespan_law, p_cri
 from .exponents import gamma_mnp  # noqa: F401
 
 _JMAX_HARD = 60
+
+
+def _require_positive(**values: float) -> None:
+    for name, value in values.items():
+        if not value > 0:
+            raise DomainError(f"{name} must be > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +119,8 @@ def subcritical_run(
     """Run the subcritical recursion for j = 1..jmax in the log domain."""
     if not 0 < jmax <= _JMAX_HARD:
         raise DomainError(f"jmax must be in (0, {_JMAX_HARD}], got {jmax}")
-    if not d1 > 0:
-        raise DomainError(f"D1 must be > 0, got {d1}")
-    if t0 < 0:
+    _require_positive(D1=d1, C0=c0)
+    if not t0 >= 0:
         raise DomainError(f"T0 must be >= 0, got {t0}")
     law = lifespan_law(ctx)
     if law.regime != "subcritical":
@@ -212,33 +222,42 @@ def j_threshold_time(seq: SubcriticalSequences) -> float:
     return max(seq.t0 + math.exp(log_power), 2.0 * seq.t0 + 1.0)
 
 
-def threshold_time_log_scan(seq: SubcriticalSequences) -> float:
-    """log of the first time with J(t) > 1, by galloping search + bisection.
+def _first_crossing(f, lo: float, level: float, step: float) -> float:
+    """First double x >= lo with f(x) > level, for f increasing in x.
 
-    J is increasing in t (beta_it > alpha_it), so steps of 1, 2, 4, ... in
-    log t bracket the crossing in O(log log T*) tries, and bisection shrinks
-    the bracket to adjacent doubles; the first double with J > 1 is returned.
-    Constant-free extraction: the returned log-time inherits the exact
-    -2p(p-1)/gamma scaling in log(eps) through D1.
+    Gallops in steps of step, 2 step, 4 step, ... to bracket the crossing in
+    O(log) tries, then bisects the bracket down to adjacent doubles.  A nan
+    f counts as not above the level; a DomainError once the bracket leaves
+    the double range.
     """
-    lo = math.log(max(seq.t0 * 2.0 + 1.0, seq.t0 + 1e-9, 1e-9))
-    if j_function_log(lo, seq) > 1.0:
+    if f(lo) > level:
         return lo
-    step = 1.0
     hi = lo + step
-    while not j_function_log(hi, seq) > 1.0:  # also steps past a nan J
+    while not f(hi) > level:
         lo, step = hi, 2.0 * step
         hi = lo + step
         if not math.isfinite(hi):
-            raise DomainError(f"J(t) stays <= 1 up to log t = {lo:.6g}")
+            raise DomainError(f"never exceeds {level:.6g} (searched up to {lo:.6g})")
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             return hi
-        if j_function_log(mid, seq) > 1.0:
+        if f(mid) > level:
             hi = mid
         else:
             lo = mid
+
+
+def threshold_time_log_scan(seq: SubcriticalSequences) -> float:
+    """log of the first time with J(t) > 1 (``_first_crossing`` in log t).
+
+    J is increasing in t (beta_it > alpha_it); the search starts at
+    t = 2 T0 + 1 in steps of 1 in log t, and returns the first double with
+    J > 1.  Constant-free extraction: the returned log-time inherits the
+    exact -2p(p-1)/gamma scaling in log(eps) through D1.
+    """
+    lo = math.log(2.0 * seq.t0 + 1.0)
+    return _first_crossing(lambda log_t: j_function_log(log_t, seq), lo, 1.0, 1.0)
 
 
 def blowup_time_estimate(
@@ -252,8 +271,7 @@ def blowup_time_estimate(
     C4 = (e^{(S_p(inf) + alpha_it log 2) + 1} / C2)^{2(p-1)/gamma}.
     Coincides with j_threshold_time up to the max with 2 T0 + 1.
     """
-    if eps <= 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    _require_positive(eps=eps, C2=c2, C0=c0)
     law = lifespan_law(ctx)
     if law.regime != "subcritical":
         raise DomainError(f"subcritical bound needs gamma > 0, got {law.gamma}")
@@ -342,8 +360,7 @@ def critical_run(
     """
     if not 0 < jmax <= _JMAX_HARD:
         raise DomainError(f"jmax must be in (0, {_JMAX_HARD}], got {jmax}")
-    if eps <= 0:
-        raise DomainError(f"eps must be > 0, got {eps}")
+    _require_positive(eps=eps, C=c, C0=c0, B1=b1)
     law = lifespan_law(ctx)
     if law.regime != "critical":
         raise DomainError(
@@ -423,35 +440,17 @@ def critical_divergence_log_time(
 ) -> float:
     """log of the first time the slicing bound tops a fixed ceiling.
 
-    Scans w = log log t, so the double-exponential lifespan stays in range;
-    the returned value is log T.  Slope of log log T against log eps
-    approaches -p(p-1).
+    Searches w = log log t with ``_first_crossing`` (steps of 0.25, 0.5, ...
+    from t = 2.05, no upper cap), so the double-exponential lifespan stays
+    in range; the returned value is log T.  Slope of log log T against
+    log eps approaches -p(p-1).
     """
-    js = seq.j_index
 
-    def best(log_t: float) -> float:
-        return max(critical_lower_bound_log(seq, log_t, int(j)) for j in js)
+    def best(w: float) -> float:
+        log_t = math.exp(w) if w < 709.0 else math.inf  # nan bound past the double range
+        return max(critical_lower_bound_log(seq, log_t, int(j)) for j in seq.j_index)
 
-    w_lo, w_hi = math.log(math.log(2.05)), 45.0
-    if best(math.exp(w_lo)) > ceiling_log:
-        return math.exp(w_lo)
-    lo, hi = w_lo, None
-    w = w_lo
-    while w < w_hi:
-        w += 0.25
-        if best(math.exp(w)) > ceiling_log:
-            hi = w
-            break
-        lo = w
-    if hi is None:
-        raise DomainError("slicing bound never reached the ceiling (jmax too small?)")
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if best(math.exp(mid)) > ceiling_log:
-            hi = mid
-        else:
-            lo = mid
-    return math.exp(hi)
+    return math.exp(_first_crossing(best, math.log(math.log(2.05)), ceiling_log, 0.25))
 
 
 def critical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:

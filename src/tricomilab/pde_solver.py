@@ -58,7 +58,7 @@ class ModelParams:
     eps: float = 1.0
 
     def __post_init__(self):
-        if self.m < 0:
+        if not self.m >= 0:
             raise ConfigError(f"m must be >= 0, got {self.m}")
         if self.n not in (1, 2, 3):
             raise ConfigError(f"radial solver supports n in {{1,2,3}}, got {self.n}")
@@ -66,7 +66,7 @@ class ModelParams:
             raise ConfigError(f"p must be > 1, got {self.p}")
         if not self.R > 0:
             raise ConfigError(f"R must be > 0, got {self.R}")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise ConfigError(f"eps must be >= 0, got {self.eps}")
 
 
@@ -94,15 +94,17 @@ class RunConfig:
             raise ConfigError(f"dx must be > 0, got {self.dx}")
         if not 0 < self.cfl_safety < 1:
             raise ConfigError(f"cfl_safety must be in (0,1), got {self.cfl_safety}")
-        if not self.t_max > 0:
-            raise ConfigError(f"t_max must be > 0, got {self.t_max}")
+        if not 0 < self.t_max < math.inf:
+            raise ConfigError(f"t_max must be finite and > 0, got {self.t_max}")
         if self.u1_mode not in ("same", "zero"):
             raise ConfigError(f"u1_mode must be 'same' or 'zero', got {self.u1_mode}")
         if not self.blowup_threshold > 1:
             raise ConfigError("blowup_threshold must be > 1")
-        if self.domain_radius is not None and self.domain_radius < self.min_domain_radius():
+        if self.domain_radius is not None and not (
+            self.min_domain_radius() <= self.domain_radius < math.inf
+        ):
             raise ConfigError(
-                f"domain_radius {self.domain_radius} < required "
+                f"domain_radius {self.domain_radius} must be finite and >= required "
                 f"{self.min_domain_radius()} (support cone + margin)"
             )
 
@@ -282,28 +284,26 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
     return state
 
 
-def functional_G(state: SolverState, cfg: RunConfig) -> float:
-    """G(t) = int u dx by radial trapezoid quadrature."""
+def _radial_integral(values: np.ndarray, state: SolverState, cfg: RunConfig) -> float:
+    """int f dx over R^n for the radial grid values of f, by the trapezoid rule."""
     n = cfg.model.n
-    w = state.r ** (n - 1) if n > 1 else np.ones_like(state.r)
-    return surface_area(n) * float(np.trapezoid(state.u * w, dx=cfg.dx))
+    return surface_area(n) * float(np.trapezoid(values * state.r ** (n - 1), dx=cfg.dx))
+
+
+def functional_G(state: SolverState, cfg: RunConfig) -> float:
+    """G(t) = int u dx."""
+    return _radial_integral(state.u, state, cfg)
 
 
 def functional_lp(state: SolverState, cfg: RunConfig) -> float:
-    """int |u|^p dx by radial trapezoid quadrature."""
-    n = cfg.model.n
-    w = state.r ** (n - 1) if n > 1 else np.ones_like(state.r)
-    return surface_area(n) * float(
-        np.trapezoid(np.abs(state.u) ** cfg.model.p * w, dx=cfg.dx)
-    )
+    """int |u|^p dx."""
+    return _radial_integral(np.abs(state.u) ** cfg.model.p, state, cfg)
 
 
 def functional_F(state: SolverState, cfg: RunConfig) -> float:
     """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``)."""
-    n = cfg.model.n
     eta_diag = eta_q(state.r, state.t, state.t, cfg.default_testfn())
-    w = state.r ** (n - 1) if n > 1 else np.ones_like(state.r)
-    return surface_area(n) * float(np.trapezoid(state.u * eta_diag * w, dx=cfg.dx))
+    return _radial_integral(state.u * eta_diag, state, cfg)
 
 
 def support_radius(state: SolverState) -> float:
@@ -407,7 +407,7 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     window.
     """
     eps_sorted = sorted(float(e) for e in eps_values)
-    if any(e <= 0 for e in eps_sorted):
+    if not all(e > 0 for e in eps_sorted):
         raise ConfigError("eps values must be positive")
     md = cfg.model
     law = lifespan_law(ExponentContext(md.m, md.n, md.p))

@@ -60,7 +60,7 @@ class TestFnParams:
             raise DomainError(f"R must be > 0, got {self.R}")
         if int(self.n) != self.n or self.n < 1:
             raise DomainError(f"n must be a positive integer, got {self.n}")
-        if self.m < 0:
+        if not self.m >= 0:
             raise DomainError(f"m must be >= 0, got {self.m}")
 
 
@@ -91,27 +91,19 @@ def _graded_rule(q: float, lam0: float, per_octave: int):
     """
     xg, wg = _gl(per_octave)
     n_oct = max(54, int(14.0 * (q + 1.0)) + 40)
+    upper = lam0 ** (q + 1.0) if q < 0.0 else lam0
+    edges = upper * 2.0 ** -np.arange(n_oct + 1, dtype=float)
+    lo = np.concatenate((edges[1:], [0.0]))
+    half = 0.5 * (edges - lo)
+    mid = 0.5 * (edges + lo)
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+    w = (half[:, None] * wg[None, :]).ravel()
     if q < 0.0:
-        upper = lam0 ** (q + 1.0)
-        edges = upper * 2.0 ** -np.arange(n_oct + 1, dtype=float)
-        lo = np.concatenate((edges[1:], [0.0]))
-        hi = edges
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        u = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        w = (half[:, None] * wg[None, :]).ravel() / (q + 1.0)
-        lam = u ** (1.0 / (q + 1.0))
+        lam = nodes ** (1.0 / (q + 1.0))
         # for q near -1 the power map can underflow lam to 0 at the deepest
         # nodes (relative weight <= 2^-54); clamp so kernels stay finite
-        return np.maximum(lam, 1e-200), w
-    edges = lam0 * 2.0 ** -np.arange(n_oct + 1, dtype=float)
-    lo = np.concatenate((edges[1:], [0.0]))
-    hi = edges
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    lam = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel() * lam**q
-    return lam, w
+        return np.maximum(lam, 1e-200), w / (q + 1.0)
+    return nodes, w * nodes**q
 
 
 def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
@@ -126,6 +118,8 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
         raise DomainError(f"lambda0 must be > 0, got {lam0}")
     if not q > -1:
         raise DomainError(f"integral diverges at 0 for q = {q} <= -1")
+    if not rtol > 0:
+        raise DomainError(f"rtol must be > 0, got {rtol}")
     value = None
     err = None
     for per_octave in (16, 32, 64, 128):
@@ -180,40 +174,20 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
     return out
 
 
-def _check_point(x_norm, t: float, s: float) -> np.ndarray:
+def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float):
+    """(value, error estimate) of the lambda-integral of the profile times
+    kernel(t, s, lam, m) at radii x_norm; ``kernel=None`` stands for exactly 1."""
     xn = np.asarray(x_norm, dtype=float)
     if np.any(xn < 0):
         raise DomainError("x_norm must be >= 0")
     if s < 0 or t < s:
         raise DomainError(f"need t >= s >= 0, got t={t}, s={s}")
-    return xn
-
-
-def _xi_q_full(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
-    xn = _check_point(x_norm, t, s)
 
     def g(lam):
-        return _exp_profile(lam, xn, s, p) * kernel_phi1_scaled(t, s, lam, p.m)
-
-    val, err = integrate_lambda_weighted(g, p.q, p.lambda0, rtol)
-    if np.ndim(xn) == 0:
-        return float(val[0]), float(err[0])
-    return val, err
-
-
-def _eta_q_full(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
-    xn = _check_point(x_norm, t, s)
-    if s == t:
-
-        def g(lam):
-            return _exp_profile(lam, xn, t, p)
-
-    else:
-
-        def g(lam):
-            return _exp_profile(lam, xn, s, p) * kernel_phi2_ratio_scaled(
-                t, s, lam, p.m
-            )
+        out = _exp_profile(lam, xn, s, p)  # fresh, so the kernel multiplies in place
+        if kernel is not None:
+            out *= kernel(t, s, lam, p.m)
+        return out
 
     val, err = integrate_lambda_weighted(g, p.q, p.lambda0, rtol)
     if np.ndim(xn) == 0:
@@ -222,13 +196,17 @@ def _eta_q_full(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8)
 
 
 def xi_q(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
-    """Test function xi_q at radius |x| = x_norm; scalar in, scalar out."""
-    return _xi_q_full(x_norm, t, s, p, rtol)[0]
+    """Test function xi_q at radius |x| = x_norm (scalar or array)."""
+    return _test_fn(kernel_phi1_scaled, x_norm, t, s, p, rtol)[0]
 
 
 def eta_q(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
-    """Test function eta_q at radius |x| = x_norm (diagonal form when s = t)."""
-    return _eta_q_full(x_norm, t, s, p, rtol)[0]
+    """Test function eta_q at radius |x| = x_norm (scalar or array).
+
+    On the diagonal s = t the kernel Phi2/(t-s) is exactly 1 and is skipped.
+    """
+    kernel = None if s == t else kernel_phi2_ratio_scaled
+    return _test_fn(kernel, x_norm, t, s, p, rtol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +230,10 @@ class Lemma22Grid:
     def log_default(
         cls, t_max: float = 1e3, nt: int = 9, ns: int = 3, nx: int = 3
     ) -> "Lemma22Grid":
+        if not 0 < t_max < math.inf:
+            raise DomainError(f"t_max must be finite and > 0, got {t_max}")
+        if nt < 1 or ns < 0 or nx < 0:
+            raise DomainError(f"need nt >= 1 and ns, nx >= 0, got nt={nt}, ns={ns}, nx={nx}")
         ts = (0.0,) + tuple(np.geomspace(0.05, t_max, nt))
         return cls(
             t_values=ts,
@@ -330,8 +312,8 @@ def lemma22_report(
         if lower_ok:
             env_xi = bracket(phi_t) ** (-alpha)
             env_eta = bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0)))
-            vals_xi, _ = _xi_q_full(xs, t, 0.0, p, rtol)
-            vals_eta, _ = _eta_q_full(xs, t, 0.0, p, rtol)
+            vals_xi = xi_q(xs, t, 0.0, p, rtol)
+            vals_eta = eta_q(xs, t, 0.0, p, rtol)
             for x, vx, ve in zip(xs, vals_xi, vals_eta):
                 rows.append(
                     Lemma22Row("i-xi", t, 0.0, float(x), float(vx), env_xi, float(vx) / env_xi)
@@ -356,7 +338,7 @@ def lemma22_report(
                 -q - 1.0 + (m + 4.0) / (2.0 * (m + 2.0))
             )
             xs2 = np.asarray(grid.x_fractions) * (phi_s + p.R)
-            vals, _ = _eta_q_full(xs2, t, s, p, rtol)
+            vals = eta_q(xs2, t, s, p, rtol)
             for x, v in zip(xs2, vals):
                 rows.append(Lemma22Row("ii", t, s, float(x), float(v), env, float(v) / env))
 
@@ -365,7 +347,7 @@ def lemma22_report(
             excluded += len(grid.x_fractions)
             continue
         xs3 = np.asarray(grid.x_fractions) * (phi_t + p.R)
-        vals, _ = _eta_q_full(xs3, t, t, p, rtol)
+        vals = eta_q(xs3, t, t, p, rtol)
         for x, v in zip(xs3, vals):
             env = bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(phi_t - x) ** (
                 (n - 3.0) / 2.0 - q

@@ -31,8 +31,11 @@ for arbitrarily large t:
   diagonal, and the leading small-s terms where lambda phi(s) < 1e-8.
 
 ``fundamental_pair``, ``phi1``, ``phi2`` and ``phi2_ratio`` are the unscaled
-scalar forms.  ``ode_oracle`` is an independent check: adaptive high-order
-integration of the same equation in scaled variables (w = e^{-lambda phi} y).
+scalar forms.  ``ode_oracle_scaled`` is an independent check: adaptive
+high-order integration of the same equation in scaled variables
+(w = e^{-lambda phi} y); it returns e^{-lambda phi(t)} (y, y'), so compare
+it with ``fundamental_pair_scaled``, or multiply by e^{lambda phi(t)} while
+that stays below ~e^709.
 """
 
 from __future__ import annotations
@@ -285,8 +288,10 @@ def ode_oracle_scaled(
     # the only scipy.integrate user; imported here to keep package import light
     from scipy.integrate import solve_ivp
 
-    if t_end < 0:
+    if not t_end >= 0:
         raise DomainError(f"t_end must be >= 0, got {t_end}")
+    if not rtol > 0:
+        raise DomainError(f"rtol must be > 0, got {rtol}")
     if t_end == 0:
         return (float(ic[0]), float(ic[1]))
     sol = solve_ivp(
@@ -301,19 +306,3 @@ def ode_oracle_scaled(
     if not sol.success:
         raise DomainError(f"oracle integration failed: {sol.message}")
     return (float(sol.y[0, -1]), float(sol.y[1, -1]))
-
-
-def ode_oracle(
-    params: OdeParams,
-    t_end: float,
-    ic: tuple[float, float],
-    rtol: float = 1e-10,
-) -> tuple[float, float]:
-    """(y, y') at t_end for y'' = lambda^2 t^m y from data (y, y')(0) = ic.
-
-    Overflows to inf once lambda phi(t_end) exceeds ~709; compare against
-    ``ode_oracle_scaled``/``fundamental_pair_scaled`` in that regime.
-    """
-    w, v = ode_oracle_scaled(params, t_end, ic, rtol)
-    scale = _growth(params.lam * phi_of_t(params.m, t_end))
-    return (w * scale, v * scale)

@@ -262,6 +262,20 @@ def test_iterate_near_p_crit(tmp_path):
     assert header["threshold.t_closed_form"] == "inf"
 
 
+def test_iterate_critical_small_eps(tmp_path):
+    # the crossing sits at w = log log t ~ 49.9
+    out = tmp_path / "it.csv"
+    code = run_cli(
+        ["iterate", "--set", "iterate.mode=critical", "--set", "iterate.m=1",
+         "--set", "iterate.n=2", "--set", "iterate.eps=1e-7", "--output", str(out)]
+    )
+    assert code == EXIT_OK
+    header = dict(
+        l[2:].split(" = ") for l in out.read_text().splitlines() if l.startswith("# threshold")
+    )
+    assert float(header["threshold.log_t_scan"]) == pytest.approx(4.35295213408e21, rel=1e-11)
+
+
 def test_odecheck_propagators_present(tmp_path):
     out = tmp_path / "ode.json"
     run_cli(
@@ -340,3 +354,37 @@ def test_removed_keys_are_unknown(command, key, capsys):
         argv += ["--set", "scan.eps_list=1.0"]
     assert run_cli(argv) == EXIT_CONFIG
     assert "unknown config key" in capsys.readouterr().err
+
+
+_SIM = ["--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2"]
+
+
+_INVALID = [
+    (["testfun", "--set", "testfun.t_max=0"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.nt=-1"], EXIT_DOMAIN),
+    (["iterate", "--set", "iterate.c0=0"], EXIT_DOMAIN),
+    (["iterate", "--set", "iterate.mode=critical", "--set", "iterate.c=0"], EXIT_DOMAIN),
+    (["simulate", *_SIM, "--set", "grid.t_max=inf"], EXIT_CONFIG),
+    (["simulate", "--set", "model.n=1", "--set", "model.p=2", "--set", "model.m=nan"],
+     EXIT_CONFIG),
+    (["odecheck", "--set", "odecheck.oracle_rtol=0"], EXIT_DOMAIN),
+    (["odecheck", "--set", "odecheck.oracle_rtol=-1"], EXIT_DOMAIN),
+    (["simulate", *_SIM, "--set", "model.eps=nan"], EXIT_CONFIG),
+    (["testfun", "--set", "testfun.rtol=0"], EXIT_DOMAIN),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code", _INVALID, ids=[f"{a[0]}-{a[-1]}" for a, _ in _INVALID]
+)
+def test_invalid_input_exit_code(tmp_path, argv, code):
+    argv = argv + ["--output", str(tmp_path / "out")]
+    if "odecheck.oracle_rtol=0" in argv:
+        # the integrator does not return at rtol = 0: a subprocess with a
+        # timeout turns a regression into a failure instead of a hang
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricomilab", *argv], capture_output=True, timeout=60
+        )
+        assert proc.returncode == code
+    else:
+        assert run_cli(argv) == code

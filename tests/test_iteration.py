@@ -6,6 +6,7 @@ import pytest
 from tricomilab.errors import DomainError
 from tricomilab.exponents import ExponentContext, gamma_mnp, p_crit
 from tricomilab.iteration import (
+    _first_crossing,
     blowup_time_estimate,
     critical_divergence_log_time,
     critical_lower_bound_log,
@@ -117,6 +118,26 @@ def test_threshold_near_p_crit():
     assert log_t == pytest.approx(log_closed - slack / rate, rel=1e-9)
 
 
+# ---------------------------------------------------------------------------
+# the first-crossing search shared by both engines
+# ---------------------------------------------------------------------------
+
+
+def test_first_crossing_returns_first_double_above_level():
+    assert _first_crossing(lambda x: x, 0.0, 3.7, 1.0) == math.nextafter(3.7, math.inf)
+    assert _first_crossing(lambda x: x, -50.0, 3.7, 0.25) == math.nextafter(3.7, math.inf)
+
+
+def test_first_crossing_returns_lo_when_already_above():
+    assert _first_crossing(lambda x: x, 5.0, 3.7, 1.0) == 5.0
+
+
+@pytest.mark.parametrize("f", [lambda x: -x, lambda x: math.nan])
+def test_first_crossing_raises_when_never_crossing(f):
+    with pytest.raises(DomainError):
+        _first_crossing(f, 0.0, 3.7, 1.0)
+
+
 def test_subcritical_scope_errors():
     with pytest.raises(DomainError):
         subcritical_run(ExponentContext(1.0, 2, 3.0), d1=0.1)  # supercritical
@@ -186,6 +207,44 @@ def test_critical_lower_bound_log_domain():
 def test_critical_scope_error():
     with pytest.raises(DomainError):
         critical_run(ExponentContext(1.0, 2, 1.9), eps=0.1)
+
+
+def _linear_scan_reference(seq, ceiling_log=30.0):
+    """Reference search: 0.25 steps in w = log log t from t = 2.05, then 50
+    bisections of the bracket (valid for crossings below w = 45)."""
+
+    def best(log_t):
+        return max(critical_lower_bound_log(seq, log_t, int(j)) for j in seq.j_index)
+
+    w_lo = math.log(math.log(2.05))
+    if best(math.exp(w_lo)) > ceiling_log:
+        return math.exp(w_lo)
+    lo = hi = w_lo
+    while not best(math.exp(hi)) > ceiling_log:
+        lo, hi = hi, hi + 0.25
+        assert hi < 45.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if best(math.exp(mid)) > ceiling_log:
+            hi = mid
+        else:
+            lo = mid
+    return math.exp(hi)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.5, 1.0, 3.0, 10.0])
+def test_critical_search_matches_linear_scan(eps):
+    for jmax in (40, 60):
+        seq = critical_run(CTXC, eps, jmax=jmax)
+        assert critical_divergence_log_time(seq) == _linear_scan_reference(seq)
+
+
+def test_critical_slope_down_to_tiny_eps():
+    # eps = 1e-14 puts the crossing at w = log log T ~ 84: no upper cap on w
+    eps = np.geomspace(0.1, 1e-14, 14)
+    log_t = critical_threshold_curve(CTXC, eps)
+    slope = np.polyfit(np.log(eps), np.log(log_t), 1)[0]
+    assert slope == pytest.approx(-PC12 * (PC12 - 1.0), rel=1e-4)
 
 
 def test_critical_slope_extraction():

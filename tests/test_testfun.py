@@ -12,9 +12,8 @@ from tricomilab.specfun import varphi, varphi_scaled
 from tricomilab.testfun import (
     Lemma22Grid,
     TestFnParams,
-    _eta_q_full,
     _exp_profile,
-    _xi_q_full,
+    _test_fn,
     bracket,
     eta_q,
     integrate_lambda_weighted,
@@ -51,10 +50,10 @@ def test_closed_form_at_origin():
     # 4 pi (1 - e^{-1}) for both test functions at x = t = s = 0
     p = TestFnParams(q=0.0, lambda0=1.0, R=1.0, n=3, m=1.0)
     expected = 4.0 * math.pi * (1.0 - math.exp(-1.0))
-    val, err = _xi_q_full(0.0, 0.0, 0.0, p)
+    val, err = _test_fn(kernel_phi1_scaled, 0.0, 0.0, 0.0, p, 1e-8)
     assert val == pytest.approx(expected, rel=1e-10)
     assert err <= 1e-8 * abs(val) + 1e-12
-    val2, _ = _eta_q_full(0.0, 0.0, 0.0, p)
+    val2, _ = _test_fn(None, 0.0, 0.0, 0.0, p, 1e-8)  # diagonal eta: kernel 1
     assert val2 == pytest.approx(expected, rel=1e-10)
 
 
@@ -147,8 +146,9 @@ def test_quadrature_tolerance_honesty():
         t = rng.uniform(0.0, 30.0)
         s = rng.uniform(0.0, t) if rng.random() < 0.7 else t
         x = rng.uniform(0.0, phi_of_t(1.0, s) + 1.0)
-        v1, e1 = _eta_q_full(x, t, s, p, rtol=1e-8)
-        v2, _ = _eta_q_full(x, t, s, p, rtol=5e-9)
+        kernel = None if s == t else kernel_phi2_ratio_scaled  # as in eta_q
+        v1, e1 = _test_fn(kernel, x, t, s, p, 1e-8)
+        v2, _ = _test_fn(kernel, x, t, s, p, 5e-9)
         assert abs(v2 - v1) <= max(np.max(e1), 1e-13 * abs(v1))
 
 

@@ -13,7 +13,6 @@ from tricomilab.tricomi_ode import (
     fundamental_pair_scaled,
     kernel_phi1_scaled,
     kernel_phi2_ratio_scaled,
-    ode_oracle,
     ode_oracle_scaled,
     phi1,
     phi2,
@@ -25,6 +24,13 @@ from tricomilab.specfun import kummer_m, kummer_m_deriv
 # Oracle anchor for m=2, lambda=1, ic=(0,1), t_end=2, recorded at local
 # tolerance 1e-10 and cross-checked at 1e-12 (agreement ~1e-10).
 ANCHOR_M2 = (3.9942518657498796, 6.85615658096327)
+
+
+def _oracle(params, t_end, ic, rtol=1e-10):
+    """(y, y') at t_end: the scaled oracle times e^{lambda phi(t_end)}."""
+    w, v = ode_oracle_scaled(params, t_end, ic, rtol)
+    scale = math.exp(params.lam * phi_of_t(params.m, t_end))
+    return (w * scale, v * scale)
 
 
 def test_phi_of_t_values():
@@ -153,17 +159,17 @@ def test_small_m_limit_continuous():
 
 
 def test_oracle_constant_coefficient():
-    y, yp = ode_oracle(OdeParams(0.0, 1.0), 1.0, (1.0, 0.0))
+    y, yp = _oracle(OdeParams(0.0, 1.0), 1.0, (1.0, 0.0))
     assert y == pytest.approx(math.cosh(1.0), rel=1e-9)
     assert yp == pytest.approx(math.sinh(1.0), rel=1e-9)
-    assert ode_oracle(OdeParams(1.0, 1.0), 0.0, (1.0, 0.0)) == (1.0, 0.0)
+    assert _oracle(OdeParams(1.0, 1.0), 0.0, (1.0, 0.0)) == (1.0, 0.0)
 
 
 def test_oracle_regression_anchor():
-    got = ode_oracle(OdeParams(2.0, 1.0), 2.0, (0.0, 1.0))
+    got = _oracle(OdeParams(2.0, 1.0), 2.0, (0.0, 1.0))
     assert got[0] == pytest.approx(ANCHOR_M2[0], rel=1e-9)
     assert got[1] == pytest.approx(ANCHOR_M2[1], rel=1e-9)
-    tighter = ode_oracle(OdeParams(2.0, 1.0), 2.0, (0.0, 1.0), rtol=1e-12)
+    tighter = _oracle(OdeParams(2.0, 1.0), 2.0, (0.0, 1.0), rtol=1e-12)
     assert got[0] == pytest.approx(tighter[0], rel=1e-8)
 
 
