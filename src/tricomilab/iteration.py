@@ -57,8 +57,8 @@ _JMAX_HARD = 60
 
 def _require_positive(**values: float) -> None:
     for name, value in values.items():
-        if not value > 0:
-            raise DomainError(f"{name} must be > 0, got {value}")
+        if not 0 < value < math.inf:
+            raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ formula (it reduces to plain leapfrog for constant dt):
     u^{k+1} = u^k + (dt_k/dt_{k-1}) (u^k - u^{k-1})
               + dt_k (dt_k + dt_{k-1})/2 * (t_k^m Lap_h(u^k) + |u^k|^p).
 
-Each step updates only the live window: the cells below the live extent,
-one past the last cell that may be nonzero, plus one ghost cell for the
-3-point Laplacian.  The extent starts at the support of the data and grows
-by one cell per step, capped at the grid end.  The window is exact, not an
-approximation: the explicit 3-point scheme moves information by at most one
-cell per step, so every cell past it stays exactly 0.0, and the windowed
-update is bit-identical to the full-grid one.
+Each step updates only the live window: the cells below the live extent
+(past it u and u_prev are exactly 0.0), the frontier cell at the extent and
+one zero ghost cell.  The extent starts at the support of the data and
+moves on one cell only when the frontier cell just computed is not exactly
+0.0 (the held outer boundary cell never is).  The window is exact: the
+3-point scheme moves information by at most one cell per step, and a cell
+whose inputs are all exactly zero stays exactly zero, so the update is
+bit-identical to the full-grid one.  The scheme's precursor ahead of the
+front underflows to 0.0, so the extent trails the step count.
 
 Tracked functionals: G(t) = int u dx, the nonlinear mass int |u|^p dx,
 F(t) = int u(x,t) eta_q(x,t,t) dx, the discrete support radius, and the
@@ -28,12 +30,14 @@ threshold-sensitivity diagnostic), at a nonfinite value, or censored at
 the horizon.  ``lifespan_scan`` sweeps eps, subcritical only (the regime
 and the eps-exponent come from ``exponents.lifespan_law``), keeping only
 each run's record (no per-step series); ``fit_scaling`` fits its slope.
+dt depends only on (t, dx, m, cfl_safety), so once the horizon law is
+calibrated the scan steps its remaining runs in lockstep as one row batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,16 +62,16 @@ class ModelParams:
     eps: float = 1.0
 
     def __post_init__(self):
-        if not self.m >= 0:
-            raise ConfigError(f"m must be >= 0, got {self.m}")
+        if not 0 <= self.m < math.inf:
+            raise ConfigError(f"m must be finite and >= 0, got {self.m}")
         if self.n not in (1, 2, 3):
             raise ConfigError(f"radial solver supports n in {{1,2,3}}, got {self.n}")
-        if not self.p > 1:
-            raise ConfigError(f"p must be > 1, got {self.p}")
-        if not self.R > 0:
-            raise ConfigError(f"R must be > 0, got {self.R}")
-        if not self.eps >= 0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
+        if not 1 < self.p < math.inf:
+            raise ConfigError(f"p must be finite and > 1, got {self.p}")
+        if not 0 < self.R < math.inf:
+            raise ConfigError(f"R must be finite and > 0, got {self.R}")
+        if not 0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,50 @@ class RunConfig:
         )
 
 
+@dataclass(frozen=True)
+class LifespanRecord:
+    """One sweep point: eps, the blow-up time (None if censored), diagnostics."""
+
+    eps: float
+    t_blowup: float | None
+    censored: bool
+    peak: float
+    threshold_sensitivity: float | None
+
+
 @dataclass
-class SolverState:
+class _Levels:
+    """One run's amplitude history: the peak, the first time it reached
+    blowup_threshold/100, and the blow-up time (the threshold crossing)."""
+
+    peak: float = 0.0
+    t_low: float | None = None
+    blown_up: bool = False
+    blowup_time: float | None = None
+
+    def note(self, amp: float, t: float, threshold: float) -> None:
+        """Take in max|u| of the level at time t; a nonfinite one is blow-up."""
+        amp = amp if math.isfinite(amp) else math.inf
+        self.peak = max(self.peak, amp)
+        if amp >= threshold / 100.0 and self.t_low is None:
+            self.t_low = t
+        if amp >= threshold:
+            self.blown_up, self.blowup_time = True, t
+
+    def record(self, eps: float) -> LifespanRecord:
+        """The run's record; censored unless it blew up."""
+        t_b = self.blowup_time
+        return LifespanRecord(
+            eps=eps,
+            t_blowup=t_b,
+            censored=not self.blown_up,
+            peak=self.peak,
+            threshold_sensitivity=None if t_b is None else (t_b - self.t_low) / t_b,
+        )
+
+
+@dataclass(kw_only=True)
+class SolverState(_Levels):
     """Mutable stepping state; one run owns its state exclusively.
 
     u and u_prev are exactly 0.0 from index ``live`` on.  ``step`` recycles
@@ -138,21 +184,6 @@ class SolverState:
     dt_prev: float
     step_index: int
     live: int
-    blown_up: bool = False
-    blowup_time: float | None = None
-    peak: float = 0.0
-    crossings: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class LifespanRecord:
-    """One sweep point: eps, the blow-up time (None if censored), diagnostics."""
-
-    eps: float
-    t_blowup: float | None
-    censored: bool
-    peak: float
-    threshold_sensitivity: float | None
 
 
 @dataclass(frozen=True)
@@ -187,35 +218,32 @@ def _bump(r: np.ndarray, radius: float) -> np.ndarray:
     return prof
 
 
-def initialize(cfg: RunConfig) -> SolverState:
-    """Sample the initial data eps*u0 on the radial grid."""
-    radius = cfg.resolved_domain_radius()
-    n_cells = int(math.ceil(radius / cfg.dx))
+def _grid_size(cfg: RunConfig) -> int:
+    """Number of grid points r_i = i dx of the run's domain, boundary included."""
+    n_cells = int(math.ceil(cfg.resolved_domain_radius() / cfg.dx))
     if n_cells < 8:
         raise ConfigError("domain too small: fewer than 8 cells")
-    r = np.arange(n_cells + 1) * cfg.dx
+    return n_cells + 1
+
+
+def initialize(cfg: RunConfig) -> SolverState:
+    """Sample the initial data eps*u0 on the radial grid."""
+    r = np.arange(_grid_size(cfg)) * cfg.dx
     u0 = cfg.model.eps * _bump(r, cfg.model.R)
-    state = SolverState(
+    return SolverState(
         r=r, u=u0, u_prev=None, t=0.0, dt_prev=0.0, step_index=0,
-        live=int(np.count_nonzero(r < cfg.model.R)),
+        live=int(np.count_nonzero(r < cfg.model.R)), peak=float(_amplitude(u0)),
     )
-    state.peak = float(np.max(np.abs(u0)))
-    return state
-
-
-def _initial_velocity(cfg: RunConfig, r: np.ndarray) -> np.ndarray:
-    if cfg.u1_mode == "zero":
-        return np.zeros_like(r)
-    return cfg.model.eps * _bump(r, cfg.model.R)
 
 
 def radial_laplacian(u: np.ndarray, r: np.ndarray, dx: float, n: int) -> np.ndarray:
-    """3-point radial Laplacian u_rr + (n-1)/r u_r; n*u_rr at the origin."""
+    """3-point radial Laplacian u_rr + (n-1)/r u_r over the last axis of u;
+    n*u_rr at the origin, 0 at the last cell."""
     lap = np.zeros_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
+    lap[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
     if n > 1:
-        lap[1:-1] += (n - 1.0) / r[1:-1] * (u[2:] - u[:-2]) / (2.0 * dx)
-    lap[0] = n * 2.0 * (u[1] - u[0]) / dx**2
+        lap[..., 1:-1] += (n - 1.0) / r[1:-1] * (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    lap[..., 0] = n * 2.0 * (u[..., 1] - u[..., 0]) / dx**2
     return lap
 
 
@@ -228,12 +256,25 @@ def _pick_dt(cfg: RunConfig, t: float) -> float:
     return dt
 
 
-def _rhs(cfg: RunConfig, u: np.ndarray, r: np.ndarray, t: float) -> np.ndarray:
+def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: float):
+    """The scheme's next level over the last axis of the window u at time t;
+    u_prev None is the Taylor start from the data u = u0, u1 = u0 or 0:
+    u(dt) = u0 + dt u1 + dt^2/2 (t^m Lap u0 + |u0|^p)|_{t=0} (the degenerate
+    factor t^m kills the Laplacian term for m > 0)."""
     md = cfg.model
-    out = t**md.m * radial_laplacian(u, r, cfg.dx, md.n)
+    rhs = t**md.m * radial_laplacian(u, r, cfg.dx, md.n)
     if not cfg.linear_only:
-        out = out + np.abs(u) ** md.p
-    return out
+        rhs = rhs + np.abs(u) ** md.p
+    if u_prev is None:
+        v0 = u if cfg.u1_mode == "same" else np.zeros_like(u)
+        return u + dt * v0 + 0.5 * dt * dt * rhs
+    return u + dt / dt_prev * (u - u_prev) + 0.5 * dt * (dt + dt_prev) * rhs
+
+
+def _amplitude(u):
+    """max |u| over the last axis (nan where a value is nan)."""
+    with np.errstate(invalid="ignore"):
+        return np.max(np.abs(u), axis=-1)
 
 
 def step(state: SolverState, cfg: RunConfig) -> SolverState:
@@ -245,42 +286,22 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
     if state.blown_up:
         raise DomainError("cannot step a blown-up state")
     dt = _pick_dt(cfg, state.t)
-    size = state.u.size
-    state.live = min(state.live + 1, size)
-    win = slice(0, min(state.live + 1, size))  # plus the zero ghost cell
-    u, r = state.u[win], state.r[win]
-    if state.step_index == 0:
-        # Taylor start: u(dt) = u0 + dt u1 + dt^2/2 (t^m Lap u0 + |u0|^p)|_{t=0};
-        # the degenerate factor t^m kills the Laplacian term for m > 0.
-        v0 = _initial_velocity(cfg, r)
-        u_win = u + dt * v0 + 0.5 * dt * dt * _rhs(cfg, u, r, 0.0)
-        u_new = np.zeros_like(state.u)
-    else:
-        rho = dt / state.dt_prev
-        coeff = 0.5 * dt * (dt + state.dt_prev)
-        u_win = u + rho * (u - state.u_prev[win]) + coeff * _rhs(cfg, u, r, state.t)
-        u_new = state.u_prev  # zero past the previous extent, so only win is written
-    u_new[win] = u_win
+    front = state.live
+    win = slice(0, min(front + 2, state.u.size))  # frontier cell plus the zero ghost
+    u_prev = None if state.step_index == 0 else state.u_prev[win]
+    # u_prev's buffer is zero past the previous extent, so only win is written
+    u_new = np.zeros_like(state.u) if u_prev is None else state.u_prev
+    u_new[win] = _next_level(cfg, state.u[win], u_prev, state.r[win], state.t, dt,
+                             state.dt_prev)
     u_new[-1] = 0.0
+    if u_new[front] != 0.0:
+        state.live += 1
     state.u_prev = state.u
     state.u = u_new
     state.t += dt
     state.dt_prev = dt
     state.step_index += 1
-
-    with np.errstate(invalid="ignore"):
-        amp = float(np.max(np.abs(u_new[win])))
-    if not math.isfinite(amp):
-        state.blown_up = True
-        state.blowup_time = state.t
-        amp = math.inf
-    state.peak = max(state.peak, amp)
-    for level in (cfg.blowup_threshold / 100.0, cfg.blowup_threshold):
-        if amp >= level and level not in state.crossings:
-            state.crossings[level] = state.t
-    if amp >= cfg.blowup_threshold:
-        state.blown_up = True
-        state.blowup_time = state.crossings[cfg.blowup_threshold]
+    state.note(float(_amplitude(u_new[win])), state.t, cfg.blowup_threshold)
     return state
 
 
@@ -331,18 +352,47 @@ def _solve(cfg: RunConfig, observe=None) -> LifespanRecord:
         step(state, cfg)
         if observe is not None and not state.blown_up:
             observe(state)
-    censored = not state.blown_up
-    sens = None
-    low = cfg.blowup_threshold / 100.0
-    if not censored and low in state.crossings and state.blowup_time:
-        sens = (state.blowup_time - state.crossings[low]) / state.blowup_time
-    return LifespanRecord(
-        eps=cfg.model.eps,
-        t_blowup=None if censored else state.blowup_time,
-        censored=censored,
-        peak=state.peak,
-        threshold_sensitivity=sens,
-    )
+    return state.record(cfg.model.eps)
+
+
+def _solve_rows(cfgs: list[RunConfig]) -> list[LifespanRecord]:
+    """``_solve`` of runs differing only in eps and t_max, in lockstep as
+    the rows of one (rows, window) array: each row keeps its own extent,
+    outer boundary cell and amplitude history, and leaves at blow-up or its
+    horizon.  The arrays span the widest live window, not the largest
+    domain; past a row's window every cell stays 0.0, as in ``_solve``.
+    """
+    cfg = cfgs[0]
+    edge = np.array([_grid_size(c) - 1 for c in cfgs])  # outer boundary cells
+    r = np.arange(int(cfg.model.R / cfg.dx) + 3) * cfg.dx  # reaches past R
+    u = np.array([c.model.eps for c in cfgs])[:, None] * _bump(r, cfg.model.R)
+    u_prev = np.zeros_like(u)
+    live = np.full(len(cfgs), np.count_nonzero(r < cfg.model.R))
+    levels = [_Levels(peak=amp) for amp in _amplitude(u).tolist()]
+    rows = np.arange(len(cfgs))  # the runs still in the batch
+    t = dt_prev = 0.0
+    while rows.size:
+        dt = _pick_dt(cfg, t)
+        w = int(np.minimum(live + 2, edge + 1).max())
+        if w > r.size:  # grow the arrays, at least doubling, up to the largest domain
+            size = min(max(2 * r.size, w), int(edge.max()) + 1)
+            r = np.arange(size) * cfg.dx
+            u, u_prev = (np.pad(a, ((0, 0), (0, size - a.shape[1]))) for a in (u, u_prev))
+        u_prev[:, :w] = _next_level(cfg, u[:, :w], None if t == 0.0 else u_prev[:, :w],
+                                    r[:w], t, dt, dt_prev)
+        u, u_prev = u_prev, u
+        # past its window a row's clipped boundary index holds 0.0 already
+        at = np.arange(rows.size)
+        u[at, np.minimum(edge, w - 1)] = 0.0
+        live += u[at, live] != 0.0
+        t += dt
+        dt_prev = dt
+        for i, amp in zip(rows.tolist(), _amplitude(u[:, :w]).tolist()):
+            levels[i].note(amp, t, cfg.blowup_threshold)
+        keep = [not levels[i].blown_up and t < cfgs[i].t_max for i in rows.tolist()]
+        if not all(keep):
+            u, u_prev, live, edge, rows = (a[keep] for a in (u, u_prev, live, edge, rows))
+    return [lv.record(c.model.eps) for lv, c in zip(levels, cfgs)]
 
 
 def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
@@ -399,40 +449,41 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     """Independent subcritical runs over eps (sorted descending internally).
 
     Horizons are auto-sized from the theoretical scaling eps^{-theta}
-    calibrated on the largest eps (a DomainError where that leaves the
-    double range); censored runs are retried once with a doubled horizon and
-    kept (flagged) if still censored.  Records return sorted by eps.  Each
-    run is the stepping loop of ``run_until_blowup`` without its per-step
-    series: no functional is computed, and every step updates only the live
-    window.
+    calibrated on the largest eps that blows up (a DomainError where that
+    leaves the double range); censored runs are retried once with a doubled
+    horizon and kept (flagged) if still censored.  Records return sorted by
+    eps.  The runs up to the calibration go one by one; the rest step as
+    one row batch (``_solve_rows``).  Each record is the one
+    ``run_until_blowup`` gives for the run's configuration; no per-step
+    functional is computed.
     """
     eps_sorted = sorted(float(e) for e in eps_values)
-    if not all(e > 0 for e in eps_sorted):
-        raise ConfigError("eps values must be positive")
+    if not all(0 < e < math.inf for e in eps_sorted):
+        raise ConfigError("eps values must be finite and positive")
     md = cfg.model
     law = lifespan_law(ExponentContext(md.m, md.n, md.p))
     if law.regime != "subcritical":
         raise DomainError("lifespan scaling applies to subcritical runs only")
+
+    def run_cfg(eps: float, t_max: float) -> RunConfig:
+        return replace(cfg, model=replace(md, eps=eps), t_max=t_max, domain_radius=None)
+
+    def retried(run: RunConfig, rec: LifespanRecord) -> LifespanRecord:
+        return _solve(run_cfg(run.model.eps, 2.0 * run.t_max)) if rec.censored else rec
+
     records: dict[float, LifespanRecord] = {}
+    pending = eps_sorted[::-1]
     c_emp = None
-    for eps in reversed(eps_sorted):
-        if c_emp is None:
-            t_horizon = cfg.t_max
-        else:
-            t_horizon = min(4.0 * c_emp * _horizon_power(eps, -law.theta), 1e4)
-        run_cfg = replace(
-            cfg,
-            model=replace(cfg.model, eps=eps),
-            t_max=t_horizon,
-            domain_radius=None,
-        )
-        rec = _solve(run_cfg)
-        if rec.censored:
-            run_cfg = replace(run_cfg, t_max=2.0 * run_cfg.t_max, domain_radius=None)
-            rec = _solve(run_cfg)
-        if rec.t_blowup is not None and c_emp is None:
+    while pending and c_emp is None:
+        eps = pending.pop(0)
+        run = run_cfg(eps, cfg.t_max)
+        records[eps] = rec = retried(run, _solve(run))
+        if rec.t_blowup is not None:
             c_emp = rec.t_blowup * _horizon_power(eps, law.theta)
-        records[eps] = rec
+    runs = [run_cfg(e, min(4.0 * c_emp * _horizon_power(e, -law.theta), 1e4))
+            for e in pending]
+    for run, rec in zip(runs, _solve_rows(runs) if runs else ()):
+        records[run.model.eps] = retried(run, rec)
     return [records[e] for e in eps_sorted]
 
 

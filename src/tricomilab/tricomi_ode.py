@@ -90,7 +90,13 @@ def phi_of_t(m: float, t: float) -> float:
         raise DomainError(f"t must be >= 0, got {t}")
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    return 2.0 / (m + 2.0) * t ** ((m + 2.0) / 2.0)
+    try:
+        phi = 2.0 / (m + 2.0) * t ** ((m + 2.0) / 2.0)
+    except OverflowError:
+        phi = math.inf
+    if not math.isfinite(phi):
+        raise DomainError(f"phi(t) leaves the double range at m={m:.12g}, t={t:.12g}")
+    return phi
 
 
 def _nu(m: float) -> float:

@@ -371,6 +371,13 @@ _INVALID = [
     (["odecheck", "--set", "odecheck.oracle_rtol=-1"], EXIT_DOMAIN),
     (["simulate", *_SIM, "--set", "model.eps=nan"], EXIT_CONFIG),
     (["testfun", "--set", "testfun.rtol=0"], EXIT_DOMAIN),
+    (["simulate", *_SIM, "--set", "grid.t_max=1e300"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.nt=2", "--set", "testfun.t_max=1e300"], EXIT_DOMAIN),
+    (["simulate", *_SIM, "--set", "grid.t_max=1", "--set", "model.eps=inf"], EXIT_CONFIG),
+    (["simulate", "--set", "model.n=1", "--set", "model.p=2", "--set", "model.m=inf"],
+     EXIT_CONFIG),
+    (["iterate", "--set", "iterate.eps=inf"], EXIT_DOMAIN),
+    (["scan", *_SIM, "--set", "scan.eps_list=1.0,inf"], EXIT_CONFIG),
 ]
 
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import tricomilab.pde_solver as pde
 from tricomilab.errors import ConfigError, DomainError
+from tricomilab.exponents import ExponentContext, lifespan_law
 from tricomilab.pde_solver import (
     FitResult,
     LifespanRecord,
@@ -121,8 +123,20 @@ def test_step_matches_full_grid_scheme_at_outer_boundary():
         domain_radius=1.0 + 1.0 + 5.0 * 0.05,
     )
     state = _assert_steps_match_full_grid(cfg, 200)
-    assert state.live == state.u.size
+    assert min(state.live + 1, state.u.size) == state.u.size  # the window spans the grid
     assert state.step_index == 200
+
+
+def test_zero_front_trails_the_step_count():
+    # criterion 8's grid and largest eps: the precursor ahead of the front
+    # underflows to 0.0, so the extent stops gaining a cell every step
+    cfg = RunConfig(model=ModelParams(1.0, 1, 2.0, eps=1.2), dx=0.02, t_max=60.0,
+                    u1_mode="zero")
+    state = initialize(cfg)
+    while not state.blown_up:
+        step(state, cfg)
+    assert state.live < state.step_index
+    assert state.live < state.u.size - 1
 
 
 def test_radial_laplacian_quadratic_exact():
@@ -332,14 +346,20 @@ def test_lifespan_scan_records_equal_run_until_blowup(monkeypatch):
     # configuration the scan ran last for that eps (horizon sizing and the
     # censored retry included)
     runs = []
-    solve = pde._solve
+    solve, solve_rows = pde._solve, pde._solve_rows
 
     def spy(cfg, observe=None):
         rec = solve(cfg, observe)
         runs.append((cfg, rec))
         return rec
 
+    def spy_rows(cfgs):
+        recs = solve_rows(cfgs)
+        runs.extend(zip(cfgs, recs))
+        return recs
+
     monkeypatch.setattr(pde, "_solve", spy)
+    monkeypatch.setattr(pde, "_solve_rows", spy_rows)
     records = lifespan_scan(small_cfg(dx=0.05, t_max=2.0), [0.7, 1.0, 1.3])
     monkeypatch.undo()
     assert len(runs) > len(records)
@@ -348,6 +368,104 @@ def test_lifespan_scan_records_equal_run_until_blowup(monkeypatch):
     for rec in records:
         ref, _ = run_until_blowup(last[rec.eps])
         assert rec == ref  # t_blowup, censored, peak, threshold_sensitivity, eps
+
+
+def _reference_scan(cfg, eps_values):
+    """lifespan_scan as one ``_solve`` per run, in descending eps: horizons
+    from the first blow-up, one retry with a doubled horizon when censored.
+
+    Also returns what the runs did: "prefix" when more than one eps ran
+    before the horizon law was calibrated, "retry" when a run after the
+    calibration was censored, and "edge" when such a run's window reached
+    its outer boundary while another such run, on a larger domain, was still
+    running.
+    """
+    md = cfg.model
+    theta = lifespan_law(ExponentContext(md.m, md.n, md.p)).theta
+    records, facts, later, c_emp, n_prefix = {}, set(), [], None, 0
+    for eps in sorted(eps_values, reverse=True):
+        n_prefix += c_emp is None
+        horizon = cfg.t_max if c_emp is None else min(4.0 * c_emp * eps**-theta, 1e4)
+        run = replace(cfg, model=replace(md, eps=eps), t_max=horizon, domain_radius=None)
+        size = pde.initialize(run).u.size
+        edge_t = []
+        rec = pde._solve(run, lambda s: edge_t.append(s.t) if s.live == size - 1 else None)
+        if c_emp is not None:
+            later.append((size, edge_t[:1], horizon if rec.censored else rec.t_blowup))
+            if rec.censored:
+                facts.add("retry")
+        if rec.censored:
+            rec = pde._solve(replace(run, t_max=2.0 * horizon))
+        if c_emp is None and rec.t_blowup is not None:
+            c_emp = rec.t_blowup * eps**theta
+        records[eps] = rec
+    if n_prefix > 1:
+        facts.add("prefix")
+    if any(hit and end > hit[0] and size > size_a
+           for size_a, hit, _ in later for size, _, end in later):
+        facts.add("edge")
+    return [records[e] for e in sorted(eps_values)], facts
+
+
+@pytest.mark.parametrize("mnp, eps", [
+    ((1.0, 1, 2.0), [0.8, 1.1, 1.5, 2.0]),
+    ((0.0, 2, 2.0), [1.0, 1.5, 2.0, 3.0]),
+    ((0.0, 3, 2.0), [4.0, 5.0, 6.0, 8.0]),
+])
+@pytest.mark.parametrize("u1_mode", ["same", "zero"])
+def test_row_batch_equals_one_run_per_eps(mnp, eps, u1_mode):
+    cfg = small_cfg(model=ModelParams(*mnp), dx=0.1, t_max=30.0, u1_mode=u1_mode)
+    ref, _ = _reference_scan(cfg, eps)
+    assert lifespan_scan(cfg, eps) == ref
+
+
+@pytest.mark.parametrize("mnp, grid, eps, facts", [
+    # the largest eps crosses the threshold at once, so the horizons of the
+    # rest are too short: every batched row is censored and retried
+    ((1.0, 1, 2.0), dict(t_max=5.0, blowup_threshold=1.5), [0.9, 1.0, 1.2, 2.0], {"retry"}),
+    # long m = 0 runs on a coarse grid: windows reach the outer boundary
+    # of the smaller domains while the smallest eps runs on
+    ((0.0, 1, 3.0), dict(t_max=20.0, u1_mode="zero"), [0.7, 1.0, 3.0], {"edge"}),
+    # nothing blows up, so every run is one of the prefix; no batch
+    ((1.0, 1, 2.0), dict(t_max=1.0), [0.5, 0.7, 1.0], {"prefix"}),
+    # the first run is censored and its retry calibrates the horizons
+    ((1.0, 1, 2.0), dict(t_max=2.0), [0.7, 1.0, 1.3], set()),
+    ((1.0, 1, 2.0), dict(), [1.0], set()),  # one eps: no batch
+])
+def test_row_batch_equals_one_run_per_eps_edge_cases(mnp, grid, eps, facts):
+    cfg = small_cfg(model=ModelParams(*mnp), **{"dx": 0.1, **grid})
+    ref, seen = _reference_scan(cfg, eps)
+    assert seen == facts
+    assert lifespan_scan(cfg, eps) == ref
+
+
+def test_row_batch_levels_equal_single_runs(monkeypatch):
+    # every level of every row, its boundary cell included, is bit-identical
+    # to the single run's: the eps = 1.0 row blows up after its frontier
+    # reached its outer boundary, the eps = 0.5 row is censored, and the
+    # eps = 0.7 row on the largest domain runs on after both left
+    cfg = small_cfg(model=ModelParams(0.0, 1, 3.0), dx=0.1, u1_mode="zero")
+    runs = [replace(cfg, model=replace(cfg.model, eps=e), t_max=h)
+            for e, h in ((1.0, 24.0), (0.5, 12.0), (0.7, 60.0))]
+    seen = []
+    amplitude = pde._amplitude
+    monkeypatch.setattr(pde, "_amplitude", lambda u: seen.append(u.copy()) or amplitude(u))
+    singles = []
+    for run in runs:
+        seen.clear()
+        pde._solve(run)
+        singles.append(seen[:])  # the initial data, then each level's window
+    seen.clear()
+    pde._solve_rows(runs)
+    batch = seen[:]
+    assert len(batch) == max(len(levels) for levels in singles)
+    for k, rows in enumerate(batch):
+        active = [levels[k] for levels in singles if k < len(levels)]
+        assert rows.shape[0] == len(active)
+        for row, single in zip(rows, active):
+            width = max(row.size, single.size)
+            assert (np.pad(row, (0, width - row.size)).tobytes()
+                    == np.pad(single, (0, width - single.size)).tobytes()), k
 
 
 def test_fit_scaling_synthetic():
@@ -391,6 +509,9 @@ def test_config_validation():
         ModelParams(1.0, 4, 2.0)  # n > 3 not supported by the radial solver
     with pytest.raises(ConfigError):
         ModelParams(1.0, 1, 2.0, eps=-1.0)
+    for bad in (dict(m=math.inf), dict(p=math.inf), dict(R=math.inf), dict(eps=math.inf)):
+        with pytest.raises(ConfigError):
+            ModelParams(**{"m": 1.0, "n": 1, "p": 2.0, **bad})
 
 
 def test_blown_state_rejects_step():

@@ -39,6 +39,9 @@ def test_phi_of_t_values():
     assert phi_of_t(0.0, 3.2) == pytest.approx(3.2, rel=1e-15)
     with pytest.raises(DomainError):
         phi_of_t(1.0, -0.1)
+    for t in (1e300, math.inf):  # t^{3/2} overflows: a DomainError, not OverflowError
+        with pytest.raises(DomainError):
+            phi_of_t(1.0, t)
 
 
 def test_initial_conditions_exact():
