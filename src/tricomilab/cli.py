@@ -400,6 +400,7 @@ def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
     for part in sorted(report.constants):
         header.append(f"# constant.{part} = {fmt(report.constants[part])}")
     header.append(f"# excluded_points = {report.excluded}")
+    header.append(f"# unconverged_points = {report.unconverged}")
     cols = ["part", "t", "s", "x_norm", "value", "envelope", "ratio"]
     rows = [
         (r.part, r.t, r.s, r.x_norm, r.value, r.envelope, r.ratio)
@@ -409,6 +410,7 @@ def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
         "resolved_q": q,
         "constants": report.constants,
         "excluded_points": report.excluded,
+        "unconverged_points": report.unconverged,
         "rows": [dict(zip(cols, r)) for r in rows],
     }
     return _emit(args, cfg, doc, header, cols, rows)

@@ -12,13 +12,13 @@ e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
 and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
 bounded for arbitrarily large t, s.
 
-The factor varphi_scaled(n, lam|x|) depends only on the lambda nodes and
-the radii, not on t or s.  ``_exp_profile`` takes it from a module memo
-keyed on the exact inputs (n, lambda nodes, radii), holding at most 4
-read-only blocks (one per Gauss level of ``integrate_lambda_weighted``)
-and evicting first-in-first-out; so F(t) sampled along a run, or repeated
-radii in ``lemma22_report``, build the block once.  A miss calls
-``varphi_scaled`` afresh, and results are bit-identical to that.
+Three blocks are built once and shared through read-only memos keyed on
+the exact inputs (``tricomi_ode._memoized``: at most 4 entries, one per
+Gauss level, evicted first-in-first-out): the graded rule per (q, lambda0,
+level), with its Gauss-Legendre nodes per level; the t- and s-independent
+factor varphi_scaled(n, lam|x|) per (n, lambda nodes, radii); and, in
+``tricomi_ode``, the kernels' time-t Bessel pair per (m, lambda phi(t)).
+A miss builds the block afresh, and results are bit-identical to that.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import DomainError
 from .specfun import varphi_scaled
-from .tricomi_ode import kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
+from .tricomi_ode import _memoized, kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
 
 _EXP_CLIP = 700.0
 
@@ -73,13 +73,9 @@ def bracket(s):
 # graded Gauss-Legendre quadrature for int_0^{lam0} g(lam) lam^q dlam
 # ---------------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+# Gauss-Legendre nodes per order and graded rules, see the module docstring
+_GL_MEMO: dict[int, tuple] = {}
+_RULE_MEMO: dict[tuple, tuple] = {}
 
 
 def _graded_rule(q: float, lam0: float, per_octave: int):
@@ -89,7 +85,7 @@ def _graded_rule(q: float, lam0: float, per_octave: int):
     u = lam^{q+1} (du = (q+1) lam^q dlam) removes the endpoint singularity
     first, so plain Gauss panels stay accurate.
     """
-    xg, wg = _gl(per_octave)
+    xg, wg = _memoized(_GL_MEMO, per_octave, lambda: np.polynomial.legendre.leggauss(per_octave))
     n_oct = max(54, int(14.0 * (q + 1.0)) + 40)
     upper = lam0 ** (q + 1.0) if q < 0.0 else lam0
     edges = upper * 2.0 ** -np.arange(n_oct + 1, dtype=float)
@@ -104,6 +100,11 @@ def _graded_rule(q: float, lam0: float, per_octave: int):
         # nodes (relative weight <= 2^-54); clamp so kernels stay finite
         return np.maximum(lam, 1e-200), w / (q + 1.0)
     return nodes, w * nodes**q
+
+
+def _misses(value, err, rtol: float):
+    """Points whose error estimate is not within rtol of |value| (nan misses)."""
+    return ~(err <= rtol * np.maximum(np.abs(value), 1e-300))
 
 
 def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
@@ -122,14 +123,13 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
         raise DomainError(f"rtol must be > 0, got {rtol}")
     value = None
     err = None
-    for per_octave in (16, 32, 64, 128):
-        lam, w = _graded_rule(q, lam0, per_octave)
+    for level in (16, 32, 64, 128):
+        lam, w = _memoized(_RULE_MEMO, (q, lam0, level), lambda: _graded_rule(q, lam0, level))
         new = np.asarray(g(lam)) @ w
         if value is not None:
             err = np.abs(new - value)
             value = new
-            scale = np.maximum(np.abs(new), 1e-300)
-            if np.all(err <= rtol * scale):
+            if not np.any(_misses(new, err, rtol)):
                 break
         else:
             value = new
@@ -143,20 +143,12 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
 
 # one block per Gauss level of integrate_lambda_weighted (see module docstring)
 _VPHI_MEMO: dict[tuple, np.ndarray] = {}
-_VPHI_MEMO_SIZE = 4
 
 
 def _vphi_block(n: int, lam: np.ndarray, xn: np.ndarray) -> np.ndarray:
     """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized."""
     key = (n, lam.tobytes(), xn.shape, xn.tobytes())
-    block = _VPHI_MEMO.get(key)
-    if block is None:
-        block = varphi_scaled(n, lam[None, :] * xn[:, None])
-        block.flags.writeable = False
-        if len(_VPHI_MEMO) >= _VPHI_MEMO_SIZE:
-            del _VPHI_MEMO[next(iter(_VPHI_MEMO))]
-        _VPHI_MEMO[key] = block
-    return block
+    return _memoized(_VPHI_MEMO, key, lambda: varphi_scaled(n, lam[None, :] * xn[:, None]))
 
 
 def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams):
@@ -275,6 +267,7 @@ class Lemma22Report:
     rows: tuple
     constants: dict
     excluded: int
+    unconverged: int
 
     def rows_for(self, part: str):
         return [r for r in self.rows if r.part == part]
@@ -295,42 +288,48 @@ def lemma22_report(
       for t > 0 and |x| <= phi(t)+R
 
     Constants are the inf (i, ii) or sup (iii) of value/envelope over the
-    grid; hypothesis-violating grid points are excluded and counted.
+    grid; hypothesis-violating grid points are excluded and counted, and so
+    are the points whose quadrature missed rtol (``unconverged``).
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
     rows: list[Lemma22Row] = []
     excluded = 0
+    unconverged = 0
 
     lower_ok = q > -alpha
     upper_ok = q > (n - 3.0) / 2.0
 
-    for t in _unique_sorted(grid.t_values):
+    def measure(kernel, xs, t, s):
+        """Values at radii xs; the ones that missed rtol are counted."""
+        nonlocal unconverged
+        vals, err = _test_fn(kernel, xs, t, s, p, rtol)
+        unconverged += np.count_nonzero(_misses(vals, err, rtol))
+        return vals
+
+    def add(part, t, s, x, v, env):
+        rows.append(Lemma22Row(part, t, s, float(x), float(v), env, float(v) / env))
+
+    for t in sorted({float(v) for v in grid.t_values}):
         phi_t = phi_of_t(m, t)
         # parts i-xi / i-eta: s = 0, |x| <= R
         xs = np.asarray(grid.x_fractions) * p.R
         if lower_ok:
             env_xi = bracket(phi_t) ** (-alpha)
             env_eta = bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0)))
-            vals_xi = xi_q(xs, t, 0.0, p, rtol)
-            vals_eta = eta_q(xs, t, 0.0, p, rtol)
+            vals_xi = measure(kernel_phi1_scaled, xs, t, 0.0)
+            # eta_q's kernel: exactly 1 on the diagonal t = s = 0
+            vals_eta = measure(None if t == 0.0 else kernel_phi2_ratio_scaled, xs, t, 0.0)
             for x, vx, ve in zip(xs, vals_xi, vals_eta):
-                rows.append(
-                    Lemma22Row("i-xi", t, 0.0, float(x), float(vx), env_xi, float(vx) / env_xi)
-                )
-                rows.append(
-                    Lemma22Row("i-eta", t, 0.0, float(x), float(ve), env_eta, float(ve) / env_eta)
-                )
+                add("i-xi", t, 0.0, x, vx, env_xi)
+                add("i-eta", t, 0.0, x, ve, env_eta)
         else:
             excluded += 2 * len(xs)
 
         # part ii: 0 <= s < t
         for frac in grid.s_fractions:
             s = frac * t
-            if not (0.0 <= s < t):
-                excluded += len(grid.x_fractions)
-                continue
-            if not lower_ok:
+            if not (lower_ok and 0.0 <= s < t):
                 excluded += len(grid.x_fractions)
                 continue
             phi_s = phi_of_t(m, s)
@@ -338,28 +337,25 @@ def lemma22_report(
                 -q - 1.0 + (m + 4.0) / (2.0 * (m + 2.0))
             )
             xs2 = np.asarray(grid.x_fractions) * (phi_s + p.R)
-            vals = eta_q(xs2, t, s, p, rtol)
+            # phi(0) = 0, so at s = 0 xs2 == xs and this is part i's eta_q call
+            vals = vals_eta if s == 0.0 else measure(kernel_phi2_ratio_scaled, xs2, t, s)
             for x, v in zip(xs2, vals):
-                rows.append(Lemma22Row("ii", t, s, float(x), float(v), env, float(v) / env))
+                add("ii", t, s, x, v, env)
 
         # part iii: diagonal, t > 0
         if t <= 0.0 or not upper_ok:
             excluded += len(grid.x_fractions)
             continue
         xs3 = np.asarray(grid.x_fractions) * (phi_t + p.R)
-        vals = eta_q(xs3, t, t, p, rtol)
+        vals = measure(None, xs3, t, t)  # diagonal: the kernel is exactly 1
         for x, v in zip(xs3, vals):
             env = bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(phi_t - x) ** (
                 (n - 3.0) / 2.0 - q
             )
-            rows.append(Lemma22Row("iii", t, t, float(x), float(v), env, float(v) / env))
+            add("iii", t, t, x, v, env)
 
     constants = {}
     for part, agg in (("i-xi", min), ("i-eta", min), ("ii", min), ("iii", max)):
         ratios = [r.ratio for r in rows if r.part == part]
         constants[part] = agg(ratios) if ratios else math.nan
-    return Lemma22Report(tuple(rows), constants, excluded)
-
-
-def _unique_sorted(values):
-    return sorted(set(float(v) for v in values))
+    return Lemma22Report(tuple(rows), constants, excluded, unconverged)

@@ -29,6 +29,9 @@ for arbitrarily large t:
   diagonal s = t they are sums of positive Bessel products, so no
   subtractive cancellation occurs; a (t-s)-series takes over at the
   diagonal, and the leading small-s terms where lambda phi(s) < 1e-8.
+  The time-t pair ive(nu, x_t), kve(nu, x_t) is memoized (``_bessel_pair``),
+  so one t and Gauss level of a quadrature evaluates it once; at s = 0 it
+  gives V1 and V2 with no negative order (see ``_small_s_factors``).
 
 ``fundamental_pair``, ``phi1``, ``phi2`` and ``phi2_ratio`` are the unscaled
 scalar forms.  ``ode_oracle_scaled`` is an independent check: adaptive
@@ -150,8 +153,32 @@ def fundamental_pair_scaled(params: OdeParams, t: float) -> FundamentalEval:
     return _pair(params, t, scaled=True)
 
 
-def _small_s_factors(t: float, lam: np.ndarray, m: float):
-    """(e^{-x_t} V1(t), e^{-x_t} V2(t)/t), elementwise in lam, for the small-s forms.
+def _memoized(memo: dict, key, build):
+    """memo[key]; on a miss build() makes it (an array or a tuple of arrays),
+    stored read-only.  At most 4 entries (one per Gauss level of
+    testfun.integrate_lambda_weighted), evicted first-in-first-out."""
+    value = memo.get(key)
+    if value is None:
+        value = build()
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.flags.writeable = False
+        if len(memo) >= 4:
+            del memo[next(iter(memo))]
+        memo[key] = value
+    return value
+
+
+_PAIR_MEMO: dict[tuple, tuple] = {}
+
+
+def _bessel_pair(nu: float, x: np.ndarray):
+    """Read-only (ive(nu, x), kve(nu, x)), memoized on the exact (nu, x)."""
+    return _memoized(_PAIR_MEMO, (nu, x.shape, x.tobytes()), lambda: (ive(nu, x), kve(nu, x)))
+
+
+def _small_s_factors(t: float, lam: np.ndarray, m: float, i_nu, k_nu):
+    """(e^{-x_t} V1(t), e^{-x_t} V2(t)/t), elementwise in lam, from the time
+    pair i_nu = ive(nu, x_t), k_nu = kve(nu, x_t) at the same lam.
 
     V1 uses I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu (DLMF 10.27.2), so only the
     orders +nu are evaluated (the negative order costs ~3x in scipy); both
@@ -159,8 +186,7 @@ def _small_s_factors(t: float, lam: np.ndarray, m: float):
     """
     nu = _nu(m)
     x_t = lam * phi_of_t(m, t)
-    i_nu = ive(nu, x_t)
-    k_nu = np.exp(-2.0 * x_t) * kve(nu, x_t)
+    k_nu = np.exp(-2.0 * x_t) * k_nu
     v1 = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t) * (
         i_nu + 2.0 / math.pi * math.sin(nu * math.pi) * k_nu
     )
@@ -180,25 +206,25 @@ def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndar
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
+    if t == 0.0:
+        return np.ones_like(lam)
     x_t = lam * phi_of_t(m, t)
+    i_t, k_t = _bessel_pair(nu, x_t)
     if s == 0.0:
-        if t == 0.0:
-            return np.ones_like(lam)
-        pref = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t)
-        return np.where(x_t < _SMALL_X, np.exp(-x_t), pref * ive(-nu, x_t))
+        return _small_s_factors(t, lam, m, i_t, k_t)[0]
     x_s = lam * phi_of_t(m, s)
     small = x_s < _SMALL_X
     out = np.empty_like(lam)
     lo = lam[small]
-    v1, v2_ratio = _small_s_factors(t, lo, m)
+    v1, v2_ratio = _small_s_factors(t, lo, m, i_t[small], k_t[small])
     out[small] = np.exp(x_s[small]) * (
         v1 - lo * lo * s ** (m + 1.0) / (m + 1.0) * t * v2_ratio
     )
-    lam, x_t, x_s = lam[~small], x_t[~small], x_s[~small]
+    lam, x_t, x_s, i_t, k_t = (a[~small] for a in (lam, x_t, x_s, i_t, k_t))
     delta = x_t - x_s
     pref = 2.0 * nu * (2.0 * nu * lam) ** (-nu) * lam * s ** (m / 2.0) * math.sqrt(t)
-    grow = ive(nu, x_t) * x_s**nu * kve(nu - 1.0, x_s)
-    decay = np.exp(-2.0 * delta) * kve(nu, x_t) * x_s**nu * ive(nu - 1.0, x_s)
+    grow = i_t * x_s**nu * kve(nu - 1.0, x_s)
+    decay = np.exp(-2.0 * delta) * k_t * x_s**nu * ive(nu - 1.0, x_s)
     out[~small] = pref * (grow + decay)
     return out
 
@@ -219,28 +245,28 @@ def kernel_phi2_ratio_scaled(
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
+    if t == 0.0:
+        return np.ones_like(lam)
     x_t = lam * phi_of_t(m, t)
-    dt = t - s
     if s == 0.0:
-        if t == 0.0:
-            return np.ones_like(lam)
-        pref = math.gamma(1.0 + nu) * (nu * lam) ** (-nu) * math.sqrt(t) / t
-        return np.where(x_t < _SMALL_X, np.exp(-x_t), pref * ive(nu, x_t))
+        return _small_s_factors(t, lam, m, *_bessel_pair(nu, x_t))[1]
     x_s = lam * phi_of_t(m, s)
+    dt = t - s
     if dt < _RATIO_SWITCH * max(1.0, t):
         # Phi2(t,s) = (t-s) + lam^2 s^m (t-s)^3/6 + lam^2 m s^{m-1} (t-s)^4/24 + ...
         lam2 = lam * lam
         corr = lam2 * s**m * dt * dt / 6.0 + lam2 * m * s ** (m - 1.0) * dt**3 / 24.0
         return np.exp(-(x_t - x_s)) * (1.0 + corr)
+    i_t, k_t = _bessel_pair(nu, x_t)
     small = x_s < _SMALL_X
     out = np.empty_like(lam)
-    v1, v2_ratio = _small_s_factors(t, lam[small], m)
+    v1, v2_ratio = _small_s_factors(t, lam[small], m, i_t[small], k_t[small])
     out[small] = np.exp(x_s[small]) * (t * v2_ratio - s * v1) / dt
-    x_t, x_s = x_t[~small], x_s[~small]
+    x_t, x_s, i_t, k_t = (a[~small] for a in (x_t, x_s, i_t, k_t))
     delta = x_t - x_s
     pref = 2.0 * nu * math.sqrt(s * t) / dt
-    main = kve(nu, x_s) * ive(nu, x_t)
-    sub = np.exp(-2.0 * delta) * ive(nu, x_s) * kve(nu, x_t)
+    main = kve(nu, x_s) * i_t
+    sub = np.exp(-2.0 * delta) * ive(nu, x_s) * k_t
     out[~small] = pref * (main - sub)
     return out
 

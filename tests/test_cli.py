@@ -127,6 +127,24 @@ def test_determinism_with_f_tracking_ignores_call_history(tmp_path):
     assert sum(1 for r in rows[1:] if r[f_col]) >= 2  # F was sampled
 
 
+def test_testfun_reports_unconverged_points(tmp_path):
+    base = ["testfun", "--set", "testfun.t_max=20", "--set", "testfun.nt=2",
+            "--set", "testfun.ns=2", "--set", "testfun.nx=2"]
+
+    def header(extra):
+        out = tmp_path / "tf.csv"
+        assert run_cli(base + extra + ["--output", str(out)]) == EXIT_OK
+        return [l for l in out.read_text().splitlines() if l.startswith("# ")]
+
+    lines = header([])
+    at = lines.index("# unconverged_points = 0")
+    assert lines[at - 1].startswith("# excluded_points = ")
+    # rtol below double precision: no quadrature can meet it, and the count says so
+    strict = [l for l in header(["--set", "testfun.rtol=1e-17"])
+              if l.startswith("# unconverged_points = ")]
+    assert len(strict) == 1 and int(strict[0].rpartition(" ")[2]) > 0
+
+
 def test_determinism_subprocess(tmp_path):
     # same invocation through a fresh interpreter: still byte-identical
     out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"

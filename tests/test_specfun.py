@@ -230,6 +230,16 @@ def test_varphi_scaled_consistency():
         assert np.allclose(scaled[rs < 500] * np.exp(rs[rs < 500]), direct, rtol=1e-12)
 
 
+def test_varphi_scaled_two_dim_against_mpmath():
+    # n = 2 is 2 pi e^{-r} I_0(r), evaluated with scipy's i0e
+    rs = np.concatenate(([0.0], np.geomspace(1e-8, 800.0, 799)))
+    got = varphi_scaled(2, rs)
+    with mpmath.workdps(40):
+        ref = [float(2 * mpmath.pi * mpmath.exp(-r) * mpmath.besseli(0, r)) for r in rs]
+    rel = np.abs(got - ref) / np.abs(ref)
+    assert rel.max() <= 2e-15
+
+
 def test_varphi_domain_errors():
     with pytest.raises(DomainError):
         varphi(0, 1.0)

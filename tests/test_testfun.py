@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tricomilab import testfun
+from tricomilab import testfun, tricomi_ode
 from tricomilab.errors import DomainError
 from tricomilab.exponents import p_crit, q_choice
 from tricomilab.pde_solver import ModelParams, RunConfig, initialize
 from tricomilab.specfun import varphi, varphi_scaled
 from tricomilab.testfun import (
     Lemma22Grid,
+    Lemma22Row,
     TestFnParams,
     _exp_profile,
     _test_fn,
@@ -259,7 +260,7 @@ def test_memoized_profile_is_bit_identical(monkeypatch):
         # t = 0 fills the memo, every later call hits it
         assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
         assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
-        assert len(testfun._VPHI_MEMO) <= testfun._VPHI_MEMO_SIZE
+        assert len(testfun._VPHI_MEMO) <= 4
     # one block per Gauss level visited, all built on the first call
     assert 2 <= len(misses) == len(testfun._VPHI_MEMO) <= 4
 
@@ -272,10 +273,115 @@ def test_memoized_profile_is_bit_identical(monkeypatch):
 
 
 def test_memo_holds_at_most_four_blocks():
-    p = TestFnParams(q=0.5, n=3, m=1.0)
-    testfun._VPHI_MEMO.clear()
+    memos = (testfun._VPHI_MEMO, testfun._RULE_MEMO, tricomi_ode._PAIR_MEMO)
+    for memo in memos:
+        memo.clear()
     for k in range(12):
+        # new radii, weight and time on every pass: each memo misses
+        p = TestFnParams(q=0.5 + k / 16, n=3, m=1.0)
         xn = np.linspace(0.0, 1.0 + k, 7)
         ref = _eta_diag_reference(xn, 1.5, p)
         assert eta_q(xn, 1.5, 1.5, p).tobytes() == ref.tobytes()
-        assert len(testfun._VPHI_MEMO) <= 4
+        eta_q(xn, 2.0 + k, 1.0, p)
+        assert all(len(memo) <= 4 for memo in memos)
+    assert all(len(memo) == 4 for memo in memos)
+
+    # the entries are read-only, so no caller can write into a shared block
+    assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
+    lam, w = next(iter(testfun._RULE_MEMO.values()))
+    i_t, k_t = next(iter(tricomi_ode._PAIR_MEMO.values()))
+    for arr in (lam, w, i_t, k_t):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# lemma22_report: shared time pair, reused s = 0 row, convergence count
+# ---------------------------------------------------------------------------
+
+
+def _lemma22_reference_rows(p, grid):
+    """The rows of lemma22_report from one xi_q / eta_q call per (part, t, s)."""
+    m, n, q = p.m, p.n, p.q
+    xf = np.asarray(grid.x_fractions)
+    rows = []
+    for t in sorted(set(grid.t_values)):
+        b_t = bracket(phi_of_t(m, t))
+        xs = xf * p.R
+        env_xi, env_eta = b_t ** (-m / (2.0 * (m + 2.0))), b_t ** (-(m + 4.0) / (2.0 * (m + 2.0)))
+        for x, vx, ve in zip(xs, xi_q(xs, t, 0.0, p), eta_q(xs, t, 0.0, p)):
+            rows.append(Lemma22Row("i-xi", t, 0.0, x, vx, env_xi, vx / env_xi))
+            rows.append(Lemma22Row("i-eta", t, 0.0, x, ve, env_eta, ve / env_eta))
+        for s in (frac * t for frac in grid.s_fractions if frac * t < t):
+            phi_s = phi_of_t(m, s)
+            env = bracket(t) ** (-1.0 - m / 4.0) * bracket(phi_s) ** (
+                -q - 1.0 + (m + 4.0) / (2.0 * (m + 2.0))
+            )
+            xs2 = xf * (phi_s + p.R)
+            for x, v in zip(xs2, eta_q(xs2, t, s, p)):
+                rows.append(Lemma22Row("ii", t, s, x, v, env, v / env))
+        if t > 0.0:
+            phi_t = phi_of_t(m, t)
+            xs3 = xf * (phi_t + p.R)
+            for x, v in zip(xs3, eta_q(xs3, t, t, p)):
+                env = b_t ** (-(n - 1.0) / 2.0) * bracket(phi_t - x) ** ((n - 3.0) / 2.0 - q)
+                rows.append(Lemma22Row("iii", t, t, x, v, env, v / env))
+    return rows
+
+
+def test_lemma22_rows_match_reference_loop():
+    q = q_choice(3, p_crit(1, 3))
+    p = TestFnParams(q=q, lambda0=0.5, R=1.0, n=3, m=1.0)
+    grid = Lemma22Grid(t_values=(0.0, 0.7, 40.0, 900.0), s_fractions=(0.0, 0.3, 0.7),
+                       x_fractions=(0.0, 0.5, 0.95))
+    rep = lemma22_report(p, grid)
+    assert rep.excluded == 12 and rep.unconverged == 0  # t = 0: no part ii or iii
+    assert list(rep.rows) == _lemma22_reference_rows(p, grid)
+
+
+def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
+    m, t = 1.0, 40.0
+    p = TestFnParams(q=q_choice(3, p_crit(1, 3)), n=3, m=m)
+    grid = Lemma22Grid(t_values=(t,), s_fractions=(0.0, 0.3, 0.7), x_fractions=(0.0, 0.5, 0.95))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(order, x):
+            calls.append((name, float(order), np.asarray(x).tobytes()))
+            return fn(order, x)
+
+        return wrapper
+
+    monkeypatch.setattr(tricomi_ode, "ive", counted("ive", tricomi_ode.ive))
+    monkeypatch.setattr(tricomi_ode, "kve", counted("kve", tricomi_ode.kve))
+    tricomi_ode._PAIR_MEMO.clear()
+    testfun._RULE_MEMO.clear()
+    lemma22_report(p, grid)
+    # the Gauss levels the quadratures reached are the rules built
+    x_t = {
+        (lam * phi_of_t(m, t)).tobytes()
+        for lam, _ in (testfun._RULE_MEMO[key] for key in testfun._RULE_MEMO)
+    }
+    assert len(x_t) >= 2
+    nu = 1.0 / (m + 2.0)
+    for name in ("ive", "kve"):
+        at_t = [(order, x) for fn, order, x in calls if fn == name and x in x_t]
+        assert sorted(x for _, x in at_t) == sorted(x_t)  # once per level
+        assert all(order == nu for order, _ in at_t)
+
+    # the s = 0 kernels take I_{-nu} from the pair: no negative order
+    lam = np.geomspace(1e-12, 3.0, 50)
+    calls.clear()
+    tricomi_ode._PAIR_MEMO.clear()
+    kernel_phi1_scaled(t, 0.0, lam, m)
+    kernel_phi2_ratio_scaled(t, 0.0, lam, m)
+    assert sorted((fn, order) for fn, order, _ in calls) == [("ive", nu), ("kve", nu)]
+
+
+def test_lemma22_counts_unconverged_points():
+    p = TestFnParams(q=0.5, n=3, m=1.0)
+    grid = Lemma22Grid(t_values=(0.0, 2.0), s_fractions=(0.0, 0.5), x_fractions=(0.0, 0.9))
+    assert lemma22_report(p, grid).unconverged == 0
+    # below double precision no doubling of the Gauss order can agree
+    strict = lemma22_report(p, grid, rtol=1e-17)
+    assert 0 < strict.unconverged <= len(strict.rows)

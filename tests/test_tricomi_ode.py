@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy.special import ive, kve
+
+from tricomilab import tricomi_ode
 from tricomilab.errors import DomainError
 from tricomilab.tricomi_ode import (
     OdeParams,
@@ -271,7 +274,8 @@ def _mp_kernels(m, lam, t, s):
     with mpmath.workdps(50):
         m, lam, t, s = (mpmath.mpf(v) for v in (m, lam, t, s))
         v1t, _, v2t, _, x_t = _mp_pair(m, lam, t)
-        v1s, dv1s, v2s, dv2s, x_s = _mp_pair(m, lam, s)
+        # the Bessel form is 0 * inf at s = 0; the initial data are exact there
+        v1s, dv1s, v2s, dv2s, x_s = _mp_pair(m, lam, s) if s else (1, 0, 0, 1, 0)
         scale = mpmath.exp(x_s - x_t)
         return (float(scale * (v1t * dv2s - v2t * dv1s)),
                 float(scale * (v2t * v1s - v1t * v2s) / (t - s)))
@@ -297,3 +301,75 @@ def test_kernels_at_tiny_s():
                     r1, r2 = _mp_kernels(m, lam_i, t, s)
                     assert k1[i] == pytest.approx(r1, rel=1e-13), (m, t, s, lam_i)
                     assert k2[i] == pytest.approx(r2, rel=1e-13), (m, t, s, lam_i)
+
+
+def test_kernels_at_s_zero_against_mpmath():
+    # V1 at s = 0 comes from I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu, so only +nu
+    # orders are evaluated; both terms are positive, so no digits cancel
+    for m in (0.0, 0.4, 1.0, 2.5):
+        for lam in (0.05, 1.0, 6.0):
+            for x in np.geomspace(1e-8, 700.0, 25):
+                t = float((x / lam * (m + 2.0) / 2.0) ** (2.0 / (m + 2.0)))
+                k1 = kernel_phi1_scaled(t, 0.0, np.array([lam]), m)[0]
+                k2 = kernel_phi2_ratio_scaled(t, 0.0, np.array([lam]), m)[0]
+                r1, r2 = _mp_kernels(m, lam, t, 0.0)
+                assert k1 == pytest.approx(r1, rel=1e-13), (m, lam, x)
+                assert k2 == pytest.approx(r2, rel=1e-13), (m, lam, x)
+
+
+def _reference_kernels(t, s, lam, m):
+    """Off-diagonal (Phi1, Phi2/(t-s)) kernels as written before the time pair
+    was shared: ive/kve at x_t evaluated afresh on each branch's nodes."""
+    nu = 1.0 / (m + 2.0)
+    x_t = lam * phi_of_t(m, t)
+    x_s = lam * phi_of_t(m, s)
+    small = x_s < 1e-8
+
+    def small_s(lo):
+        xt = lo * phi_of_t(m, t)
+        i_nu = ive(nu, xt)
+        k_nu = np.exp(-2.0 * xt) * kve(nu, xt)
+        v1 = math.gamma(1.0 - nu) * (nu * lo) ** nu * math.sqrt(t) * (
+            i_nu + 2.0 / math.pi * math.sin(nu * math.pi) * k_nu
+        )
+        v2r = math.gamma(1.0 + nu) * (nu * lo) ** (-nu) * math.sqrt(t) / t * i_nu
+        tiny = xt < 1e-8
+        return np.where(tiny, np.exp(-xt), v1), np.where(tiny, np.exp(-xt), v2r)
+
+    k1, k2 = np.empty_like(lam), np.empty_like(lam)
+    lo = lam[small]
+    v1, v2r = small_s(lo)
+    k1[small] = np.exp(x_s[small]) * (v1 - lo * lo * s ** (m + 1.0) / (m + 1.0) * t * v2r)
+    k2[small] = np.exp(x_s[small]) * (t * v2r - s * v1) / (t - s)
+    lb, xt, xs = lam[~small], x_t[~small], x_s[~small]
+    delta = xt - xs
+    pref = 2.0 * nu * (2.0 * nu * lb) ** (-nu) * lb * s ** (m / 2.0) * math.sqrt(t)
+    grow = ive(nu, xt) * xs**nu * kve(nu - 1.0, xs)
+    decay = np.exp(-2.0 * delta) * kve(nu, xt) * xs**nu * ive(nu - 1.0, xs)
+    k1[~small] = pref * (grow + decay)
+    pref = 2.0 * nu * math.sqrt(s * t) / (t - s)
+    main = kve(nu, xs) * ive(nu, xt)
+    sub = np.exp(-2.0 * delta) * ive(nu, xs) * kve(nu, xt)
+    k2[~small] = pref * (main - sub)
+    return k1, k2
+
+
+def test_shared_time_pair_keeps_kernels_bit_identical():
+    # nodes on both sides of the small-s switch x_s = 1e-8
+    lam = np.geomspace(1e-15, 5.0, 301)
+    cases = [(m, t, s) for m in (0.0, 1.0, 2.5)
+             for t, s in ((0.4, 1e-12), (3.0, 1e-6), (3.0, 1.2), (700.0, 300.0))]
+    for m, t, s in cases:
+        ref = [k.tobytes() for k in _reference_kernels(t, s, lam, m)]
+
+        def kernels():
+            return [kernel_phi1_scaled(t, s, lam, m).tobytes(),
+                    kernel_phi2_ratio_scaled(t, s, lam, m).tobytes()]
+
+        tricomi_ode._PAIR_MEMO.clear()
+        assert kernels() == ref  # empty memo: the pair is built here
+        assert kernels() == ref  # the pair comes from the memo
+        for other in (0.7, 1.5, 2.2, 9.0, 41.0):
+            kernel_phi1_scaled(other, 0.0, lam, m)  # other times evict it
+        assert len(tricomi_ode._PAIR_MEMO) == 4
+        assert kernels() == ref
