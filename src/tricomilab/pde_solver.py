@@ -23,21 +23,22 @@ whose inputs are all exactly zero stays exactly zero, so the update is
 bit-identical to the full-grid one.  The scheme's precursor ahead of the
 front underflows to 0.0, so the extent trails the step count.
 
-Tracked functionals: G(t) = int u dx, the nonlinear mass int |u|^p dx,
-F(t) = int u(x,t) eta_q(x,t,t) dx, the discrete support radius, and the
-peak amplitude.  Runs end at a blow-up threshold crossing (with a
-threshold-sensitivity diagnostic), at a nonfinite value, or censored at
-the horizon.  ``lifespan_scan`` sweeps eps, subcritical only (the regime
+dt depends only on (t, dx, m, cfl_safety), so runs that differ only in eps
+and t_max step as the rows of one ``SolverState``, each with its own extent,
+outer boundary cell and amplitude history; a row leaves at a blow-up
+threshold crossing (with a threshold-sensitivity diagnostic), at a
+nonfinite value, or censored at its horizon.  A single run is a one-row
+state, whose tracked functionals span its whole grid: G(t) = int u dx,
+int |u|^p dx, F(t) = int u(x,t) eta_q(x,t,t) dx, the support radius and the
+peak amplitude.  ``lifespan_scan`` sweeps eps, subcritical only (the regime
 and the eps-exponent come from ``exponents.lifespan_law``), keeping only
-each run's record (no per-step series); ``fit_scaling`` fits its slope.
-dt depends only on (t, dx, m, cfl_safety), so once the horizon law is
-calibrated the scan steps its remaining runs in lockstep as one row batch.
+each run's record; ``fit_scaling`` fits its slope.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -139,10 +140,15 @@ class LifespanRecord:
 
 
 @dataclass
-class _Levels:
-    """One run's amplitude history: the peak, the first time it reached
-    blowup_threshold/100, and the blow-up time (the threshold crossing)."""
+class _Row:
+    """One run's row of a ``SolverState``: its eps and horizon, its live
+    extent and outer boundary cell, and its amplitude history (the peak, the
+    first time it reached blowup_threshold/100, and the blow-up time)."""
 
+    eps: float
+    t_max: float
+    live: int
+    edge: int
     peak: float = 0.0
     t_low: float | None = None
     blown_up: bool = False
@@ -157,11 +163,11 @@ class _Levels:
         if amp >= threshold:
             self.blown_up, self.blowup_time = True, t
 
-    def record(self, eps: float) -> LifespanRecord:
+    def record(self) -> LifespanRecord:
         """The run's record; censored unless it blew up."""
         t_b = self.blowup_time
         return LifespanRecord(
-            eps=eps,
+            eps=self.eps,
             t_blowup=t_b,
             censored=not self.blown_up,
             peak=self.peak,
@@ -169,21 +175,24 @@ class _Levels:
         )
 
 
-@dataclass(kw_only=True)
-class SolverState(_Levels):
-    """Mutable stepping state; one run owns its state exclusively.
+@dataclass
+class SolverState:
+    """Mutable stepping state of runs that differ only in eps and t_max, one
+    row per run; the runs own their state exclusively.
 
-    u and u_prev are exactly 0.0 from index ``live`` on.  ``step`` recycles
-    the buffer of u_prev for the new level.
+    u and u_prev are (rows, width) arrays over the radii r.  The width starts
+    at the smallest domain of the rows, so a single run's arrays span its
+    whole grid, and grows by doubling up to the largest.  Row i is exactly
+    0.0 from ``rows[i].live`` on.  ``step`` recycles the buffer of u_prev
+    (zero before the first step) for the new level.
     """
 
     r: np.ndarray
     u: np.ndarray
-    u_prev: np.ndarray | None
+    u_prev: np.ndarray
     t: float
     dt_prev: float
-    step_index: int
-    live: int
+    rows: list[_Row]
 
 
 @dataclass(frozen=True)
@@ -226,14 +235,29 @@ def _grid_size(cfg: RunConfig) -> int:
     return n_cells + 1
 
 
-def initialize(cfg: RunConfig) -> SolverState:
-    """Sample the initial data eps*u0 on the radial grid."""
-    r = np.arange(_grid_size(cfg)) * cfg.dx
-    u0 = cfg.model.eps * _bump(r, cfg.model.R)
-    return SolverState(
-        r=r, u=u0, u_prev=None, t=0.0, dt_prev=0.0, step_index=0,
-        live=int(np.count_nonzero(r < cfg.model.R)), peak=float(_amplitude(u0)),
-    )
+def _shared_config(cfgs) -> RunConfig:
+    """The configuration runs step with; a ConfigError names the first field
+    other than eps, t_max and domain_radius where they differ."""
+    for cfg in cfgs[1:]:
+        for ours, theirs in ((cfgs[0], cfg), (cfgs[0].model, cfg.model)):
+            for name in (f.name for f in fields(ours)):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                if name not in ("model", "eps", "t_max", "domain_radius") and a != b:
+                    raise ConfigError(f"batched runs must share {name}, got {a!r} and {b!r}")
+    return cfgs[0]
+
+
+def initialize(*cfgs: RunConfig) -> SolverState:
+    """Sample the initial data eps*u0 of each run, one row per run, on the
+    radial grid; the runs may differ only in eps, t_max and the domain."""
+    cfg = _shared_config(cfgs)
+    edges = [_grid_size(c) - 1 for c in cfgs]
+    r = np.arange(min(edges) + 1) * cfg.dx  # the smallest domain
+    u = np.array([c.model.eps for c in cfgs])[:, None] * _bump(r, cfg.model.R)
+    live = int(np.count_nonzero(r < cfg.model.R))
+    rows = [_Row(c.model.eps, c.t_max, live, edge, peak=amp)
+            for c, edge, amp in zip(cfgs, edges, _amplitude(u).tolist())]
+    return SolverState(r=r, u=u, u_prev=np.zeros_like(u), t=0.0, dt_prev=0.0, rows=rows)
 
 
 def radial_laplacian(u: np.ndarray, r: np.ndarray, dx: float, n: int) -> np.ndarray:
@@ -273,58 +297,63 @@ def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: floa
 
 def _amplitude(u):
     """max |u| over the last axis (nan where a value is nan)."""
-    with np.errstate(invalid="ignore"):
-        return np.max(np.abs(u), axis=-1)
+    return np.abs(u).max(axis=-1)
 
 
 def step(state: SolverState, cfg: RunConfig) -> SolverState:
-    """Advance one time level; flags blow-up on threshold or nonfinite values.
+    """Advance every row one time level; a row flags blow-up on its
+    threshold crossing or nonfinite values.
 
-    Only the live window is updated (see the module docstring); the cells
-    past it stay exactly 0.0.
+    Only the widest live window is updated (see the module docstring); past
+    its own window every row stays exactly 0.0.
     """
-    if state.blown_up:
+    if any(row.blown_up for row in state.rows):
         raise DomainError("cannot step a blown-up state")
     dt = _pick_dt(cfg, state.t)
-    front = state.live
-    win = slice(0, min(front + 2, state.u.size))  # frontier cell plus the zero ghost
-    u_prev = None if state.step_index == 0 else state.u_prev[win]
-    # u_prev's buffer is zero past the previous extent, so only win is written
-    u_new = np.zeros_like(state.u) if u_prev is None else state.u_prev
-    u_new[win] = _next_level(cfg, state.u[win], u_prev, state.r[win], state.t, dt,
-                             state.dt_prev)
-    u_new[-1] = 0.0
-    if u_new[front] != 0.0:
-        state.live += 1
-    state.u_prev = state.u
-    state.u = u_new
+    # each row's frontier cell plus the zero ghost, up to its outer boundary
+    w = max(min(row.live + 2, row.edge + 1) for row in state.rows)
+    if w > state.r.size:  # grow the arrays, at least doubling, up to the largest domain
+        size = min(max(2 * state.r.size, w), max(row.edge for row in state.rows) + 1)
+        grow = ((0, 0), (0, size - state.r.size))
+        state.r = np.arange(size) * cfg.dx
+        state.u, state.u_prev = (np.pad(a, grow) for a in (state.u, state.u_prev))
+    # u_prev's buffer is zero past the previous windows, so only :w is written
+    u_new = state.u_prev
+    u_new[:, :w] = _next_level(cfg, state.u[:, :w], None if state.t == 0.0 else
+                               u_new[:, :w], state.r[:w], state.t, dt, state.dt_prev)
+    for i, row in enumerate(state.rows):
+        if row.edge < w:  # past it the row's cells never leave 0.0
+            u_new[i, row.edge] = 0.0
+        if u_new[i, row.live] != 0.0:
+            row.live += 1
+    state.u_prev, state.u = state.u, u_new
     state.t += dt
     state.dt_prev = dt
-    state.step_index += 1
-    state.note(float(_amplitude(u_new[win])), state.t, cfg.blowup_threshold)
+    for row, amp in zip(state.rows, _amplitude(u_new[:, :w]).tolist()):
+        row.note(amp, state.t, cfg.blowup_threshold)
     return state
 
 
 def _radial_integral(values: np.ndarray, state: SolverState, cfg: RunConfig) -> float:
-    """int f dx over R^n for the radial grid values of f, by the trapezoid rule."""
+    """int f dx over R^n for the values of f at the radii r, by the trapezoid rule."""
     n = cfg.model.n
     return surface_area(n) * float(np.trapezoid(values * state.r ** (n - 1), dx=cfg.dx))
 
 
 def functional_G(state: SolverState, cfg: RunConfig) -> float:
     """G(t) = int u dx."""
-    return _radial_integral(state.u, state, cfg)
+    return _radial_integral(state.u[0], state, cfg)
 
 
 def functional_lp(state: SolverState, cfg: RunConfig) -> float:
     """int |u|^p dx."""
-    return _radial_integral(np.abs(state.u) ** cfg.model.p, state, cfg)
+    return _radial_integral(np.abs(state.u[0]) ** cfg.model.p, state, cfg)
 
 
 def functional_F(state: SolverState, cfg: RunConfig) -> float:
     """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``)."""
     eta_diag = eta_q(state.r, state.t, state.t, cfg.default_testfn())
-    return _radial_integral(state.u * eta_diag, state, cfg)
+    return _radial_integral(state.u[0] * eta_diag, state, cfg)
 
 
 def support_radius(state: SolverState) -> float:
@@ -334,65 +363,29 @@ def support_radius(state: SolverState) -> float:
     second-order scheme (measured O(dx^2.5), ~1e-5 relative at dx = 0.02),
     otherwise scheme noise ahead of the true front is counted as support.
     """
-    thresh = 1e-4 * max(1.0, float(np.max(np.abs(state.u))))
-    idx = np.nonzero(np.abs(state.u) > thresh)[0]
+    thresh = 1e-4 * max(1.0, float(_amplitude(state.u[0])))
+    idx = np.nonzero(np.abs(state.u[0]) > thresh)[0]
     return float(state.r[idx[-1]]) if len(idx) else 0.0
 
 
-def _solve(cfg: RunConfig, observe=None) -> LifespanRecord:
-    """Step until blow-up, nonfinite values, or the horizon (censored).
-
-    ``observe(state)`` is called on the initial state and after every step
-    that does not blow up.
+def _run(*cfgs: RunConfig, observe=None) -> list[LifespanRecord]:
+    """Step runs as the rows of one state; a row leaves at blow-up, at
+    nonfinite values, or censored at its horizon.  ``observe(state)`` (one
+    row) sees the initial state and every step that does not blow up.
     """
-    state = initialize(cfg)
+    state = initialize(*cfgs)
+    rows = state.rows[:]
     if observe is not None:
         observe(state)
-    while not state.blown_up and state.t < cfg.t_max:
-        step(state, cfg)
-        if observe is not None and not state.blown_up:
+    while state.rows:
+        step(state, cfgs[0])
+        if observe is not None and not state.rows[0].blown_up:
             observe(state)
-    return state.record(cfg.model.eps)
-
-
-def _solve_rows(cfgs: list[RunConfig]) -> list[LifespanRecord]:
-    """``_solve`` of runs differing only in eps and t_max, in lockstep as
-    the rows of one (rows, window) array: each row keeps its own extent,
-    outer boundary cell and amplitude history, and leaves at blow-up or its
-    horizon.  The arrays span the widest live window, not the largest
-    domain; past a row's window every cell stays 0.0, as in ``_solve``.
-    """
-    cfg = cfgs[0]
-    edge = np.array([_grid_size(c) - 1 for c in cfgs])  # outer boundary cells
-    r = np.arange(int(cfg.model.R / cfg.dx) + 3) * cfg.dx  # reaches past R
-    u = np.array([c.model.eps for c in cfgs])[:, None] * _bump(r, cfg.model.R)
-    u_prev = np.zeros_like(u)
-    live = np.full(len(cfgs), np.count_nonzero(r < cfg.model.R))
-    levels = [_Levels(peak=amp) for amp in _amplitude(u).tolist()]
-    rows = np.arange(len(cfgs))  # the runs still in the batch
-    t = dt_prev = 0.0
-    while rows.size:
-        dt = _pick_dt(cfg, t)
-        w = int(np.minimum(live + 2, edge + 1).max())
-        if w > r.size:  # grow the arrays, at least doubling, up to the largest domain
-            size = min(max(2 * r.size, w), int(edge.max()) + 1)
-            r = np.arange(size) * cfg.dx
-            u, u_prev = (np.pad(a, ((0, 0), (0, size - a.shape[1]))) for a in (u, u_prev))
-        u_prev[:, :w] = _next_level(cfg, u[:, :w], None if t == 0.0 else u_prev[:, :w],
-                                    r[:w], t, dt, dt_prev)
-        u, u_prev = u_prev, u
-        # past its window a row's clipped boundary index holds 0.0 already
-        at = np.arange(rows.size)
-        u[at, np.minimum(edge, w - 1)] = 0.0
-        live += u[at, live] != 0.0
-        t += dt
-        dt_prev = dt
-        for i, amp in zip(rows.tolist(), _amplitude(u[:, :w]).tolist()):
-            levels[i].note(amp, t, cfg.blowup_threshold)
-        keep = [not levels[i].blown_up and t < cfgs[i].t_max for i in rows.tolist()]
+        keep = [not row.blown_up and state.t < row.t_max for row in state.rows]
         if not all(keep):
-            u, u_prev, live, edge, rows = (a[keep] for a in (u, u_prev, live, edge, rows))
-    return [lv.record(c.model.eps) for lv, c in zip(levels, cfgs)]
+            state.u, state.u_prev = state.u[keep], state.u_prev[keep]
+            state.rows = [row for row, k in zip(state.rows, keep) if k]
+    return [row.record() for row in rows]
 
 
 def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
@@ -411,7 +404,7 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
     def record(state):
         nonlocal f_next
         ts.append(state.t)
-        amps.append(float(np.max(np.abs(state.u))))
+        amps.append(float(_amplitude(state.u[0])))
         gs.append(functional_G(state, cfg))
         lps.append(functional_lp(state, cfg))
         supps.append(support_radius(state))
@@ -420,7 +413,7 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
             f_v.append(functional_F(state, cfg))
             f_next += f_stride
 
-    record_out = _solve(cfg, record)
+    (record_out,) = _run(cfg, observe=record)
     series = TimeSeries(
         t=np.asarray(ts),
         max_u=np.asarray(amps),
@@ -453,9 +446,8 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     leaves the double range); censored runs are retried once with a doubled
     horizon and kept (flagged) if still censored.  Records return sorted by
     eps.  The runs up to the calibration go one by one; the rest step as
-    one row batch (``_solve_rows``).  Each record is the one
-    ``run_until_blowup`` gives for the run's configuration; no per-step
-    functional is computed.
+    the rows of one state.  Each record is the one ``run_until_blowup``
+    gives for the run's configuration; no per-step functional is computed.
     """
     eps_sorted = sorted(float(e) for e in eps_values)
     if not all(0 < e < math.inf for e in eps_sorted):
@@ -469,7 +461,7 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
         return replace(cfg, model=replace(md, eps=eps), t_max=t_max, domain_radius=None)
 
     def retried(run: RunConfig, rec: LifespanRecord) -> LifespanRecord:
-        return _solve(run_cfg(run.model.eps, 2.0 * run.t_max)) if rec.censored else rec
+        return _run(run_cfg(run.model.eps, 2.0 * run.t_max))[0] if rec.censored else rec
 
     records: dict[float, LifespanRecord] = {}
     pending = eps_sorted[::-1]
@@ -477,12 +469,12 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     while pending and c_emp is None:
         eps = pending.pop(0)
         run = run_cfg(eps, cfg.t_max)
-        records[eps] = rec = retried(run, _solve(run))
+        records[eps] = rec = retried(run, _run(run)[0])
         if rec.t_blowup is not None:
             c_emp = rec.t_blowup * _horizon_power(eps, law.theta)
     runs = [run_cfg(e, min(4.0 * c_emp * _horizon_power(e, -law.theta), 1e4))
             for e in pending]
-    for run, rec in zip(runs, _solve_rows(runs) if runs else ()):
+    for run, rec in zip(runs, _run(*runs) if runs else ()):
         records[run.model.eps] = retried(run, rec)
     return [records[e] for e in eps_sorted]
 

@@ -7,6 +7,7 @@ import pytest
 import tricomilab.pde_solver as pde
 from tricomilab.errors import ConfigError, DomainError
 from tricomilab.exponents import ExponentContext, lifespan_law
+from tricomilab.specfun import surface_area
 from tricomilab.pde_solver import (
     FitResult,
     LifespanRecord,
@@ -78,53 +79,124 @@ def _full_grid_step(u, u_prev, r, t, dt, dt_prev, cfg, v0):
     return u_new
 
 
-def _assert_steps_match_full_grid(cfg, n_steps):
-    state = initialize(cfg)
-    v0 = state.u.copy() if cfg.u1_mode == "same" else np.zeros_like(state.u)
-    u, u_prev, dt_prev = state.u.copy(), None, 0.0
-    for _ in range(n_steps):
-        if state.blown_up:
-            break
+def _assert_steps_match_full_grid(monkeypatch, *cfgs):
+    """Step cfgs as the rows of one batch through the solver's loop and
+    compare every row of every level, byte for byte, with the scheme applied
+    to its run's whole grid (``_full_grid_step``), and row 0's G, L^p and
+    support radius with their full-grid values where the state's arrays span
+    that grid (always, for a single run).  A run must be in the batch
+    exactly until its reference has blown up (max |u| >= threshold or
+    nonfinite) or reached its horizon.  Returns, per run, the steps it took,
+    its last live extent, its outer boundary cell and whether it blew up.
+    """
+    refs = []
+    for cfg in cfgs:
+        md = cfg.model
+        r = np.arange(int(math.ceil(cfg.resolved_domain_radius() / cfg.dx)) + 1) * cfg.dx
+        u0 = md.eps * np.where(r < md.R, (1.0 - (r / md.R) ** 2) ** 4, 0.0)
+        v0 = u0.copy() if cfg.u1_mode == "same" else np.zeros_like(u0)
+        refs.append(dict(r=r, u=u0, u_prev=None, dt_prev=0.0, v0=v0, steps=0,
+                         live=None, edge=r.size - 1, blown_up=False, done=False))
+    order = []  # the state's rows, in the order of cfgs
+    real_initialize, real_step = pde.initialize, pde.step
+
+    def traced_initialize(*runs):
+        state = real_initialize(*runs)
+        order.extend(state.rows)
+        return state
+
+    def checked_step(state, cfg):
+        rows = [next(i for i, known in enumerate(order) if known is row) for row in state.rows]
+        assert rows == [i for i, ref in enumerate(refs) if not ref["done"]]
         t = state.t
-        step(state, cfg)
-        dt = state.dt_prev
-        u, u_prev = _full_grid_step(u, u_prev, state.r, t, dt, dt_prev, cfg, v0), u
-        dt_prev = dt
-        assert state.u.tobytes() == u.tobytes(), (cfg, state.step_index)
-    return state
+        real_step(state, cfg)
+        for j, i in enumerate(rows):
+            ref, run = refs[i], cfgs[i]
+            ref["u"], ref["u_prev"] = _full_grid_step(
+                ref["u"], ref["u_prev"], ref["r"], t, state.dt_prev, ref["dt_prev"], run,
+                ref["v0"]), ref["u"]
+            ref["dt_prev"] = state.dt_prev
+            size = ref["r"].size
+            row = np.zeros(size)
+            row[:min(size, state.u.shape[1])] = state.u[j, :size]
+            assert not np.any(state.u[j, size:])  # past the run's own grid
+            assert row.tobytes() == ref["u"].tobytes(), (i, ref["steps"])
+            spans = state.r.size == size
+            assert spans or len(cfgs) > 1  # a single run's arrays span its grid
+            if j == 0 and spans and np.all(np.isfinite(ref["u"])):
+                # row 0's functionals are full-grid trapezoids
+                md, u, r = run.model, ref["u"], ref["r"]
+                for fn, values in ((functional_G, u), (functional_lp, np.abs(u) ** md.p)):
+                    full = surface_area(md.n) * float(np.trapezoid(values * r ** (md.n - 1),
+                                                                    dx=run.dx))
+                    assert fn(state, run) == full, (fn.__name__, i, ref["steps"])
+                above = np.nonzero(np.abs(u) > 1e-4 * max(1.0, np.max(np.abs(u))))[0]
+                assert support_radius(state) == (r[above[-1]] if above.size else 0.0)
+            ref["steps"] += 1
+            ref["live"] = state.rows[j].live
+            ref["blown_up"] = not np.max(np.abs(ref["u"])) < run.blowup_threshold
+            ref["done"] = ref["blown_up"] or state.t >= run.t_max
+        return state
+
+    monkeypatch.setattr(pde, "initialize", traced_initialize)
+    monkeypatch.setattr(pde, "step", checked_step)
+    pde._run(*cfgs)
+    monkeypatch.undo()
+    assert all(ref["done"] for ref in refs)
+    return [{k: ref[k] for k in ("steps", "live", "edge", "blown_up")} for ref in refs]
+
+
+def _runs_at(cfg, *eps_t_max, **kw):
+    """cfg's runs at each (eps, t_max), with the other fields of kw replaced."""
+    return [replace(cfg, model=replace(cfg.model, eps=e), t_max=h, **kw) for e, h in eps_t_max]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [2.0, 2.7])
 @pytest.mark.parametrize("u1_mode", ["same", "zero"])
-def test_step_matches_full_grid_scheme(n, p, u1_mode):
-    # the live window is exact: every step is bit-identical to the scheme
-    # applied to the whole grid
-    cfg = small_cfg(model=ModelParams(1.0, n, p, eps=0.8), dx=0.05, t_max=3.0,
-                    u1_mode=u1_mode)
-    state = _assert_steps_match_full_grid(cfg, 60)
-    assert state.live < state.u.size  # the window never reached the boundary
+def test_step_matches_full_grid_scheme(monkeypatch, n, p, u1_mode):
+    # the live window is exact: every step of every row is bit-identical to
+    # the scheme applied to the row's whole grid; the eps = 0.5 row leaves
+    # the batch at its horizon while the eps = 0.8 row runs on.  The domains
+    # are wide enough that no window reaches its outer boundary.
+    cfg = small_cfg(model=ModelParams(1.0, n, p), dx=0.05, u1_mode=u1_mode)
+    runs = _runs_at(cfg, (0.8, 3.0), (1.5, 3.0), (0.5, 1.5), domain_radius=10.0)
+    seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    assert seen[2]["steps"] < seen[0]["steps"]
+    for row in seen:
+        assert row["live"] < row["edge"]  # the window never reached the boundary
 
 
-def test_step_matches_full_grid_scheme_through_blowup():
+def test_step_matches_full_grid_scheme_through_blowup(monkeypatch):
+    # the eps = 1.0 row blows up; the eps = 0.6 row runs on to its horizon
+    runs = _runs_at(small_cfg(dx=0.05), (1.0, 12.0), (0.6, 5.0), (0.8, 3.0))
+    seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    assert [row["blown_up"] for row in seen] == [True, False, False]
+    assert seen[2]["steps"] < seen[0]["steps"] < seen[1]["steps"]
+    # alone, the eps = 1.0 run takes the same steps, its functionals checked at each
+    assert _assert_steps_match_full_grid(monkeypatch, runs[0]) == seen[:1]
+
+
+def test_step_matches_full_grid_scheme_at_outer_boundary(monkeypatch):
+    # long linear runs: every row's window reaches its outer boundary cell
+    # and keeps stepping there, the first one on the smallest allowed domain
+    cfg = RunConfig(model=ModelParams(0.0, 2, 2.0, R=1.0), dx=0.05, linear_only=True)
+    runs = [replace(_runs_at(cfg, (1.0, 1.0))[0], domain_radius=1.0 + 1.0 + 5.0 * 0.05),
+            *_runs_at(cfg, (0.5, 4.0), (2.0, 2.0))]
+    seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    assert [row["live"] for row in seen] == [row["edge"] for row in seen]  # windows span the grids
+    assert [row["steps"] for row in seen] == [50, 200, 100]
+
+
+def test_batch_rejects_runs_that_differ_in_the_scheme():
     cfg = small_cfg(dx=0.05)
-    state = _assert_steps_match_full_grid(cfg, 10_000)
-    assert state.blown_up
-
-
-def test_step_matches_full_grid_scheme_at_outer_boundary():
-    # a long linear run on the smallest allowed domain: the window reaches
-    # the outer boundary cell and keeps stepping there
-    cfg = RunConfig(
-        model=ModelParams(0.0, 2, 2.0, R=1.0, eps=1.0),
-        dx=0.05,
-        t_max=1.0,
-        linear_only=True,
-        domain_radius=1.0 + 1.0 + 5.0 * 0.05,
-    )
-    state = _assert_steps_match_full_grid(cfg, 200)
-    assert min(state.live + 1, state.u.size) == state.u.size  # the window spans the grid
-    assert state.step_index == 200
+    initialize(*_runs_at(cfg, (1.0, 2.0), (0.5, 4.0)), replace(cfg, domain_radius=40.0))
+    with pytest.raises(ConfigError, match="share dx,"):
+        initialize(cfg, replace(cfg, dx=0.04))
+    with pytest.raises(ConfigError, match="share u1_mode,"):
+        initialize(cfg, cfg, replace(cfg, u1_mode="zero"))
+    with pytest.raises(ConfigError, match="share R,"):
+        initialize(cfg, replace(cfg, model=replace(cfg.model, R=2.0)))
 
 
 def test_zero_front_trails_the_step_count():
@@ -132,11 +204,12 @@ def test_zero_front_trails_the_step_count():
     # underflows to 0.0, so the extent stops gaining a cell every step
     cfg = RunConfig(model=ModelParams(1.0, 1, 2.0, eps=1.2), dx=0.02, t_max=60.0,
                     u1_mode="zero")
-    state = initialize(cfg)
-    while not state.blown_up:
+    state, steps = initialize(cfg), 0
+    while not state.rows[0].blown_up:
         step(state, cfg)
-    assert state.live < state.step_index
-    assert state.live < state.u.size - 1
+        steps += 1
+    assert state.rows[0].live < steps
+    assert state.rows[0].live < state.rows[0].edge
 
 
 def test_radial_laplacian_quadratic_exact():
@@ -160,6 +233,8 @@ def test_blowup_detected_and_threshold_insensitive():
     rec, ser = run_until_blowup(small_cfg(dx=0.02))
     assert not rec.censored
     assert rec.t_blowup is not None and 2.0 < rec.t_blowup < 8.0
+    # the series ends at the last level below the threshold
+    assert ser.t[-1] < rec.t_blowup and np.all(ser.max_u < 1e8)
     assert rec.threshold_sensitivity is not None
     assert rec.threshold_sensitivity <= 0.02
 
@@ -346,20 +421,14 @@ def test_lifespan_scan_records_equal_run_until_blowup(monkeypatch):
     # configuration the scan ran last for that eps (horizon sizing and the
     # censored retry included)
     runs = []
-    solve, solve_rows = pde._solve, pde._solve_rows
+    run = pde._run
 
-    def spy(cfg, observe=None):
-        rec = solve(cfg, observe)
-        runs.append((cfg, rec))
-        return rec
-
-    def spy_rows(cfgs):
-        recs = solve_rows(cfgs)
+    def spy(*cfgs, observe=None):
+        recs = run(*cfgs, observe=observe)
         runs.extend(zip(cfgs, recs))
         return recs
 
-    monkeypatch.setattr(pde, "_solve", spy)
-    monkeypatch.setattr(pde, "_solve_rows", spy_rows)
+    monkeypatch.setattr(pde, "_run", spy)
     records = lifespan_scan(small_cfg(dx=0.05, t_max=2.0), [0.7, 1.0, 1.3])
     monkeypatch.undo()
     assert len(runs) > len(records)
@@ -371,7 +440,7 @@ def test_lifespan_scan_records_equal_run_until_blowup(monkeypatch):
 
 
 def _reference_scan(cfg, eps_values):
-    """lifespan_scan as one ``_solve`` per run, in descending eps: horizons
+    """lifespan_scan as one one-row ``_run`` per run, in descending eps: horizons
     from the first blow-up, one retry with a doubled horizon when censored.
 
     Also returns what the runs did: "prefix" when more than one eps ran
@@ -387,15 +456,16 @@ def _reference_scan(cfg, eps_values):
         n_prefix += c_emp is None
         horizon = cfg.t_max if c_emp is None else min(4.0 * c_emp * eps**-theta, 1e4)
         run = replace(cfg, model=replace(md, eps=eps), t_max=horizon, domain_radius=None)
-        size = pde.initialize(run).u.size
+        size = pde._grid_size(run)
         edge_t = []
-        rec = pde._solve(run, lambda s: edge_t.append(s.t) if s.live == size - 1 else None)
+        (rec,) = pde._run(run, observe=lambda s: edge_t.append(s.t)
+                          if s.rows[0].live == s.rows[0].edge else None)
         if c_emp is not None:
             later.append((size, edge_t[:1], horizon if rec.censored else rec.t_blowup))
             if rec.censored:
                 facts.add("retry")
         if rec.censored:
-            rec = pde._solve(replace(run, t_max=2.0 * horizon))
+            (rec,) = pde._run(replace(run, t_max=2.0 * horizon))
         if c_emp is None and rec.t_blowup is not None:
             c_emp = rec.t_blowup * eps**theta
         records[eps] = rec
@@ -453,10 +523,10 @@ def test_row_batch_levels_equal_single_runs(monkeypatch):
     singles = []
     for run in runs:
         seen.clear()
-        pde._solve(run)
-        singles.append(seen[:])  # the initial data, then each level's window
+        pde._run(run)
+        singles.append([u[0] for u in seen])  # the initial data, then each level's window
     seen.clear()
-    pde._solve_rows(runs)
+    pde._run(*runs)
     batch = seen[:]
     assert len(batch) == max(len(levels) for levels in singles)
     for k, rows in enumerate(batch):
@@ -517,7 +587,7 @@ def test_config_validation():
 def test_blown_state_rejects_step():
     cfg = small_cfg(dx=0.05)
     state = initialize(cfg)
-    while not state.blown_up:
+    while not state.rows[0].blown_up:
         step(state, cfg)
     with pytest.raises(DomainError):
         step(state, cfg)

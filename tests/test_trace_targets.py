@@ -11,14 +11,51 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_every_traced_name_resolves():
+def _spans():
     path = os.path.join(ROOT, "bench", "spans.py")
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_name_resolves():
+    spans = _spans()
     missing = [
         f"{mod}.{attr}"
         for mod, attr, _ in spans.TARGETS
         if not callable(getattr(importlib.import_module(f"tricomilab.{mod}"), attr, None))
     ]
     assert spans.TARGETS and not missing
+
+
+def test_traced_scan_books_every_level_under_step(monkeypatch):
+    # a scan whose last three eps step as one batch: every level the scheme
+    # computes, batched or not, is one pde_solver.step span
+    pde = importlib.import_module("tricomilab.pde_solver")
+    spans = _spans()
+    levels, batches = [], []
+    next_level, run = pde._next_level, pde._run
+
+    def counted_level(*args):
+        levels.append(args[4])  # the time the level starts from
+        return next_level(*args)
+
+    def counted_run(*cfgs, **kw):
+        batches.append(len(cfgs))
+        return run(*cfgs, **kw)
+
+    monkeypatch.setattr(pde, "_next_level", counted_level)
+    monkeypatch.setattr(pde, "_run", counted_run)
+    tracer = spans.Tracer({mod: importlib.import_module(f"tricomilab.{mod}")
+                           for mod, _, _ in spans.TARGETS})
+    tracer.install()
+    try:
+        cfg = pde.RunConfig(pde.ModelParams(1.0, 1, 2.0), dx=0.05, t_max=20.0)
+        records = pde.lifespan_scan(cfg, [0.7, 0.8, 1.0, 1.2])
+    finally:
+        tracer.uninstall()
+    assert max(batches) == 3 and not any(r.censored for r in records)
+    steps = [s for s in tracer.spans if s[2] == "pde_solver.step"]
+    assert len(steps) == len(levels) > 0
+    assert spans.layer_metrics(tracer.spans)["pde_solver.step.calls"] == len(levels)
