@@ -52,12 +52,21 @@ class IterationExponents(NamedTuple):
     beta_it: float
 
 
+def exp_or_inf(x: float) -> float:
+    """e^x, or inf once it leaves the double range (and for nan x)."""
+    return math.exp(x) if x < 709.0 else math.inf
+
+
+def _gamma_coeffs(m: float, n: int) -> tuple[float, float, float]:
+    """(A, B, C) with gamma(m,n,p) = A p^2 + B p + C."""
+    return -((m + 2.0) * n / 2.0 - 1.0), -((m + 2.0) * (1.0 - n / 2.0) - 3.0), m + 2.0
+
+
 def gamma_mnp(ctx: ExponentContext) -> float:
     """The blow-up quadratic gamma(m,n,p); positive iff p is subcritical."""
-    m, n, p = ctx.m, ctx.n, ctx.p
-    lead = (m + 2.0) * n / 2.0 - 1.0
-    mid = (m + 2.0) * (1.0 - n / 2.0) - 3.0
-    return -lead * p * p - mid * p + (m + 2.0)
+    a, b, c = _gamma_coeffs(ctx.m, ctx.n)
+    p = ctx.p
+    return a * p * p + b * p + c
 
 
 def p_crit(m: float, n: int) -> float:
@@ -70,10 +79,7 @@ def p_crit(m: float, n: int) -> float:
         raise DomainError(f"m must be >= 0, got {m}")
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    # gamma = A p^2 + B p + C
-    a = -((m + 2.0) * n / 2.0 - 1.0)
-    b = -((m + 2.0) * (1.0 - n / 2.0) - 3.0)
-    c = m + 2.0
+    a, b, c = _gamma_coeffs(m, n)
     if a == 0.0:
         root = -c / b
         if root <= 1.0:
@@ -175,8 +181,6 @@ def lifespan_prediction(ctx: ExponentContext, eps: float, constant: float) -> fl
         raise DomainError(f"constant must be > 0, got {constant}")
     law = lifespan_law(ctx)
     if law.regime == "critical":
-        arg = constant * eps ** -law.theta
-        return math.exp(arg) if arg < 709.0 else math.inf
+        return exp_or_inf(constant * eps ** -law.theta)
     # log space: the exponent blows up as p approaches the root from below
-    log_t = math.log(constant) - law.theta * math.log(eps)
-    return math.exp(log_t) if log_t < 709.0 else math.inf
+    return exp_or_inf(math.log(constant) - law.theta * math.log(eps))

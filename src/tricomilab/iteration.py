@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exponents import ExponentContext, iteration_exponents, lifespan_law, p_crit
+from .exponents import ExponentContext, exp_or_inf, iteration_exponents, lifespan_law, p_crit
 
 # unused here; re-exported because the benchmark tracer wraps this name in this module
 from .exponents import gamma_mnp  # noqa: F401
@@ -66,10 +66,8 @@ class SubcriticalSequences:
     """Subcritical iteration state: recursions, floors, and constants."""
 
     p: float
-    mu: float
     alpha_it: float
     beta_it: float
-    gamma: float
     j_index: np.ndarray
     a_j: np.ndarray
     b_j: np.ndarray
@@ -77,7 +75,6 @@ class SubcriticalSequences:
     log_d_j_floor: np.ndarray  # C3-minorant recursion, log domain
     d1: float
     t0: float
-    c0: float
     c3: float
     sp_infinity: float
 
@@ -155,10 +152,8 @@ def subcritical_run(
         )
     return SubcriticalSequences(
         p=p,
-        mu=ex.mu,
         alpha_it=ex.alpha_it,
         beta_it=ex.beta_it,
-        gamma=law.gamma,
         j_index=js,
         a_j=a,
         b_j=b,
@@ -166,7 +161,6 @@ def subcritical_run(
         log_d_j_floor=logd_floor,
         d1=d1,
         t0=t0,
-        c0=c0,
         c3=c3,
         sp_infinity=spinf,
     )
@@ -217,9 +211,7 @@ def j_threshold_time(seq: SubcriticalSequences) -> float:
     """
     log_base = seq.sp_infinity + seq.alpha_it * math.log(2.0) + 1.0 - math.log(seq.d1)
     log_power = log_base / (seq.beta_it - seq.alpha_it)
-    if log_power >= 709.0:
-        return math.inf
-    return max(seq.t0 + math.exp(log_power), 2.0 * seq.t0 + 1.0)
+    return max(seq.t0 + exp_or_inf(log_power), 2.0 * seq.t0 + 1.0)
 
 
 def _first_crossing(f, lo: float, level: float, step: float) -> float:
@@ -280,8 +272,7 @@ def blowup_time_estimate(
     spinf = sp_infinity(ctx.p, c3)
     # log space: C4 alone overflows near p_crit; its exponent 2(p-1)/gamma is theta/p
     log_c4 = law.theta / ctx.p * (spinf + ex.alpha_it * math.log(2.0) + 1.0 - math.log(c2))
-    log_t = log_c4 - law.theta * math.log(eps)
-    return math.exp(log_t) if log_t < 709.0 else math.inf
+    return exp_or_inf(log_c4 - law.theta * math.log(eps))
 
 
 def subcritical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:
@@ -304,8 +295,6 @@ class CriticalSequences:
     """Critical slicing state: sequences, slices, and calibration constants."""
 
     p: float
-    eps: float
-    m: float
     j_index: np.ndarray
     a_j: np.ndarray
     b_j: np.ndarray
@@ -314,7 +303,6 @@ class CriticalSequences:
     log_c_j: np.ndarray
     log_c1: float
     m_const: float
-    n_const: float
 
     def a_closed(self, j) -> np.ndarray:
         j = np.asarray(j, dtype=float)
@@ -333,15 +321,8 @@ class CriticalSequences:
         in the defining expression cancel identically."""
         j = np.asarray(j, dtype=int)
         return self.p ** (j - 1.0) * (
-            self.log_c1 - self.s_partial(j) * math.log(2.0 * self.p)
+            self.log_c1 - self.s_j[j - 1] * math.log(2.0 * self.p)
         )
-
-    def s_partial(self, j) -> np.ndarray:
-        j = np.asarray(j, dtype=int)
-        jmax = int(np.max(j))
-        i = np.arange(1, jmax + 1, dtype=float)
-        csum = np.concatenate(([0.0], np.cumsum(i / self.p**i)))
-        return csum[j - 1]
 
 
 def critical_run(
@@ -391,8 +372,6 @@ def critical_run(
         lj[k + 1] = lj[k] + 2.0 ** -(jj + 2.0)
     return CriticalSequences(
         p=p,
-        eps=eps,
-        m=ctx.m,
         j_index=js,
         a_j=a,
         b_j=b,
@@ -401,7 +380,6 @@ def critical_run(
         log_c_j=logc,
         log_c1=log_c1,
         m_const=m_const,
-        n_const=n_const,
     )
 
 
@@ -447,7 +425,7 @@ def critical_divergence_log_time(
     """
 
     def best(w: float) -> float:
-        log_t = math.exp(w) if w < 709.0 else math.inf  # nan bound past the double range
+        log_t = exp_or_inf(w)  # nan bound past the double range
         return max(critical_lower_bound_log(seq, log_t, int(j)) for j in seq.j_index)
 
     return math.exp(_first_crossing(best, math.log(math.log(2.05)), ceiling_log, 0.25))

@@ -214,7 +214,9 @@ class FitResult:
     intercept: float
     residual: float
     n_used: int
-    note: str = (
+
+    # a class constant, not a field: every fit carries the same note
+    note = (
         "theory slope comes from the lifespan upper bound; the fit tests "
         "consistency with that exponent, not sharpness"
     )
@@ -448,6 +450,9 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     eps.  The runs up to the calibration go one by one; the rest step as
     the rows of one state.  Each record is the one ``run_until_blowup``
     gives for the run's configuration; no per-step functional is computed.
+    Of ``cfg`` the sweep ignores eps, domain_radius (every run takes the
+    auto-sized domain of its horizon) and the F-tracking fields track_f and
+    n_f_samples.
     """
     eps_sorted = sorted(float(e) for e in eps_values)
     if not all(0 < e < math.inf for e in eps_sorted):

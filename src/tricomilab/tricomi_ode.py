@@ -50,6 +50,7 @@ import numpy as np
 from scipy.special import iv, ive, kve
 
 from .errors import DomainError
+from .exponents import exp_or_inf
 # unused here; re-exported because the benchmark tracer wraps these names in this module
 from .specfun import kummer_m, kummer_m_deriv  # noqa: F401
 
@@ -84,7 +85,6 @@ class FundamentalEval:
     dv1: float
     v2: float
     dv2: float
-    t: float
 
 
 def phi_of_t(m: float, t: float) -> float:
@@ -106,11 +106,6 @@ def _nu(m: float) -> float:
     return 1.0 / (m + 2.0)
 
 
-def _growth(x: float) -> float:
-    """e^x, or inf once it leaves the double range."""
-    return math.exp(x) if x < 709.0 else math.inf
-
-
 # below this x_t the leading Taylor terms of V1, V2 are exact in double
 # precision (relative corrections < x_t^2 / 2), while x_t^{-nu} in the
 # Bessel form loses digits and finally underflows to 0 * inf
@@ -122,7 +117,7 @@ def _pair(params: OdeParams, t: float, scaled: bool) -> FundamentalEval:
     x = lam * phi_of_t(m, t)
     if x < _SMALL_X:
         e = math.exp(-x) if scaled else 1.0
-        return FundamentalEval(e, e * lam * lam * t ** (m + 1.0) / (m + 1.0), e * t, e, t)
+        return FundamentalEval(e, e * lam * lam * t ** (m + 1.0) / (m + 1.0), e * t, e)
     nu = _nu(m)
     c1 = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t)
     c2 = math.gamma(1.0 + nu) * (nu * lam) ** -nu * math.sqrt(t)
@@ -135,7 +130,6 @@ def _pair(params: OdeParams, t: float, scaled: bool) -> FundamentalEval:
         float(c1 * i_neg1 * dx),
         float(c2 * i_pos),
         float(c2 * i_pos1 * dx),
-        t,
     )
 
 
@@ -277,7 +271,7 @@ def _unscaled(kernel, t: float, s: float, params: OdeParams) -> float:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
     m, lam = params.m, params.lam
     scaled = float(kernel(t, s, np.array([lam]), m)[0])
-    return scaled * _growth(lam * (phi_of_t(m, t) - phi_of_t(m, s)))
+    return scaled * exp_or_inf(lam * (phi_of_t(m, t) - phi_of_t(m, s)))
 
 
 def phi1(t: float, s: float, params: OdeParams) -> float:

@@ -363,7 +363,9 @@ def test_scan_near_p_crit_is_a_domain_error(tmp_path, capsys, p, words):
 @pytest.mark.parametrize(
     "command, key",
     [("scan", "scan.fit_mode=subcritical"), ("simulate", "grid.profile=bump"),
-     ("scan", "grid.profile=bump")],
+     ("scan", "grid.profile=bump"), ("scan", "model.eps=7"),
+     ("scan", "grid.domain_radius=500"), ("scan", "grid.track_f=true"),
+     ("scan", "grid.n_f_samples=3")],
 )
 def test_removed_keys_are_unknown(command, key, capsys):
     argv = [command, "--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2",

@@ -9,6 +9,7 @@ from tricomilab.errors import DomainError
 from tricomilab.exponents import (
     ExponentContext,
     critical_identities,
+    exp_or_inf,
     gamma_mnp,
     iteration_exponents,
     lifespan_prediction,
@@ -98,6 +99,12 @@ def test_second_identity_off_critical_closed_form():
     ctx = ExponentContext(1.0, 2, 1.9)
     _, r2 = critical_identities(ctx)
     assert r2 == pytest.approx(-gamma_mnp(ctx) / (2.0 * 1.9), abs=1e-14)
+
+
+def test_exp_or_inf_cutoff():
+    assert exp_or_inf(708.999) == math.exp(708.999) < math.inf
+    assert exp_or_inf(709.0) == math.inf
+    assert exp_or_inf(math.nan) == math.inf
 
 
 def test_lifespan_prediction_laws():
