@@ -1,4 +1,5 @@
-"""Command-line front end: one dispatcher, one subcommand per module.
+"""Command-line front end: one dispatcher, one subcommand per module, and
+one per iteration engine (``subcritical``, ``critical``).
 
 Runs are configured by an INI-style file (flat key = value entries grouped
 in per-module sections) plus ``--set section.key=value`` overrides; unknown
@@ -97,6 +98,17 @@ _GRID = {
     "linear_only": (bool, False),
 }
 
+# the keys both iteration engines read, in the [iterate] section of the
+# subcritical and critical commands; each engine resolves a nan p its own way
+_ENGINE = {
+    "m": (float, 1.0),
+    "n": (int, 1),
+    "p": (float, float("nan")),
+    "eps": (float, 0.1),
+    "jmax": (int, 40),
+    "c0": (float, 1.0),
+}
+
 _SCHEMA = {
     "specfun": {
         "specfun": {
@@ -141,22 +153,9 @@ _SCHEMA = {
             "constant": (float, 1.0),
         }
     },
-    "iterate": {
-        "iterate": {
-            "mode": (str, "subcritical"),
-            "m": (float, 1.0),
-            "n": (int, 1),
-            "p": (float, float("nan")),  # nan -> p_crit for critical mode
-            "eps": (float, 0.1),
-            "t0": (float, 0.0),
-            "jmax": (int, 40),
-            "c0": (float, 1.0),
-            "c2": (float, 1.0),
-            "c": (float, 1.0),
-            "b1": (float, 1.0),
-            "ceiling_log": (float, 30.0),
-        }
-    },
+    "subcritical": {"iterate": {**_ENGINE, "t0": (float, 0.0), "c2": (float, 1.0)}},
+    "critical": {"iterate": {**_ENGINE, "c": (float, 1.0), "b1": (float, 1.0),
+                             "ceiling_log": (float, 30.0)}},
     "simulate": {
         "model": {**_MODEL, "eps": (float, 1.0)},
         "grid": {**_GRID, "domain_radius": (float, float("nan")),
@@ -417,51 +416,46 @@ def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
     return _emit(args, cfg, doc, header, cols, rows)
 
 
-def _cmd_iterate(cfg: dict, args: argparse.Namespace) -> int:
+def _engine_ctx(cfg: dict, p_default) -> tuple[dict, expmod.ExponentContext]:
+    """The [iterate] keys and the exponents; a nan p is p_default(p_crit(m, n))."""
     c = cfg["iterate"]
-    mode = c["mode"]
-    if mode not in ("subcritical", "critical"):
-        raise ConfigError(f"iterate.mode must be subcritical or critical, got {mode!r}")
     pc = expmod.p_crit(c["m"], c["n"])
-    p = c["p"]
-    if math.isnan(p):
-        p = pc if mode == "critical" else 0.5 * (1.0 + pc)
-    ctx = expmod.ExponentContext(c["m"], c["n"], p)
-    header = [f"# resolved.p = {fmt(p)}"]
-    if mode == "subcritical":
-        d1 = c["c2"] * c["eps"] ** p
-        seq = itmod.subcritical_run(ctx, d1=d1, t0=c["t0"], jmax=c["jmax"], c0=c["c0"])
-        log_t = itmod.threshold_time_log_scan(seq)
-        t_closed = itmod.j_threshold_time(seq)
-        header.append(f"# threshold.log_t_scan = {fmt(log_t)}")
-        header.append(f"# threshold.t_closed_form = {fmt(t_closed)}")
-        rows = [
-            (int(j), seq.a_j[j - 1], seq.b_j[j - 1], seq.log_d_j[j - 1], None)
-            for j in seq.j_index
-        ]
-    else:
-        seq = itmod.critical_run(
-            ctx, eps=c["eps"], c=c["c"], c0=c["c0"], b1=c["b1"], jmax=c["jmax"]
-        )
-        log_t = itmod.critical_divergence_log_time(seq, ceiling_log=c["ceiling_log"])
-        header.append(f"# threshold.log_t_scan = {fmt(log_t)}")
-        rows = [
-            (
-                int(j),
-                seq.a_j[j - 1],
-                seq.b_j[j - 1],
-                seq.log_c_j[j - 1],
-                seq.l_j[j - 1],
-            )
-            for j in seq.j_index
-        ]
-    cols = ["j", "a_j", "b_j", "log_d_or_c_j", "l_j"]
-    doc = {
-        "resolved_p": p,
-        "threshold_log_t": log_t,
-        "rows": [dict(zip(cols, r)) for r in rows],
-    }
+    p = p_default(pc) if math.isnan(c["p"]) else c["p"]
+    return c, expmod.ExponentContext(c["m"], c["n"], p)
+
+
+def _emit_engine(cfg, args, seq, log_t: float, columns: dict, **thresholds) -> int:
+    """One row per j of a_j, b_j and the engine's own ``columns``, headed by
+    the resolved p, the threshold log_t and any further ``thresholds``."""
+    header = [f"# resolved.p = {fmt(seq.p)}", f"# threshold.log_t_scan = {fmt(log_t)}"]
+    header += [f"# threshold.{k} = {fmt(v)}" for k, v in thresholds.items()]
+    cols = ["j", "a_j", "b_j", *columns]
+    rows = list(zip(seq.j_index, seq.a_j, seq.b_j, *columns.values()))
+    doc = {"resolved_p": seq.p, "threshold_log_t": log_t, **thresholds,
+           "rows": [dict(zip(cols, r)) for r in rows]}
     return _emit(args, cfg, doc, header, cols, rows)
+
+
+def _cmd_subcritical(cfg: dict, args: argparse.Namespace) -> int:
+    c, ctx = _engine_ctx(cfg, lambda pc: 0.5 * (1.0 + pc))
+    if not c["eps"] > 0:
+        raise DomainError(f"eps must be > 0, got {c['eps']}")
+    try:
+        d1 = c["c2"] * c["eps"] ** ctx.p
+    except OverflowError:  # past the double range; subcritical_run rejects inf
+        d1 = math.inf
+    seq = itmod.subcritical_run(ctx, d1=d1, t0=c["t0"], jmax=c["jmax"], c0=c["c0"])
+    return _emit_engine(cfg, args, seq, itmod.threshold_time_log_scan(seq),
+                        {"log_d_j": seq.log_d_j},
+                        t_closed_form=itmod.j_threshold_time(seq))
+
+
+def _cmd_critical(cfg: dict, args: argparse.Namespace) -> int:
+    c, ctx = _engine_ctx(cfg, lambda pc: pc)
+    seq = itmod.critical_run(ctx, eps=c["eps"], c=c["c"], c0=c["c0"], b1=c["b1"],
+                             jmax=c["jmax"])
+    log_t = itmod.critical_divergence_log_time(seq, ceiling_log=c["ceiling_log"])
+    return _emit_engine(cfg, args, seq, log_t, {"log_c_j": seq.log_c_j, "l_j": seq.l_j})
 
 
 def _build_run_config(cfg: dict) -> pde.RunConfig:
@@ -616,7 +610,8 @@ _COMMANDS = {
     "odecheck": (_cmd_odecheck, "csv", ("csv", "json")),
     "testfun": (_cmd_testfun, "csv", ("csv", "json")),
     "exponents": (_cmd_exponents, "json", ("csv", "json")),
-    "iterate": (_cmd_iterate, "csv", ("csv", "json")),
+    "subcritical": (_cmd_subcritical, "csv", ("csv", "json")),
+    "critical": (_cmd_critical, "csv", ("csv", "json")),
     "simulate": (_cmd_simulate, "csv", ("csv", "json")),
     "scan": (_cmd_scan, "csv", ("csv",)),
 }

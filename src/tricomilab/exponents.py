@@ -181,6 +181,9 @@ def lifespan_prediction(ctx: ExponentContext, eps: float, constant: float) -> fl
         raise DomainError(f"constant must be > 0, got {constant}")
     law = lifespan_law(ctx)
     if law.regime == "critical":
-        return exp_or_inf(constant * eps ** -law.theta)
+        try:
+            return exp_or_inf(constant * eps ** -law.theta)
+        except OverflowError:  # eps^-theta past the double range
+            return math.inf
     # log space: the exponent blows up as p approaches the root from below
     return exp_or_inf(math.log(constant) - law.theta * math.log(eps))

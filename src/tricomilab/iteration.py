@@ -336,8 +336,9 @@ def critical_run(
     """Build the critical slicing sequences for j = 1..jmax (log domain).
 
     Constants: M = C0 B1 / 27, N = C M^p / (3^2 * 7 * (p+1)),
-    C1 = N eps^{p^2}.  The constant E = C (p-1)/(72 p^2) of the defining
-    expression cancels in log C_j (see ``log_c_closed``).
+    C1 = N eps^{p^2}; log C1 is summed from the logs of its factors, so
+    extreme C0, B1 stay finite.  The constant E = C (p-1)/(72 p^2) of the
+    defining expression cancels in log C_j (see ``log_c_closed``).
     """
     if not 0 < jmax <= _JMAX_HARD:
         raise DomainError(f"jmax must be in (0, {_JMAX_HARD}], got {jmax}")
@@ -350,8 +351,8 @@ def critical_run(
         )
     p = ctx.p
     m_const = c0 * b1 / 27.0
-    n_const = c * m_const**p / (9.0 * 7.0 * (p + 1.0))
-    log_c1 = math.log(n_const) + p * p * math.log(eps)
+    log_c1 = (math.log(c) + p * (math.log(c0) + math.log(b1) - math.log(27.0))
+              - math.log(63.0 * (p + 1.0)) + p * p * math.log(eps))
 
     js = np.arange(1, jmax + 1)
     a = np.empty(jmax)

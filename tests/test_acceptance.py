@@ -278,9 +278,8 @@ def test_criterion_10_cli_determinism(tmp_path):
          "--set", "exponents.eps=0.5"],
         ["specfun", "--set", "specfun.a=0.25", "--set", "specfun.b=0.5",
          "--set", "specfun.z=-35"],
-        ["iterate", "--set", "iterate.mode=critical", "--set", "iterate.m=1",
-         "--set", "iterate.n=2", "--set", "iterate.eps=0.2",
-         "--set", "iterate.jmax=15"],
+        ["critical", "--set", "iterate.m=1", "--set", "iterate.n=2",
+         "--set", "iterate.eps=0.2", "--set", "iterate.jmax=15"],
         ["simulate", "--set", "model.m=1", "--set", "model.n=1",
          "--set", "model.p=2", "--set", "grid.dx=0.05",
          "--set", "grid.t_max=1.0"],

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from tricomilab.cli import (
+    _SCHEMA,
     EXIT_CENSORED,
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -16,6 +17,7 @@ from tricomilab.cli import (
     resolve_config,
 )
 from tricomilab.errors import ConfigError
+from tricomilab.exponents import p_crit
 from tricomilab.tricomi_ode import OdeParams, fundamental_pair_scaled, ode_oracle_scaled
 
 
@@ -251,17 +253,21 @@ def test_float_formatting_12_digits():
 
 
 def test_iterate_csv_columns(tmp_path):
-    out = tmp_path / "it.csv"
-    code = run_cli(
-        ["iterate", "--set", "iterate.mode=critical", "--set", "iterate.m=1",
-         "--set", "iterate.n=2", "--set", "iterate.eps=0.1",
-         "--set", "iterate.jmax=10", "--output", str(out)]
-    )
-    assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    header = [l for l in lines if not l.startswith("#")][0]
-    assert header == "j,a_j,b_j,log_d_or_c_j,l_j"
-    assert any(l.startswith("# threshold.log_t_scan") for l in lines)
+    # each engine command writes its own columns: no merged or empty field
+    for command, columns in (("critical", "j,a_j,b_j,log_c_j,l_j"),
+                             ("subcritical", "j,a_j,b_j,log_d_j")):
+        out = tmp_path / f"{command}.csv"
+        code = run_cli(
+            [command, "--set", "iterate.m=1", "--set", "iterate.n=2",
+             "--set", "iterate.eps=0.1", "--set", "iterate.jmax=10", "--output", str(out)]
+        )
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        rows = [l for l in lines if not l.startswith("#")]
+        assert rows[0] == columns
+        assert all(r.count(",") == columns.count(",") and not r.endswith(",")
+                   for r in rows[1:])
+        assert any(l.startswith("# threshold.log_t_scan") for l in lines)
 
 
 def test_iterate_near_p_crit(tmp_path):
@@ -269,7 +275,7 @@ def test_iterate_near_p_crit(tmp_path):
     # form passes e^709 and is written as inf
     out = tmp_path / "it.csv"
     code = run_cli(
-        ["iterate", "--set", "iterate.m=1", "--set", "iterate.n=2",
+        ["subcritical", "--set", "iterate.m=1", "--set", "iterate.n=2",
          "--set", "iterate.p=2.18614065163", "--output", str(out)]
     )
     assert code == EXIT_OK
@@ -284,8 +290,8 @@ def test_iterate_critical_small_eps(tmp_path):
     # the crossing sits at w = log log t ~ 49.9
     out = tmp_path / "it.csv"
     code = run_cli(
-        ["iterate", "--set", "iterate.mode=critical", "--set", "iterate.m=1",
-         "--set", "iterate.n=2", "--set", "iterate.eps=1e-7", "--output", str(out)]
+        ["critical", "--set", "iterate.m=1", "--set", "iterate.n=2",
+         "--set", "iterate.eps=1e-7", "--output", str(out)]
     )
     assert code == EXIT_OK
     header = dict(
@@ -382,8 +388,8 @@ _SIM = ["--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2"]
 _INVALID = [
     (["testfun", "--set", "testfun.t_max=0"], EXIT_DOMAIN),
     (["testfun", "--set", "testfun.nt=-1"], EXIT_DOMAIN),
-    (["iterate", "--set", "iterate.c0=0"], EXIT_DOMAIN),
-    (["iterate", "--set", "iterate.mode=critical", "--set", "iterate.c=0"], EXIT_DOMAIN),
+    (["subcritical", "--set", "iterate.c0=0"], EXIT_DOMAIN),
+    (["critical", "--set", "iterate.c=0"], EXIT_DOMAIN),
     (["simulate", *_SIM, "--set", "grid.t_max=inf"], EXIT_CONFIG),
     (["simulate", "--set", "model.n=1", "--set", "model.p=2", "--set", "model.m=nan"],
      EXIT_CONFIG),
@@ -396,7 +402,7 @@ _INVALID = [
     (["simulate", *_SIM, "--set", "grid.t_max=1", "--set", "model.eps=inf"], EXIT_CONFIG),
     (["simulate", "--set", "model.n=1", "--set", "model.p=2", "--set", "model.m=inf"],
      EXIT_CONFIG),
-    (["iterate", "--set", "iterate.eps=inf"], EXIT_DOMAIN),
+    (["subcritical", "--set", "iterate.eps=inf"], EXIT_DOMAIN),
     (["scan", *_SIM, "--set", "scan.eps_list=1.0,inf"], EXIT_CONFIG),
 ]
 
@@ -415,3 +421,88 @@ def test_invalid_input_exit_code(tmp_path, argv, code):
         assert proc.returncode == code
     else:
         assert run_cli(argv) == code
+
+
+# configs at the edge of the double range: each ends in a result or a domain
+# error, never in an uncaught exception
+_EDGE = [
+    (["critical", "--set", "iterate.c0=1e-300"], EXIT_DOMAIN),
+    (["critical", "--set", "iterate.b1=1e-300"], EXIT_DOMAIN),
+    (["critical", "--set", "iterate.c0=1e300"], EXIT_OK),
+    (["critical", "--set", "iterate.b1=1e300"], EXIT_OK),
+    (["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2",
+      "--set", "exponents.eps=1e-200"], EXIT_OK),
+    (["subcritical", "--set", "iterate.eps=-1"], EXIT_DOMAIN),
+    (["subcritical", "--set", "iterate.eps=1e300"], EXIT_DOMAIN),
+]
+
+
+@pytest.mark.parametrize("argv, code", _EDGE, ids=[f"{a[0]}-{a[-1]}" for a, _ in _EDGE])
+def test_edge_config_exit_code(tmp_path, argv, code):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--format", "json", "--output", str(out)]) == code
+    if argv[0] == "exponents":
+        # the critical law exp(C eps^{-p(p-1)}) passes the double range
+        assert json.loads(out.read_text())["lifespan_bound"] == "inf"
+
+
+def test_subcritical_json_carries_closed_form(tmp_path):
+    argv = ["subcritical", "--set", "iterate.m=1", "--set", "iterate.n=2"]
+    csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+    assert run_cli(argv + ["--output", str(csv_out)]) == EXIT_OK
+    assert run_cli(argv + ["--format", "json", "--output", str(json_out)]) == EXIT_OK
+    header = dict(
+        l[2:].split(" = ") for l in csv_out.read_text().splitlines()
+        if l.startswith("# threshold")
+    )
+    doc = json.loads(json_out.read_text())
+    assert doc["t_closed_form"] == float(header["threshold.t_closed_form"])
+    assert doc["threshold_log_t"] == float(header["threshold.log_t_scan"])
+
+
+# one non-default value for every key of each engine command; critical's p
+# stays within the critical gamma tolerance of p_crit(1, 1), its default
+_ENGINE_ALT = {
+    "subcritical": {"m": "2", "n": "2", "p": "2", "eps": "0.5", "jmax": "10",
+                    "c0": "2", "t0": "1", "c2": "2"},
+    "critical": {"m": "2", "n": "2", "p": repr(p_crit(1.0, 1) + 1e-10), "eps": "0.5",
+                 "jmax": "10", "c0": "2", "c": "2", "b1": "2", "ceiling_log": "40"},
+}
+
+
+def _artifact_past_echo(tmp_path, argv) -> list[str]:
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--output", str(out)]) == EXIT_OK
+    return [l for l in out.read_text().splitlines()
+            if not l.startswith(("# command = ", "# iterate."))]
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(command, key) for command in ("subcritical", "critical")
+     for key in sorted(_SCHEMA[command]["iterate"])],
+)
+def test_engine_key_is_read(tmp_path, command, key):
+    # a key without a value in _ENGINE_ALT fails here: every accepted key
+    # must move the artifact, not only its config echo
+    assert list(_SCHEMA[command]) == ["iterate"]
+    default = _artifact_past_echo(tmp_path, [command])
+    changed = _artifact_past_echo(
+        tmp_path, [command, "--set", f"iterate.{key}={_ENGINE_ALT[command][key]}"]
+    )
+    assert changed != default
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [("subcritical", k) for k in ("c", "b1", "ceiling_log", "mode")]
+    + [("critical", k) for k in ("t0", "c2", "mode")],
+)
+def test_other_engine_keys_are_unknown(command, key, capsys):
+    assert run_cli([command, "--set", f"iterate.{key}=1"]) == EXIT_CONFIG
+    assert "unknown config key" in capsys.readouterr().err
+
+
+def test_iterate_command_is_gone(capsys):
+    assert run_cli(["iterate", "--set", "iterate.mode=critical"]) == EXIT_CONFIG
+    assert "invalid choice" in capsys.readouterr().err

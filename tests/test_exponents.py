@@ -119,6 +119,15 @@ def test_lifespan_prediction_laws():
         lifespan_prediction(ExponentContext(1.0, 2, 3.0), 0.5, 1.0)  # supercritical
 
 
+def test_critical_lifespan_prediction_overflows_to_inf():
+    # eps^{-p(p-1)} itself leaves the double range at eps = 1e-200
+    ctxc = ExponentContext(1.0, 2, p_crit(1, 2))
+    assert lifespan_prediction(ctxc, 1e-200, 1.0) == math.inf
+    assert lifespan_prediction(ctxc, 1e-3, 1.0) == math.inf
+    theta = ctxc.p * (ctxc.p - 1.0)
+    assert lifespan_prediction(ctxc, 0.5, 1.0) == math.exp(0.5**-theta)
+
+
 def test_lifespan_exponent_diverges_toward_root():
     ctx_far = ExponentContext(1.0, 2, 1.5)
     ctx_near = ExponentContext(1.0, 2, p_crit(1, 2) - 1e-4)

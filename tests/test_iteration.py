@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -163,6 +165,38 @@ def test_critical_first_values():
     assert seq.b_j[0] == pytest.approx(PC12 - 1.0, rel=1e-14)
     assert seq.l_j[0] == pytest.approx(1.75)
     assert seq.m_const == pytest.approx(1.0 / 27.0)
+
+
+def test_critical_log_c1_matches_product_form():
+    # log C1 is summed from the logs of C, M^p, 63(p+1) and eps^{p^2}.  Its
+    # C_j stay within a few ulps of the log of the product (at most 5.6e-16
+    # relative at the default constants, 1.1e-15 at (2, 3, 0.5)), and the
+    # divergence time built on them within 1e-14
+    for m, n, eps in itertools.product((0.5, 1.0, 2.0, 3.5), (1, 2, 3, 5),
+                                       (1e-3, 0.05, 1.0)):
+        for c, c0, b1, rtol in ((1.0, 1.0, 1.0, 1e-15), (2.0, 3.0, 0.5, 2e-15)):
+            p = p_crit(m, n)
+            seq = critical_run(ExponentContext(m, n, p), eps, c=c, c0=c0, b1=b1)
+            log_c = [math.log(c * (c0 * b1 / 27.0) ** p / (63.0 * (p + 1.0)))
+                     + p * p * math.log(eps)]
+            for j in range(1, len(seq.j_index)):
+                log_c.append(p * log_c[-1] - j * math.log(2.0 * p))
+            assert np.allclose(seq.log_c_j, log_c, rtol=rtol, atol=0.0)
+            ref = dataclasses.replace(seq, log_c_j=np.array(log_c), log_c1=log_c[0])
+            assert critical_divergence_log_time(seq) == pytest.approx(
+                critical_divergence_log_time(ref), rel=1e-14)
+
+
+def test_critical_constants_out_of_product_range():
+    # C0 B1 / 27 leaves the double range, its log does not
+    ctx = ExponentContext(1.0, 2, p_crit(1.0, 2))
+    big = critical_run(ctx, 0.1, c0=1e300, b1=1e300)
+    small = critical_run(ctx, 0.1, c0=1e-300, b1=1e-300)
+    ref = critical_run(ctx, 0.1)
+    shift = 2.0 * ctx.p * 300.0 * math.log(10.0)
+    assert big.log_c1 == pytest.approx(ref.log_c1 + shift, rel=1e-14)
+    assert small.log_c1 == pytest.approx(ref.log_c1 - shift, rel=1e-14)
+    assert np.all(np.isfinite(big.log_c_j)) and np.all(np.isfinite(small.log_c_j))
 
 
 def test_critical_closed_forms():

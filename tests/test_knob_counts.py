@@ -47,4 +47,4 @@ def test_settable_library_values():
 
 def test_cli_keys():
     assert sum(len(keys) for sections in cli._SCHEMA.values()
-               for keys in sections.values()) == 64
+               for keys in sections.values()) == 69
