@@ -3,10 +3,13 @@ one per iteration engine (``subcritical``, ``critical``).
 
 Runs are configured by an INI-style file (flat key = value entries grouped
 in per-module sections) plus ``--set section.key=value`` overrides; unknown
-keys are rejected rather than silently ignored.  Every output starts with
-the fully resolved configuration (comment lines in CSV, a "config" object
-in JSON), so any artifact can be re-run to byte-identical results.  Floats
-are rendered with 12 significant digits everywhere.
+keys are rejected rather than silently ignored.  Each command builds one
+document, nested dicts of scalars plus an optional table, and ``_emit``
+renders it: in CSV as ``# a.b = value`` comment lines over the table, in
+JSON as the entry a -> b with one object per table row under "rows".  Both
+start with the fully resolved configuration (its comment lines, or the
+"config" object), so any artifact can be re-run to byte-identical results.
+Floats are rendered with 12 significant digits everywhere.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 scan with every
 run censored, 5 report with missing inputs.
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import math
 import os
@@ -219,14 +221,6 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str]) 
     return values
 
 
-def config_lines(command: str, cfg: dict) -> list[str]:
-    lines = [f"# command = {command}"]
-    for sec in sorted(cfg):
-        for key in sorted(cfg[sec]):
-            lines.append(f"# {sec}.{key} = {fmt(cfg[sec][key])}")
-    return lines
-
-
 def config_echo(command: str, cfg: dict) -> dict:
     return {
         "command": command,
@@ -253,34 +247,39 @@ def _write(path: str | None, text: str) -> None:
         fh.write(text)
 
 
-def _csv(header_lines: list[str], columns: list[str], rows: list[tuple]) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(line + "\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(fmt(v) for v in row) + "\n")
-    return buf.getvalue()
-
-
 def _json_doc(args: argparse.Namespace, cfg: dict, doc: dict) -> str:
     return dump_json({"config": config_echo(args.command, cfg), **doc})
 
 
-def _emit(args: argparse.Namespace, cfg: dict, doc: dict, header=(), columns=None, rows=None) -> int:
-    """Write one artifact in ``args.format``: the JSON ``doc``, or the CSV table.
+def _flat(doc: dict, prefix: str = ""):
+    """The ``(a.b, value)`` leaves of a nested dict, in its order."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _flat(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
 
-    Both start with the resolved config.  ``header`` holds the CSV comment
-    lines that follow it; a single-row ``doc`` is its own table when no
-    ``columns``/``rows`` are given.
+
+def _emit(args: argparse.Namespace, cfg: dict, doc: dict, columns=None, rows=None) -> int:
+    """Write one artifact in ``args.format``; the only code that knows both.
+
+    JSON is ``{"config": ..., **doc, "rows": [one object per row]}``.  CSV is
+    the config echo, then ``doc``, flattened to ``# a.b = value`` lines,
+    then the table.  A ``doc`` without ``columns``/``rows`` is its own
+    one-row table.
     """
     if args.format == "json":
-        text = _json_doc(args, cfg, doc)
+        table = {} if columns is None else {"rows": [dict(zip(columns, r)) for r in rows]}
+        text = _json_doc(args, cfg, {**doc, **table})
     else:
         if columns is None:
             columns = sorted(doc)
             rows = [tuple(doc[k] for k in columns)]
-        text = _csv(config_lines(args.command, cfg) + list(header), columns, rows)
+            doc = {}
+        echo = config_echo(args.command, cfg)
+        lines = [f"# {k} = {fmt(v)}" for part in (echo, doc) for k, v in _flat(part)]
+        lines += [",".join(columns), *(",".join(fmt(v) for v in row) for row in rows)]
+        text = "\n".join(lines) + "\n"
     _write(args.output, text)
     return EXIT_OK
 
@@ -396,54 +395,37 @@ def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
         t_max=c["t_max"], nt=c["nt"], ns=c["ns"], nx=c["nx"]
     )
     report = tfmod.lemma22_report(params, grid, rtol=c["rtol"])
-    header = [f"# resolved.q = {fmt(q)}"]
-    for part in sorted(report.constants):
-        header.append(f"# constant.{part} = {fmt(report.constants[part])}")
-    header.append(f"# excluded_points = {report.excluded}")
-    header.append(f"# unconverged_points = {report.unconverged}")
-    cols = ["part", "t", "s", "x_norm", "value", "envelope", "ratio"]
-    rows = [
-        (r.part, r.t, r.s, r.x_norm, r.value, r.envelope, r.ratio)
-        for r in report.rows
-    ]
     doc = {
-        "resolved_q": q,
-        "constants": report.constants,
+        "resolved": {"q": q},
+        "constant": dict(sorted(report.constants.items())),
         "excluded_points": report.excluded,
         "unconverged_points": report.unconverged,
-        "rows": [dict(zip(cols, r)) for r in rows],
     }
-    return _emit(args, cfg, doc, header, cols, rows)
+    rows = [(r.part, r.t, r.s, r.x_norm, r.value, r.envelope, r.ratio) for r in report.rows]
+    return _emit(args, cfg, doc, ["part", "t", "s", "x_norm", "value", "envelope", "ratio"], rows)
 
 
 def _engine_ctx(cfg: dict, p_default) -> tuple[dict, expmod.ExponentContext]:
-    """The [iterate] keys and the exponents; a nan p is p_default(p_crit(m, n))."""
+    """The [iterate] keys and the exponents; only a nan p forms p_crit(m, n)."""
     c = cfg["iterate"]
-    pc = expmod.p_crit(c["m"], c["n"])
-    p = p_default(pc) if math.isnan(c["p"]) else c["p"]
+    p = p_default(expmod.p_crit(c["m"], c["n"])) if math.isnan(c["p"]) else c["p"]
     return c, expmod.ExponentContext(c["m"], c["n"], p)
 
 
 def _emit_engine(cfg, args, seq, log_t: float, columns: dict, **thresholds) -> int:
     """One row per j of a_j, b_j and the engine's own ``columns``, headed by
     the resolved p, the threshold log_t and any further ``thresholds``."""
-    header = [f"# resolved.p = {fmt(seq.p)}", f"# threshold.log_t_scan = {fmt(log_t)}"]
-    header += [f"# threshold.{k} = {fmt(v)}" for k, v in thresholds.items()]
-    cols = ["j", "a_j", "b_j", *columns]
+    doc = {"resolved": {"p": seq.p}, "threshold": {"log_t_scan": log_t, **thresholds}}
     rows = list(zip(seq.j_index, seq.a_j, seq.b_j, *columns.values()))
-    doc = {"resolved_p": seq.p, "threshold_log_t": log_t, **thresholds,
-           "rows": [dict(zip(cols, r)) for r in rows]}
-    return _emit(args, cfg, doc, header, cols, rows)
+    return _emit(args, cfg, doc, ["j", "a_j", "b_j", *columns], rows)
 
 
 def _cmd_subcritical(cfg: dict, args: argparse.Namespace) -> int:
     c, ctx = _engine_ctx(cfg, lambda pc: 0.5 * (1.0 + pc))
     if not c["eps"] > 0:
         raise DomainError(f"eps must be > 0, got {c['eps']}")
-    try:
-        d1 = c["c2"] * c["eps"] ** ctx.p
-    except OverflowError:  # past the double range; subcritical_run rejects inf
-        d1 = math.inf
+    # past the double range D1 is inf, which subcritical_run rejects
+    d1 = c["c2"] * expmod.pow_or_inf(c["eps"], ctx.p)
     seq = itmod.subcritical_run(ctx, d1=d1, t0=c["t0"], jmax=c["jmax"], c0=c["c0"])
     return _emit_engine(cfg, args, seq, itmod.threshold_time_log_scan(seq),
                         {"log_d_j": seq.log_d_j},
@@ -471,30 +453,18 @@ def _build_run_config(cfg: dict) -> pde.RunConfig:
 def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     run_cfg = _build_run_config(cfg)
     record, series = pde.run_until_blowup(run_cfg)
-    result = {
+    doc = {"result": {
         "t_blowup": record.t_blowup,
         "censored": record.censored,
         "peak": record.peak,
         "threshold_sensitivity": record.threshold_sensitivity,
-    }
-    header = [f"# result.{key} = {fmt(value)}" for key, value in result.items()]
+    }}
     f_map = dict(zip(series.f_times.tolist(), series.f_values.tolist()))
     rows = [
         (t, series.max_u[i], series.g[i], f_map.get(t), series.support_radius[i])
         for i, t in enumerate(series.t.tolist())
     ]
-    doc = {
-        "result": result,
-        "series": {
-            "t": series.t.tolist(),
-            "max_u": series.max_u.tolist(),
-            "g": series.g.tolist(),
-            "support_radius": series.support_radius.tolist(),
-            "f_times": series.f_times.tolist(),
-            "f_values": series.f_values.tolist(),
-        },
-    }
-    return _emit(args, cfg, doc, header, ["t", "max_u", "g", "f", "support_radius"], rows)
+    return _emit(args, cfg, doc, ["t", "max_u", "g", "f", "support_radius"], rows)
 
 
 def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
@@ -512,7 +482,7 @@ def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
         for r in records
     ]
     cols = ["eps", "t_blowup", "censored", "peak", "threshold_sensitivity"]
-    _emit(args, cfg, {}, (), cols, rows)
+    _emit(args, cfg, {}, cols, rows)
     fit_doc: dict = {"kind": "lifespan_fit"}
     try:
         fit = pde.fit_scaling(records)

@@ -57,6 +57,14 @@ def exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
+def pow_or_inf(x: float, y: float) -> float:
+    """x**y, or inf once it leaves the double range."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def _gamma_coeffs(m: float, n: int) -> tuple[float, float, float]:
     """(A, B, C) with gamma(m,n,p) = A p^2 + B p + C."""
     return -((m + 2.0) * n / 2.0 - 1.0), -((m + 2.0) * (1.0 - n / 2.0) - 3.0), m + 2.0
@@ -181,9 +189,6 @@ def lifespan_prediction(ctx: ExponentContext, eps: float, constant: float) -> fl
         raise DomainError(f"constant must be > 0, got {constant}")
     law = lifespan_law(ctx)
     if law.regime == "critical":
-        try:
-            return exp_or_inf(constant * eps ** -law.theta)
-        except OverflowError:  # eps^-theta past the double range
-            return math.inf
+        return exp_or_inf(constant * pow_or_inf(eps, -law.theta))
     # log space: the exponent blows up as p approaches the root from below
     return exp_or_inf(math.log(constant) - law.theta * math.log(eps))

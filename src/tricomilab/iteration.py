@@ -405,6 +405,8 @@ def critical_lower_bound_log(
     log_lj = math.log(seq.l_j[j - 1])
     if log_t <= log_lj:
         return -math.inf
+    if log_t == math.inf:  # the sum is inf - inf; a nan formed in numpy warns
+        return math.nan
     # log(3 + t) = log_t + log1p(3 e^{-log_t})
     log_bracket = log_t + math.log1p(3.0 * math.exp(-min(log_t, 700.0)))
     return (

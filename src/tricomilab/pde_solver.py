@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .exponents import ExponentContext, lifespan_law, q_choice
+from .exponents import ExponentContext, lifespan_law, pow_or_inf, q_choice
 from .specfun import surface_area
 from .testfun import TestFnParams, eta_q
 from .tricomi_ode import phi_of_t
@@ -95,8 +95,8 @@ class RunConfig:
     n_f_samples: int = 64
 
     def __post_init__(self):
-        if not self.dx > 0:
-            raise ConfigError(f"dx must be > 0, got {self.dx}")
+        if not 0 < self.dx < self.model.R:
+            raise ConfigError(f"dx must be in (0, R) so the data span a cell, got {self.dx}")
         if not 0 < self.cfl_safety < 1:
             raise ConfigError(f"cfl_safety must be in (0,1), got {self.cfl_safety}")
         if not 0 < self.t_max < math.inf:
@@ -274,11 +274,17 @@ def radial_laplacian(u: np.ndarray, r: np.ndarray, dx: float, n: int) -> np.ndar
 
 
 def _pick_dt(cfg: RunConfig, t: float) -> float:
+    """The CFL step from t; a DomainError where the speed t^{m/2} leaves the
+    double range (an infinite speed would stall the run at dt = 0)."""
     m = cfg.model.m
     floor = math.sqrt(cfg.dx)
-    dt = cfg.cfl_safety * cfg.dx / max(t**(m / 2.0), floor)
-    for _ in range(3):  # dt depends on t_{k+1}; fixed point converges fast
-        dt = cfg.cfl_safety * cfg.dx / max((t + dt) ** (m / 2.0), floor)
+    dt = 0.0
+    for _ in range(4):  # dt depends on t_{k+1}; fixed point converges fast
+        speed = pow_or_inf(t + dt, m / 2.0)
+        if speed == math.inf:
+            raise DomainError(f"wave speed t^(m/2) leaves the double range at "
+                              f"t={t + dt:.12g}, m={m:.12g}")
+        dt = cfg.cfl_safety * cfg.dx / max(speed, floor)
     return dt
 
 
@@ -430,10 +436,7 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
 
 def _horizon_power(eps: float, expo: float) -> float:
     """eps**expo of the horizon law; a DomainError where it leaves the double range."""
-    try:
-        out = eps**expo
-    except OverflowError:
-        out = math.inf
+    out = pow_or_inf(eps, expo)
     if not 0.0 < out < math.inf:
         raise DomainError(f"horizon law eps^-theta leaves the double range at "
                           f"eps={eps:.12g}, theta={abs(expo):.12g}")

@@ -50,7 +50,7 @@ import numpy as np
 from scipy.special import iv, ive, kve
 
 from .errors import DomainError
-from .exponents import exp_or_inf
+from .exponents import exp_or_inf, pow_or_inf
 # unused here; re-exported because the benchmark tracer wraps these names in this module
 from .specfun import kummer_m, kummer_m_deriv  # noqa: F401
 
@@ -93,10 +93,7 @@ def phi_of_t(m: float, t: float) -> float:
         raise DomainError(f"t must be >= 0, got {t}")
     if m < 0:
         raise DomainError(f"m must be >= 0, got {m}")
-    try:
-        phi = 2.0 / (m + 2.0) * t ** ((m + 2.0) / 2.0)
-    except OverflowError:
-        phi = math.inf
+    phi = 2.0 / (m + 2.0) * pow_or_inf(t, (m + 2.0) / 2.0)
     if not math.isfinite(phi):
         raise DomainError(f"phi(t) leaves the double range at m={m:.12g}, t={t:.12g}")
     return phi

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -434,6 +435,14 @@ _EDGE = [
       "--set", "exponents.eps=1e-200"], EXIT_OK),
     (["subcritical", "--set", "iterate.eps=-1"], EXIT_DOMAIN),
     (["subcritical", "--set", "iterate.eps=1e300"], EXIT_DOMAIN),
+    # gamma(0, 1, p) = 2p + 2 > 0: every p > 1 is subcritical, with no p_crit
+    (["subcritical", "--set", "iterate.m=0", "--set", "iterate.n=1", "--set", "iterate.p=2"],
+     EXIT_OK),
+    (["simulate", *_SIM, "--set", "grid.dx=inf"], EXIT_CONFIG),
+    (["simulate", *_SIM, "--set", "grid.dx=1e300"], EXIT_CONFIG),
+    # the speed t^{m/2} leaves the double range just past t = 1
+    (["simulate", "--set", "model.m=1e6", "--set", "model.n=1", "--set", "model.p=2",
+      "--set", "grid.t_max=1"], EXIT_DOMAIN),
 ]
 
 
@@ -446,18 +455,60 @@ def test_edge_config_exit_code(tmp_path, argv, code):
         assert json.loads(out.read_text())["lifespan_bound"] == "inf"
 
 
-def test_subcritical_json_carries_closed_form(tmp_path):
-    argv = ["subcritical", "--set", "iterate.m=1", "--set", "iterate.n=2"]
-    csv_out, json_out = tmp_path / "s.csv", tmp_path / "s.json"
+def test_critical_search_warns_nothing(tmp_path):
+    # past the double range the slicing bound is nan, which the search counts
+    # as not above the ceiling; forming it raises no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["critical", "--set", "iterate.c0=1e-300", "--output", str(tmp_path / "c")]
+        assert run_cli(argv) == EXIT_DOMAIN
+
+
+def _flatten(doc: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_flatten(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _same_value(csv_text: str, json_value) -> bool:
+    # JSON writes null for both nan and None, and CSV "nan" and ""
+    if json_value is None:
+        return csv_text in ("nan", "")
+    return csv_text == fmt(json_value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["testfun", "--set", "testfun.nt=2", "--set", "testfun.ns=2", "--set", "testfun.nx=2"],
+    ["subcritical", "--set", "iterate.m=1", "--set", "iterate.n=2", "--set", "iterate.jmax=8"],
+    ["critical", "--set", "iterate.m=1", "--set", "iterate.n=2", "--set", "iterate.jmax=8"],
+    ["simulate", "--set", "model.m=1", "--set", "model.n=2", "--set", "model.p=2",
+     "--set", "grid.dx=0.05", "--set", "grid.t_max=1", "--set", "grid.n_f_samples=3"],
+], ids=lambda argv: argv[0])
+def test_csv_and_json_carry_one_document(tmp_path, argv):
+    csv_out, json_out = tmp_path / "a.csv", tmp_path / "a.json"
     assert run_cli(argv + ["--output", str(csv_out)]) == EXIT_OK
     assert run_cli(argv + ["--format", "json", "--output", str(json_out)]) == EXIT_OK
-    header = dict(
-        l[2:].split(" = ") for l in csv_out.read_text().splitlines()
-        if l.startswith("# threshold")
-    )
     doc = json.loads(json_out.read_text())
-    assert doc["t_closed_form"] == float(header["threshold.t_closed_form"])
-    assert doc["threshold_log_t"] == float(header["threshold.log_t_scan"])
+    lines = csv_out.read_text().splitlines()
+    header = [l[2:].split(" = ", 1) for l in lines if l.startswith("# ")]
+    columns, *rows = [l.split(",") for l in lines if not l.startswith("#")]
+    # each "# a.b = v" line is the JSON entry a -> b; the config echo is JSON's "config"
+    entries = {**_flatten(doc.pop("config")),
+               **_flatten({k: v for k, v in doc.items() if k != "rows"})}
+    keys = [k for k, _ in header]
+    assert len(keys) == len(set(keys)) and set(keys) == set(entries)
+    assert all(_same_value(v, entries[k]) for k, v in header)
+    # each CSV row is the matching JSON row
+    assert len(rows) == len(doc["rows"]) > 0
+    for row, obj in zip(rows, doc["rows"]):
+        assert list(obj) == sorted(columns)
+        assert all(_same_value(v, obj[c]) for c, v in zip(columns, row)), (row, obj)
+    if argv[0] == "simulate":
+        assert sum(obj["f"] is not None for obj in doc["rows"]) >= 2
 
 
 # one non-default value for every key of each engine command; critical's p

@@ -14,6 +14,7 @@ from tricomilab.exponents import (
     iteration_exponents,
     lifespan_prediction,
     p_crit,
+    pow_or_inf,
     q_choice,
     strauss_exponent,
 )
@@ -105,6 +106,12 @@ def test_exp_or_inf_cutoff():
     assert exp_or_inf(708.999) == math.exp(708.999) < math.inf
     assert exp_or_inf(709.0) == math.inf
     assert exp_or_inf(math.nan) == math.inf
+
+
+def test_pow_or_inf_overflow():
+    assert pow_or_inf(2.0, 0.5) == 2.0**0.5
+    assert pow_or_inf(10.0, 400.0) == math.inf
+    assert pow_or_inf(1e-300, -2.0) == math.inf
 
 
 def test_lifespan_prediction_laws():

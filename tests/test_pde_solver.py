@@ -571,6 +571,9 @@ def test_single_eps_scan():
 def test_config_validation():
     with pytest.raises(ConfigError):
         RunConfig(model=ModelParams(1.0, 1, 2.0), dx=-0.1)
+    for dx in (math.inf, 1.0):  # the data support R = 1 must span a cell
+        with pytest.raises(ConfigError):
+            RunConfig(model=ModelParams(1.0, 1, 2.0), dx=dx)
     with pytest.raises(ConfigError):
         RunConfig(model=ModelParams(1.0, 1, 2.0), cfl_safety=1.5)
     with pytest.raises(ConfigError):
