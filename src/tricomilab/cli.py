@@ -1,5 +1,6 @@
-"""Command-line front end: one dispatcher, one subcommand per module, and
-one per iteration engine (``subcritical``, ``critical``).
+"""Command-line front end: one dispatcher, one subcommand per module, one
+per special function (``kummer``, ``varphi``, ``log_gamma``) and one per
+iteration engine (``subcritical``, ``critical``).
 
 Runs are configured by an INI-style file (flat key = value entries grouped
 in per-module sections) plus ``--set section.key=value`` overrides; unknown
@@ -83,8 +84,8 @@ def dump_json(payload: dict) -> str:
 REQUIRED = object()
 
 # the PDE model and grid keys shared by simulate and scan (scan overrides
-# the t_max default); scan sets eps and the domain per run and tracks no F,
-# so those keys are simulate's only
+# the t_max default); scan sets eps per run and tracks no F, so those keys
+# are simulate's only
 _MODEL = {
     "m": (float, REQUIRED),
     "n": (int, REQUIRED),
@@ -112,17 +113,10 @@ _ENGINE = {
 }
 
 _SCHEMA = {
-    "specfun": {
-        "specfun": {
-            "op": (str, "kummer"),
-            "a": (float, 0.25),
-            "b": (float, 0.5),
-            "z": (float, -1.0),
-            "n": (int, 3),
-            "r": (float, 1.0),
-            "x": (float, 1.0),
-        }
-    },
+    # one command per special function, each reading its own [specfun] keys
+    "kummer": {"specfun": {"a": (float, 0.25), "b": (float, 0.5), "z": (float, -1.0)}},
+    "varphi": {"specfun": {"n": (int, 3), "r": (float, 1.0)}},
+    "log_gamma": {"specfun": {"x": (float, 1.0)}},
     "odecheck": {
         "odecheck": {
             "m": (float, 1.0),
@@ -160,8 +154,7 @@ _SCHEMA = {
                              "ceiling_log": (float, 30.0)}},
     "simulate": {
         "model": {**_MODEL, "eps": (float, 1.0)},
-        "grid": {**_GRID, "domain_radius": (float, float("nan")),
-                 "track_f": (bool, True), "n_f_samples": (int, 64)},
+        "grid": {**_GRID, "track_f": (bool, True), "n_f_samples": (int, 64)},
     },
     "scan": {
         "model": _MODEL,
@@ -289,33 +282,22 @@ def _emit(args: argparse.Namespace, cfg: dict, doc: dict, columns=None, rows=Non
 # ---------------------------------------------------------------------------
 
 
-# op -> (input keys, evaluator returning (value, regime, error_estimate)),
-# the shape of KummerEval
-_SPECFUN_OPS = {
-    "kummer": (("a", "b", "z"), kummer_m_detail),
-    "kummer_deriv": (
-        ("a", "b", "z"),
-        lambda a, b, z: (kummer_m_deriv(a, b, z), "derivative", None),
-    ),
-    "varphi": (
-        ("n", "r"),
-        lambda n, r: (varphi(n, r), "closed-form" if n <= 3 else "bessel", None),
-    ),
-    "log_gamma": (("x",), lambda x: (log_gamma(x), "lgamma", None)),
-}
-
-
-def _cmd_specfun(cfg: dict, args: argparse.Namespace) -> int:
+def _cmd_kummer(cfg: dict, args: argparse.Namespace) -> int:
+    """M(a, b; z) with its regime and error estimate, and dM/dz at the same point."""
     c = cfg["specfun"]
-    op = c["op"]
-    if op not in _SPECFUN_OPS:
-        raise ConfigError(f"unknown specfun op {op!r}")
-    keys, evaluate = _SPECFUN_OPS[op]
-    inputs = {k: c[k] for k in keys}
-    value, regime, error_estimate = evaluate(*inputs.values())
-    payload = {"op": op, **inputs, "value": value, "regime": regime,
-               "error_estimate": error_estimate}
-    return _emit(args, cfg, payload)
+    point = (c["a"], c["b"], c["z"])
+    return _emit(args, cfg, {**kummer_m_detail(*point)._asdict(),
+                             "deriv": kummer_m_deriv(*point)})
+
+
+def _cmd_varphi(cfg: dict, args: argparse.Namespace) -> int:
+    c = cfg["specfun"]
+    return _emit(args, cfg, {"value": varphi(c["n"], c["r"]),
+                             "regime": "closed-form" if c["n"] <= 3 else "bessel"})
+
+
+def _cmd_log_gamma(cfg: dict, args: argparse.Namespace) -> int:
+    return _emit(args, cfg, {"value": log_gamma(cfg["specfun"]["x"])})
 
 
 def _rel_dev(got: float, ref: float) -> float:
@@ -442,12 +424,9 @@ def _cmd_critical(cfg: dict, args: argparse.Namespace) -> int:
 
 def _build_run_config(cfg: dict) -> pde.RunConfig:
     """The model and grid keys are ModelParams' and RunConfig's fields (big_r
-    is R; a nan domain_radius means auto); absent ones take their defaults."""
+    is R); absent ones take their defaults."""
     mc = {("R" if k == "big_r" else k): v for k, v in cfg["model"].items()}
-    gc = dict(cfg["grid"])
-    if math.isnan(gc.get("domain_radius", 0.0)):
-        gc["domain_radius"] = None
-    return pde.RunConfig(model=pde.ModelParams(**mc), **gc)
+    return pde.RunConfig(model=pde.ModelParams(**mc), **cfg["grid"])
 
 
 def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
@@ -576,7 +555,9 @@ def _cmd_report(paths: list[str], out: str | None) -> int:
 # command -> (handler, default --format, allowed --format values); the scan
 # records are CSV only, and its fit goes to --fit-output as JSON
 _COMMANDS = {
-    "specfun": (_cmd_specfun, "csv", ("csv", "json")),
+    "kummer": (_cmd_kummer, "csv", ("csv", "json")),
+    "varphi": (_cmd_varphi, "csv", ("csv", "json")),
+    "log_gamma": (_cmd_log_gamma, "csv", ("csv", "json")),
     "odecheck": (_cmd_odecheck, "csv", ("csv", "json")),
     "testfun": (_cmd_testfun, "csv", ("csv", "json")),
     "exponents": (_cmd_exponents, "json", ("csv", "json")),

@@ -79,8 +79,8 @@ class ModelParams:
 class RunConfig:
     """One simulation: model, grid resolution, horizon, and tracking options.
 
-    domain_radius defaults to R + phi(t_max) + margin so the support cone
-    never reaches the outer boundary (finite propagation speed).
+    The domain is derived, not set: ``domain_radius`` covers the support
+    cone R + phi(t_max) of the data plus a margin (finite propagation speed).
     """
 
     model: ModelParams
@@ -88,7 +88,6 @@ class RunConfig:
     t_max: float = 10.0
     cfl_safety: float = 0.4
     blowup_threshold: float = 1e8
-    domain_radius: float | None = None
     u1_mode: str = "same"  # "same" -> u1 = u0, "zero" -> u1 = 0
     linear_only: bool = False
     track_f: bool = False
@@ -105,21 +104,11 @@ class RunConfig:
             raise ConfigError(f"u1_mode must be 'same' or 'zero', got {self.u1_mode}")
         if not self.blowup_threshold > 1:
             raise ConfigError("blowup_threshold must be > 1")
-        if self.domain_radius is not None and not (
-            self.min_domain_radius() <= self.domain_radius < math.inf
-        ):
-            raise ConfigError(
-                f"domain_radius {self.domain_radius} must be finite and >= required "
-                f"{self.min_domain_radius()} (support cone + margin)"
-            )
 
-    def min_domain_radius(self) -> float:
-        return self.model.R + phi_of_t(self.model.m, self.t_max) + 5.0 * self.dx
-
-    def resolved_domain_radius(self) -> float:
-        if self.domain_radius is not None:
-            return self.domain_radius
-        return self.min_domain_radius() + max(0.5, 5.0 * self.dx)
+    def domain_radius(self) -> float:
+        """R + phi(t_max), the support cone at the horizon, plus a margin."""
+        cone = self.model.R + phi_of_t(self.model.m, self.t_max)
+        return cone + 5.0 * self.dx + max(0.5, 5.0 * self.dx)
 
     def default_testfn(self) -> TestFnParams:
         md = self.model
@@ -230,28 +219,27 @@ def _bump(r: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _grid_size(cfg: RunConfig) -> int:
-    """Number of grid points r_i = i dx of the run's domain, boundary included."""
-    n_cells = int(math.ceil(cfg.resolved_domain_radius() / cfg.dx))
-    if n_cells < 8:
-        raise ConfigError("domain too small: fewer than 8 cells")
-    return n_cells + 1
+    """Number of grid points r_i = i dx of the run's domain, boundary included
+    (more than 11, as dx < R and the margin spans 10 cells)."""
+    return int(math.ceil(cfg.domain_radius() / cfg.dx)) + 1
 
 
 def _shared_config(cfgs) -> RunConfig:
     """The configuration runs step with; a ConfigError names the first field
-    other than eps, t_max and domain_radius where they differ."""
+    other than eps and t_max where they differ."""
     for cfg in cfgs[1:]:
         for ours, theirs in ((cfgs[0], cfg), (cfgs[0].model, cfg.model)):
             for name in (f.name for f in fields(ours)):
                 a, b = getattr(ours, name), getattr(theirs, name)
-                if name not in ("model", "eps", "t_max", "domain_radius") and a != b:
+                if name not in ("model", "eps", "t_max") and a != b:
                     raise ConfigError(f"batched runs must share {name}, got {a!r} and {b!r}")
     return cfgs[0]
 
 
 def initialize(*cfgs: RunConfig) -> SolverState:
     """Sample the initial data eps*u0 of each run, one row per run, on the
-    radial grid; the runs may differ only in eps, t_max and the domain."""
+    radial grid; the runs may differ only in eps and t_max (and so in the
+    domain)."""
     cfg = _shared_config(cfgs)
     edges = [_grid_size(c) - 1 for c in cfgs]
     r = np.arange(min(edges) + 1) * cfg.dx  # the smallest domain
@@ -453,9 +441,8 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     eps.  The runs up to the calibration go one by one; the rest step as
     the rows of one state.  Each record is the one ``run_until_blowup``
     gives for the run's configuration; no per-step functional is computed.
-    Of ``cfg`` the sweep ignores eps, domain_radius (every run takes the
-    auto-sized domain of its horizon) and the F-tracking fields track_f and
-    n_f_samples.
+    Of ``cfg`` the sweep ignores eps and the F-tracking fields track_f and
+    n_f_samples; every run takes the domain of its own horizon.
     """
     eps_sorted = sorted(float(e) for e in eps_values)
     if not all(0 < e < math.inf for e in eps_sorted):
@@ -466,7 +453,7 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
         raise DomainError("lifespan scaling applies to subcritical runs only")
 
     def run_cfg(eps: float, t_max: float) -> RunConfig:
-        return replace(cfg, model=replace(md, eps=eps), t_max=t_max, domain_radius=None)
+        return replace(cfg, model=replace(md, eps=eps), t_max=t_max)
 
     def retried(run: RunConfig, rec: LifespanRecord) -> LifespanRecord:
         return _run(run_cfg(run.model.eps, 2.0 * run.t_max))[0] if rec.censored else rec

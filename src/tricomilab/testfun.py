@@ -52,8 +52,9 @@ class TestFnParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if not self.q > -1:
-            raise DomainError(f"q must be > -1 for integrability, got {self.q}")
+        if not (-1 < self.q < math.inf and _octaves(self.q) <= _MAX_OCTAVES):
+            raise DomainError(f"q must be > -1 for integrability, with at most "
+                              f"{_MAX_OCTAVES} quadrature octaves, got {self.q}")
         if not self.lambda0 > 0:
             raise DomainError(f"lambda0 must be > 0, got {self.lambda0}")
         if not self.R > 0:
@@ -78,6 +79,15 @@ _GL_MEMO: dict[int, tuple] = {}
 _RULE_MEMO: dict[tuple, tuple] = {}
 
 
+# past this many octaves the panel edges upper * 2^-k (upper <= 1) underflow to 0
+_MAX_OCTAVES = 1074
+
+
+def _octaves(q: float) -> int:
+    """The graded rule's dyadic panel count for the weight lam^q."""
+    return max(54, int(14.0 * (q + 1.0)) + 40)
+
+
 def _graded_rule(q: float, lam0: float, per_octave: int):
     """Nodes/weights for the lam^q-weighted integral on (0, lam0].
 
@@ -86,7 +96,7 @@ def _graded_rule(q: float, lam0: float, per_octave: int):
     first, so plain Gauss panels stay accurate.
     """
     xg, wg = _memoized(_GL_MEMO, per_octave, lambda: np.polynomial.legendre.leggauss(per_octave))
-    n_oct = max(54, int(14.0 * (q + 1.0)) + 40)
+    n_oct = _octaves(q)
     upper = lam0 ** (q + 1.0) if q < 0.0 else lam0
     edges = upper * 2.0 ** -np.arange(n_oct + 1, dtype=float)
     lo = np.concatenate((edges[1:], [0.0]))

@@ -276,7 +276,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     invocations = [
         ["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2",
          "--set", "exponents.eps=0.5"],
-        ["specfun", "--set", "specfun.a=0.25", "--set", "specfun.b=0.5",
+        ["kummer", "--set", "specfun.a=0.25", "--set", "specfun.b=0.5",
          "--set", "specfun.z=-35"],
         ["critical", "--set", "iterate.m=1", "--set", "iterate.n=2",
          "--set", "iterate.eps=0.2", "--set", "iterate.jmax=15"],

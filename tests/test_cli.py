@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -81,7 +82,7 @@ def test_config_file_and_override(tmp_path):
 def test_config_echoed_in_csv_header(tmp_path):
     out = tmp_path / "spec.csv"
     code = run_cli(
-        ["specfun", "--set", "specfun.a=1", "--set", "specfun.b=2",
+        ["kummer", "--set", "specfun.a=1", "--set", "specfun.b=2",
          "--set", "specfun.z=2", "--output", str(out), "--format", "csv"]
     )
     assert code == EXIT_OK
@@ -93,11 +94,13 @@ def test_config_echoed_in_csv_header(tmp_path):
 def test_specfun_reports_regime(tmp_path):
     out = tmp_path / "spec.json"
     run_cli(
-        ["specfun", "--set", "specfun.z=-60", "--output", str(out),
+        ["kummer", "--set", "specfun.z=-60", "--output", str(out),
          "--format", "json"]
     )
     doc = json.loads(out.read_text())
     assert doc["regime"] == "asymptotic"
+    # dM/dz = (a/b) M(a+1, b+1; z) at the same point
+    assert doc["deriv"] == pytest.approx(0.000743719277796, rel=1e-11)
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -443,13 +446,32 @@ _EDGE = [
     # the speed t^{m/2} leaves the double range just past t = 1
     (["simulate", "--set", "model.m=1e6", "--set", "model.n=1", "--set", "model.p=2",
       "--set", "grid.t_max=1"], EXIT_DOMAIN),
+    # the domain is derived from R, m, t_max and dx, not set
+    (["simulate", *_SIM, "--set", "grid.domain_radius=1e6"], EXIT_CONFIG),
+    # one command per special function: the op switch is gone, and each
+    # command knows only its own keys
+    (["specfun"], EXIT_CONFIG),
+    (["kummer", "--set", "specfun.x=1"], EXIT_CONFIG),
+    # the oracle refuses a growth lambda phi(t) past its cost bound
+    (["odecheck", "--set", "odecheck.lambda=1e6"], EXIT_DOMAIN),
+    (["odecheck", "--set", "odecheck.lambda=1e300"], EXIT_DOMAIN),
+    (["odecheck", "--set", "odecheck.lambda=inf"], EXIT_DOMAIN),
+    (["odecheck", "--set", "odecheck.t=1e6"], EXIT_DOMAIN),
+    (["odecheck", "--set", "odecheck.oracle_rtol=inf"], EXIT_DOMAIN),
+    # the graded rule of q would pass the depth where its panels underflow
+    (["testfun", "--set", "testfun.q=1e6"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.q=1e300"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.q=inf"], EXIT_DOMAIN),
 ]
 
 
 @pytest.mark.parametrize("argv, code", _EDGE, ids=[f"{a[0]}-{a[-1]}" for a, _ in _EDGE])
 def test_edge_config_exit_code(tmp_path, argv, code):
     out = tmp_path / "out"
+    t0 = time.perf_counter()
     assert run_cli(argv + ["--format", "json", "--output", str(out)]) == code
+    # refused before any unbounded work (each takes well under 1 s)
+    assert time.perf_counter() - t0 < 5.0
     if argv[0] == "exponents":
         # the critical law exp(C eps^{-p(p-1)}) passes the double range
         assert json.loads(out.read_text())["lifespan_bound"] == "inf"
@@ -511,37 +533,88 @@ def test_csv_and_json_carry_one_document(tmp_path, argv):
         assert sum(obj["f"] is not None for obj in doc["rows"]) >= 2
 
 
-# one non-default value for every key of each engine command; critical's p
-# stays within the critical gamma tolerance of p_crit(1, 1), its default
-_ENGINE_ALT = {
-    "subcritical": {"m": "2", "n": "2", "p": "2", "eps": "0.5", "jmax": "10",
-                    "c0": "2", "t0": "1", "c2": "2"},
-    "critical": {"m": "2", "n": "2", "p": repr(p_crit(1.0, 1) + 1e-10), "eps": "0.5",
-                 "jmax": "10", "c0": "2", "c": "2", "b1": "2", "ceiling_log": "40"},
+# cheap base configs, and one non-default value for every key of every
+# command; critical's p stays within the critical gamma tolerance of
+# p_crit(1, 1), its default
+_BASE = {
+    "testfun": {"testfun.t_max": "20", "testfun.nt": "2", "testfun.ns": "2", "testfun.nx": "2"},
+    "exponents": {"exponents.m": "1", "exponents.n": "2"},
+    "simulate": {"model.m": "1", "model.n": "1", "model.p": "2", "grid.dx": "0.1",
+                 "grid.t_max": "1", "grid.n_f_samples": "2"},
+    "scan": {"model.m": "1", "model.n": "1", "model.p": "2", "grid.dx": "0.1",
+             "grid.t_max": "10", "scan.eps_list": "1.0"},
 }
+_PROBE = {
+    "kummer": {"specfun.a": "0.5", "specfun.b": "1.5", "specfun.z": "-2"},
+    "varphi": {"specfun.n": "2", "specfun.r": "2"},
+    "log_gamma": {"specfun.x": "3"},
+    "odecheck": {"odecheck.m": "2", "odecheck.lambda": "2", "odecheck.t": "1",
+                 "odecheck.s": "1", "odecheck.oracle_rtol": "1e-6"},
+    "testfun": {"testfun.m": "2", "testfun.n": "2", "testfun.q": "1.5",
+                "testfun.lambda0": "0.25", "testfun.big_r": "2", "testfun.t_max": "10",
+                "testfun.nt": "3", "testfun.ns": "3", "testfun.nx": "3",
+                "testfun.rtol": "1e-17"},
+    "exponents": {"exponents.m": "2", "exponents.n": "3", "exponents.p": "2",
+                  "exponents.eps": "0.5", "exponents.constant": "2"},
+    "subcritical": {"iterate.m": "2", "iterate.n": "2", "iterate.p": "2", "iterate.eps": "0.5",
+                    "iterate.jmax": "10", "iterate.c0": "2", "iterate.t0": "1",
+                    "iterate.c2": "2"},
+    "critical": {"iterate.m": "2", "iterate.n": "2", "iterate.p": repr(p_crit(1.0, 1) + 1e-10),
+                 "iterate.eps": "0.5", "iterate.jmax": "10", "iterate.c0": "2",
+                 "iterate.c": "2", "iterate.b1": "2", "iterate.ceiling_log": "40"},
+    "simulate": {"model.m": "2", "model.n": "2", "model.p": "3", "model.big_r": "2",
+                 "model.eps": "0.5", "grid.dx": "0.05", "grid.t_max": "0.5",
+                 "grid.cfl_safety": "0.3", "grid.blowup_threshold": "1.01",
+                 "grid.u1_mode": "zero", "grid.linear_only": "true", "grid.track_f": "false",
+                 "grid.n_f_samples": "3"},
+    "scan": {"model.m": "2", "model.n": "2", "model.p": "1.5", "model.big_r": "2",
+             "grid.dx": "0.05", "grid.t_max": "1", "grid.cfl_safety": "0.3",
+             "grid.blowup_threshold": "1e4", "grid.u1_mode": "zero",
+             "grid.linear_only": "true", "scan.eps_list": "0.8"},
+}
+# the one declared companion: the lifespan constant is read only with an eps
+_COMPANION = {("exponents", "exponents.constant"): {"exponents.eps": "0.5"}}
 
 
-def _artifact_past_echo(tmp_path, argv) -> list[str]:
+@pytest.fixture(scope="module")
+def base_artifacts():
+    """Each base config's artifact, made once per module (runs are deterministic)."""
+    return {}
+
+
+def _artifact_past_echo(tmp_path, command, values: dict) -> list[str]:
     out = tmp_path / "out.csv"
-    assert run_cli(argv + ["--output", str(out)]) == EXIT_OK
-    return [l for l in out.read_text().splitlines()
-            if not l.startswith(("# command = ", "# iterate."))]
+    argv = [command, *(f for k, v in values.items() for f in ("--set", f"{k}={v}"))]
+    if command == "scan":
+        argv += ["--fit-output", str(tmp_path / "f.json")]
+    # a censored scan still writes its records
+    assert run_cli(argv + ["--output", str(out)]) in (EXIT_OK, EXIT_CENSORED)
+    echo = ("# command = ", *(f"# {sec}." for sec in _SCHEMA[command]))
+    return [l for l in out.read_text().splitlines() if not l.startswith(echo)]
 
 
 @pytest.mark.parametrize(
-    "command, key",
-    [(command, key) for command in ("subcritical", "critical")
-     for key in sorted(_SCHEMA[command]["iterate"])],
+    "command, address",
+    [(command, f"{sec}.{key}") for command, sections in _SCHEMA.items()
+     for sec, keys in sections.items() for key in sorted(keys)],
+    ids=lambda v: v.rpartition(".")[2],
 )
-def test_engine_key_is_read(tmp_path, command, key):
-    # a key without a value in _ENGINE_ALT fails here: every accepted key
-    # must move the artifact, not only its config echo
-    assert list(_SCHEMA[command]) == ["iterate"]
-    default = _artifact_past_echo(tmp_path, [command])
-    changed = _artifact_past_echo(
-        tmp_path, [command, "--set", f"iterate.{key}={_ENGINE_ALT[command][key]}"]
-    )
-    assert changed != default
+def test_engine_key_is_read(tmp_path, base_artifacts, command, address):
+    # every accepted key of every command must move the artifact, not only
+    # its config echo; a key without a value in _PROBE fails here
+    probe = _PROBE[command][address]
+    base = {**_BASE.get(command, {}), **_COMPANION.get((command, address), {})}
+    key = (command, tuple(base.items()))
+    if key not in base_artifacts:
+        base_artifacts[key] = _artifact_past_echo(tmp_path, command, base)
+    changed = _artifact_past_echo(tmp_path, command, {**base, address: probe})
+    assert changed != base_artifacts[key]
+
+
+def test_probe_table_names_only_schema_keys():
+    assert {c: set(keys) for c, keys in _PROBE.items()} == {
+        c: {f"{sec}.{k}" for sec, keys in sections.items() for k in keys}
+        for c, sections in _SCHEMA.items()}
 
 
 @pytest.mark.parametrize(

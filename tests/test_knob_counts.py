@@ -42,9 +42,9 @@ def settable_library_values() -> int:
 
 
 def test_settable_library_values():
-    assert settable_library_values() == 40
+    assert settable_library_values() == 39
 
 
 def test_cli_keys():
     assert sum(len(keys) for sections in cli._SCHEMA.values()
-               for keys in sections.values()) == 69
+               for keys in sections.values()) == 67

@@ -92,7 +92,7 @@ def _assert_steps_match_full_grid(monkeypatch, *cfgs):
     refs = []
     for cfg in cfgs:
         md = cfg.model
-        r = np.arange(int(math.ceil(cfg.resolved_domain_radius() / cfg.dx)) + 1) * cfg.dx
+        r = np.arange(pde._grid_size(cfg)) * cfg.dx
         u0 = md.eps * np.where(r < md.R, (1.0 - (r / md.R) ** 2) ** 4, 0.0)
         v0 = u0.copy() if cfg.u1_mode == "same" else np.zeros_like(u0)
         refs.append(dict(r=r, u=u0, u_prev=None, dt_prev=0.0, v0=v0, steps=0,
@@ -146,9 +146,9 @@ def _assert_steps_match_full_grid(monkeypatch, *cfgs):
     return [{k: ref[k] for k in ("steps", "live", "edge", "blown_up")} for ref in refs]
 
 
-def _runs_at(cfg, *eps_t_max, **kw):
-    """cfg's runs at each (eps, t_max), with the other fields of kw replaced."""
-    return [replace(cfg, model=replace(cfg.model, eps=e), t_max=h, **kw) for e, h in eps_t_max]
+def _runs_at(cfg, *eps_t_max):
+    """cfg's runs at each (eps, t_max)."""
+    return [replace(cfg, model=replace(cfg.model, eps=e), t_max=h) for e, h in eps_t_max]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -157,14 +157,15 @@ def _runs_at(cfg, *eps_t_max, **kw):
 def test_step_matches_full_grid_scheme(monkeypatch, n, p, u1_mode):
     # the live window is exact: every step of every row is bit-identical to
     # the scheme applied to the row's whole grid; the eps = 0.5 row leaves
-    # the batch at its horizon while the eps = 0.8 row runs on.  The domains
-    # are wide enough that no window reaches its outer boundary.
+    # the batch at its horizon while the eps = 0.8 row runs on.  Its shorter
+    # horizon gives it the smaller domain: the arrays start at its edge,
+    # which its window reaches, and grow to the others'.
     cfg = small_cfg(model=ModelParams(1.0, n, p), dx=0.05, u1_mode=u1_mode)
-    runs = _runs_at(cfg, (0.8, 3.0), (1.5, 3.0), (0.5, 1.5), domain_radius=10.0)
+    runs = _runs_at(cfg, (0.8, 3.0), (1.5, 3.0), (0.5, 1.5))
     seen = _assert_steps_match_full_grid(monkeypatch, *runs)
     assert seen[2]["steps"] < seen[0]["steps"]
-    for row in seen:
-        assert row["live"] < row["edge"]  # the window never reached the boundary
+    assert seen[2]["edge"] < seen[0]["edge"] == seen[1]["edge"]
+    assert seen[2]["live"] == seen[2]["edge"]
 
 
 def test_step_matches_full_grid_scheme_through_blowup(monkeypatch):
@@ -179,18 +180,18 @@ def test_step_matches_full_grid_scheme_through_blowup(monkeypatch):
 
 def test_step_matches_full_grid_scheme_at_outer_boundary(monkeypatch):
     # long linear runs: every row's window reaches its outer boundary cell
-    # and keeps stepping there, the first one on the smallest allowed domain
+    # and keeps stepping there, on the domain its horizon sizes
     cfg = RunConfig(model=ModelParams(0.0, 2, 2.0, R=1.0), dx=0.05, linear_only=True)
-    runs = [replace(_runs_at(cfg, (1.0, 1.0))[0], domain_radius=1.0 + 1.0 + 5.0 * 0.05),
-            *_runs_at(cfg, (0.5, 4.0), (2.0, 2.0))]
+    runs = _runs_at(cfg, (1.0, 1.0), (0.5, 4.0), (2.0, 2.0))
     seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    assert [row["edge"] for row in seen] == [55, 115, 75]
     assert [row["live"] for row in seen] == [row["edge"] for row in seen]  # windows span the grids
     assert [row["steps"] for row in seen] == [50, 200, 100]
 
 
 def test_batch_rejects_runs_that_differ_in_the_scheme():
     cfg = small_cfg(dx=0.05)
-    initialize(*_runs_at(cfg, (1.0, 2.0), (0.5, 4.0)), replace(cfg, domain_radius=40.0))
+    initialize(*_runs_at(cfg, (1.0, 2.0), (0.5, 4.0), (1.0, 40.0)))  # three domains
     with pytest.raises(ConfigError, match="share dx,"):
         initialize(cfg, replace(cfg, dx=0.04))
     with pytest.raises(ConfigError, match="share u1_mode,"):
@@ -455,7 +456,7 @@ def _reference_scan(cfg, eps_values):
     for eps in sorted(eps_values, reverse=True):
         n_prefix += c_emp is None
         horizon = cfg.t_max if c_emp is None else min(4.0 * c_emp * eps**-theta, 1e4)
-        run = replace(cfg, model=replace(md, eps=eps), t_max=horizon, domain_radius=None)
+        run = replace(cfg, model=replace(md, eps=eps), t_max=horizon)
         size = pde._grid_size(run)
         edge_t = []
         (rec,) = pde._run(run, observe=lambda s: edge_t.append(s.t)
@@ -576,8 +577,6 @@ def test_config_validation():
             RunConfig(model=ModelParams(1.0, 1, 2.0), dx=dx)
     with pytest.raises(ConfigError):
         RunConfig(model=ModelParams(1.0, 1, 2.0), cfl_safety=1.5)
-    with pytest.raises(ConfigError):
-        RunConfig(model=ModelParams(1.0, 1, 2.0), t_max=5.0, domain_radius=1.0)
     with pytest.raises(ConfigError):
         ModelParams(1.0, 4, 2.0)  # n > 3 not supported by the radial solver
     with pytest.raises(ConfigError):

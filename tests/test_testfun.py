@@ -44,6 +44,12 @@ def test_params_validation():
         TestFnParams(q=0.0, lambda0=0.0)
     with pytest.raises(DomainError):
         TestFnParams(q=0.0, R=-1.0)
+    # the graded rule of q = 72.9 has 1074 octaves, the most before its
+    # panel edges underflow to 0; q = 73 would need 1076
+    TestFnParams(q=72.9)
+    for q in (73.0, 1e6, 1e300, math.inf):
+        with pytest.raises(DomainError, match="octaves"):
+            TestFnParams(q=q)
 
 
 def test_closed_form_at_origin():

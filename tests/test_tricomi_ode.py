@@ -171,6 +171,20 @@ def test_oracle_constant_coefficient():
     assert _oracle(OdeParams(1.0, 1.0), 0.0, (1.0, 0.0)) == (1.0, 0.0)
 
 
+def test_oracle_refuses_unbounded_work():
+    # inf m or lambda, a growth lambda phi(t) past the oracle's cost bound,
+    # or an rtol outside (0, 1), each a DomainError before integrating
+    for m, lam in ((math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(DomainError, match="finite"):
+            OdeParams(m, lam)
+    # m = 3, lambda = 5, t = 20 (lambda phi = 3.6e3) is the largest checked pair
+    with pytest.raises(DomainError, match="growth"):
+        ode_oracle_scaled(OdeParams(3.0, 15.0), 20.0, (1.0, 0.0))
+    for rtol in (1.0, math.inf):
+        with pytest.raises(DomainError, match="rtol"):
+            ode_oracle_scaled(OdeParams(1.0, 1.0), 2.0, (1.0, 0.0), rtol=rtol)
+
+
 def test_oracle_regression_anchor():
     got = _oracle(OdeParams(2.0, 1.0), 2.0, (0.0, 1.0))
     assert got[0] == pytest.approx(ANCHOR_M2[0], rel=1e-9)
