@@ -11,17 +11,24 @@ Two special functions:
 * ``varphi`` -- the sphere average of e^{x.w}, the radial eigenfunction of
   the Laplacian with eigenvalue one (Lap(phi) = phi).
 
-All functions are pure; there is no shared mutable state.
+This module holds the package's only reference to ``scipy.special``: the
+modified Bessel functions ``iv``, ``ive``, ``kve`` and ``i0e`` forward to it
+and import it on the first call (~0.3 s), so a command that never
+evaluates a Bessel function never loads it.  Kummer's function and
+``varphi`` for n = 1, 3 need none.
+
+All functions are pure; the one lazily built value (the Gauss rule of
+``varphi_sphere_quadrature``) is cached, and the same on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammasgn, i0e, ive
 
 from .errors import DomainError
 
@@ -38,6 +45,33 @@ _BLEND_LO = 30.0
 _BLEND_HI = 40.0
 # final rounding of a returned value, in units of its magnitude
 _ROUND_FLOOR = 4.0 * _EPS
+
+
+@functools.cache
+def _special():
+    import scipy.special
+
+    return scipy.special
+
+
+def iv(v, z):
+    """Modified Bessel function I_v(z) (``scipy.special.iv``)."""
+    return _special().iv(v, z)
+
+
+def ive(v, z):
+    """Exponentially scaled I_v(z) e^{-|z|} (``scipy.special.ive``)."""
+    return _special().ive(v, z)
+
+
+def kve(v, z):
+    """Exponentially scaled K_v(z) e^{z} (``scipy.special.kve``)."""
+    return _special().kve(v, z)
+
+
+def i0e(z):
+    """Exponentially scaled I_0(z) e^{-|z|} (``scipy.special.i0e``)."""
+    return _special().i0e(z)
 
 
 class KummerEval(NamedTuple):
@@ -81,12 +115,17 @@ def _taylor_series(a: float, b: float, z: float, max_terms: int = 2000):
     return total, err
 
 
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off its poles: negative exactly on (-2k-1, -2k), k >= 0."""
+    return 1.0 if x > 0 or math.floor(x) % 2 == 0 else -1.0
+
+
 def _gamma_ratio(num: float, den: float):
     """Gamma(num)/Gamma(den) as (log magnitude, sign); handles negatives."""
     if den <= 0 and float(den).is_integer():
         return -math.inf, 1.0  # 1/Gamma at a pole -> ratio vanishes
-    sign = gammasgn(num) * gammasgn(den)
-    return math.lgamma(num) - math.lgamma(den), float(sign)
+    sign = _gamma_sign(num) * _gamma_sign(den)
+    return math.lgamma(num) - math.lgamma(den), sign
 
 
 def _asymptotic_negative(a: float, b: float, x: float, max_terms: int = 200):
@@ -264,7 +303,10 @@ def varphi(n: int, r):
     return float(out) if np.ndim(out) == 0 else out
 
 
-_QUAD_NODES = np.polynomial.legendre.leggauss(200)
+@functools.cache
+def _sphere_rule():
+    """The 200-point Gauss-Legendre rule, built on first use (~50 ms)."""
+    return np.polynomial.legendre.leggauss(200)
 
 
 def varphi_sphere_quadrature(n: int, r: float) -> float:
@@ -276,7 +318,7 @@ def varphi_sphere_quadrature(n: int, r: float) -> float:
     r = float(_check_dim_radius(n, r))
     if n == 1:
         return math.exp(r) + math.exp(-r)
-    theta, w = _QUAD_NODES
+    theta, w = _sphere_rule()
     # map [-1, 1] -> [0, pi]; |S^{n-2}| carries the azimuthal measure
     th = 0.5 * math.pi * (theta + 1.0)
     wt = 0.5 * math.pi * w

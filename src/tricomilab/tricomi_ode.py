@@ -17,9 +17,10 @@ and at m = 0 it reduces to cosh/sinh.  The derivative terms use
 d/dx[x^nu I_nu] = x^nu I_{nu-1}, d/dx[x^nu I_{-nu}] = x^nu I_{1-nu} and
 d/dx[x^nu K_nu] = -x^nu K_{nu-1}.
 
-All values come from exponentially scaled Bessel functions (scipy
-``ive``/``kve``) with explicit exponent bookkeeping, so they stay bounded
-for arbitrarily large t:
+All values come from exponentially scaled Bessel functions (``ive``/``kve``,
+which ``specfun`` forwards to scipy.special, imported on the first Bessel
+call) with explicit exponent bookkeeping, so they stay bounded for
+arbitrarily large t:
 
 * ``fundamental_pair_scaled`` -- the pair times e^{-x_t} (``fundamental_pair``
   evaluates the same formula with the unscaled ``iv``);
@@ -38,7 +39,7 @@ scalar forms.  ``ode_oracle_scaled`` is an independent check: adaptive
 high-order integration of the same equation in scaled variables
 (w = e^{-lambda phi} y); it returns e^{-lambda phi(t)} (y, y'), so compare
 it with ``fundamental_pair_scaled``, or multiply by e^{lambda phi(t)} while
-that stays below ~e^709.
+that stays below ~e^709.  It imports scipy.integrate on its first call.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import iv, ive, kve
 
 from .errors import DomainError
 from .exponents import exp_or_inf, pow_or_inf
+# looked up at call time, so a test can wrap them here
+from .specfun import iv, ive, kve
 # unused here; re-exported because the benchmark tracer wraps these names in this module
 from .specfun import kummer_m, kummer_m_deriv  # noqa: F401
 
@@ -301,6 +303,9 @@ def _scaled_rhs(m: float, lam: float):
 # (~0.36 s per solve at 1e4 on a 2-vCPU VM), and the pair's own checks reach
 # ~3.6e3 (m = 3, lambda = 5, t = 20)
 _ORACLE_MAX_GROWTH = 1e4
+# scipy raises a smaller rtol to 100 eps with a warning; with atol = rtol
+# far below it the step size underflows, after numpy warnings
+_ORACLE_MIN_RTOL = 100.0 * float(np.finfo(float).eps)
 
 
 def ode_oracle_scaled(
@@ -314,15 +319,14 @@ def ode_oracle_scaled(
     Initial data coincide with the unscaled data because phi(0) = 0.
     Independent of the Bessel evaluation path.  A DomainError refuses a
     lambda phi(t_end) above _ORACLE_MAX_GROWTH, whose cost is unbounded, and
-    an rtol outside (0, 1).
+    an rtol outside [_ORACLE_MIN_RTOL, 1).
     """
-    # the only scipy.integrate user; imported here to keep package import light
     from scipy.integrate import solve_ivp
 
     if not t_end >= 0:
         raise DomainError(f"t_end must be >= 0, got {t_end}")
-    if not 0 < rtol < 1:
-        raise DomainError(f"rtol must be in (0, 1), got {rtol}")
+    if not _ORACLE_MIN_RTOL <= rtol < 1:
+        raise DomainError(f"rtol must be in [{_ORACLE_MIN_RTOL:.3g}, 1), got {rtol}")
     growth = params.lam * phi_of_t(params.m, t_end)
     if not growth <= _ORACLE_MAX_GROWTH:
         raise DomainError(f"oracle growth lambda phi(t)={growth:.12g} exceeds "

@@ -165,6 +165,49 @@ def test_determinism_subprocess(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+# run in a fresh interpreter: prints whether scipy.special is loaded and the
+# leggauss calls after `import tricomilab.cli`, then after each command
+_LAZY_PROBE = """
+import json, sys
+import numpy.polynomial.legendre as legendre
+calls, rule = [], legendre.leggauss
+legendre.leggauss = lambda deg: calls.append(deg) or rule(deg)
+import tricomilab.cli as cli
+print(json.dumps(["import", 0, "scipy.special" in sys.modules, calls]))
+for argv in json.loads(sys.argv[1]):
+    code = cli.dispatch(argv)
+    print(json.dumps([argv[0], code, "scipy.special" in sys.modules, calls]))
+"""
+
+
+def test_bessel_free_commands_never_load_scipy_special(tmp_path):
+    sim = ["--set", "model.m=1", "--set", "model.p=2", "--set", "grid.dx=0.1",
+           "--set", "grid.track_f=true"]
+    cmds = [
+        ["scan", "--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2",
+         "--set", "grid.dx=0.1", "--set", "scan.eps_list=1.0,1.2",
+         "--set", "grid.u1_mode=zero", "--fit-output", str(tmp_path / "fit.json")],
+        ["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2"],
+        ["subcritical", "--set", "iterate.m=1", "--set", "iterate.n=2", "--set", "iterate.eps=0.1"],
+        ["critical", "--set", "iterate.m=1", "--set", "iterate.n=2", "--set", "iterate.eps=0.1"],
+        ["kummer", "--set", "specfun.a=0.25", "--set", "specfun.b=0.5", "--set", "specfun.z=-60"],
+        ["log_gamma", "--set", "specfun.x=7"],
+        ["varphi", "--set", "specfun.n=3", "--set", "specfun.r=1"],
+        ["simulate", "--set", "model.n=1", *sim],
+        # the first Bessel value, varphi_scaled(2, .) in F, loads it
+        ["simulate", "--set", "model.n=2", *sim],
+    ]
+    cmds = [argv + ["--output", str(tmp_path / f"{i}.out")] for i, argv in enumerate(cmds)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE, json.dumps(cmds)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert steps[0] == ["import", 0, False, []]
+    assert [step[:3] for step in steps[1:-1]] == [[a[0], EXIT_OK, False] for a in cmds[:-1]]
+    assert steps[-1][:3] == ["simulate", EXIT_OK, True]
+
+
 def test_scan_writes_records_and_fit(tmp_path):
     rec_path = tmp_path / "records.csv"
     fit_path = tmp_path / "fit.json"
@@ -458,6 +501,8 @@ _EDGE = [
     (["odecheck", "--set", "odecheck.lambda=inf"], EXIT_DOMAIN),
     (["odecheck", "--set", "odecheck.t=1e6"], EXIT_DOMAIN),
     (["odecheck", "--set", "odecheck.oracle_rtol=inf"], EXIT_DOMAIN),
+    # an rtol below scipy's floor (100 eps) is refused before integrating
+    (["odecheck", "--set", "odecheck.oracle_rtol=1e-300"], EXIT_DOMAIN),
     # the graded rule of q would pass the depth where its panels underflow
     (["testfun", "--set", "testfun.q=1e6"], EXIT_DOMAIN),
     (["testfun", "--set", "testfun.q=1e300"], EXIT_DOMAIN),

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammasgn
 
 from tricomilab.errors import DomainError
 from tricomilab.specfun import (
+    _gamma_sign,
     kummer_m,
     kummer_m_detail,
     kummer_m_deriv,
@@ -111,6 +113,24 @@ def test_regimes_reported():
     assert kummer_m_detail(0.25, 0.5, -60.0).regime == "asymptotic"
     assert kummer_m_detail(0.25, 0.5, 60.0).regime == "asymptotic-kummer"
     assert kummer_m_detail(0.5, 0.5, 3.0).regime == "exp"
+
+
+def test_gamma_sign_matches_scipy():
+    # the asymptotic regimes take the sign of Gamma without scipy: compare
+    # with gammasgn at negative half-integers, 1e-9 either side of every
+    # pole down to -30, and magnitudes up to 1e300 off the poles
+    poles = -np.arange(31.0)
+    xs = np.concatenate((
+        np.linspace(-30.5, 30.5, 4001), poles - 1e-9, poles + 1e-9,
+        [-1e5 - 0.5, -170.5, -171.5, 171.5, 1e5, 1e15, 1e300],
+    ))
+    xs = xs[(xs > 0) | (xs != np.round(xs))]
+    assert len(xs) > 4000
+    assert [_gamma_sign(float(x)) for x in xs] == gammasgn(xs).tolist()
+    # gammasgn casts floor(x) to a C int, so past -2^31 its sign is wrong
+    # (1 at -3e9 - 0.5); mpmath is the reference there
+    for x in (-(2.0**31) - 0.5, -3e9 - 0.5, -1e15 - 0.5, -(2.0**52) + 0.5):
+        assert _gamma_sign(x) == float(mpmath.sign(mpmath.gamma(x))), x
 
 
 # z grid for the high-precision oracle: the whole finite range, both blend

@@ -173,14 +173,14 @@ def test_oracle_constant_coefficient():
 
 def test_oracle_refuses_unbounded_work():
     # inf m or lambda, a growth lambda phi(t) past the oracle's cost bound,
-    # or an rtol outside (0, 1), each a DomainError before integrating
+    # or an rtol outside [100 eps, 1), each a DomainError before integrating
     for m, lam in ((math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(DomainError, match="finite"):
             OdeParams(m, lam)
     # m = 3, lambda = 5, t = 20 (lambda phi = 3.6e3) is the largest checked pair
     with pytest.raises(DomainError, match="growth"):
         ode_oracle_scaled(OdeParams(3.0, 15.0), 20.0, (1.0, 0.0))
-    for rtol in (1.0, math.inf):
+    for rtol in (1.0, math.inf, 1e-15, 1e-300):
         with pytest.raises(DomainError, match="rtol"):
             ode_oracle_scaled(OdeParams(1.0, 1.0), 2.0, (1.0, 0.0), rtol=rtol)
 
