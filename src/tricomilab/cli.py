@@ -9,7 +9,8 @@ document, nested dicts of scalars plus an optional table, and ``_emit``
 renders it: in CSV as ``# a.b = value`` comment lines over the table, in
 JSON as the entry a -> b with one object per table row under "rows".  Both
 start with the fully resolved configuration (its comment lines, or the
-"config" object), so any artifact can be re-run to byte-identical results.
+"config" object), so any artifact can be re-run to byte-identical results;
+the document names no config key again, bar the resolved p of exponents.
 Floats are rendered with 12 significant digits everywhere.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 scan with every
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import math
 import os
@@ -167,14 +169,9 @@ _SCHEMA = {
 def _coerce(raw: str, typ, key: str):
     try:
         if typ is bool:
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return typ(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}") from exc
 
 
@@ -253,6 +250,11 @@ def _flat(doc: dict, prefix: str = ""):
             yield f"{prefix}{key}", value
 
 
+def _table(cls, records) -> tuple[list, list]:
+    """The columns (the fields of dataclass ``cls``) and rows of ``records``."""
+    return [f.name for f in dataclasses.fields(cls)], [dataclasses.astuple(r) for r in records]
+
+
 def _emit(args: argparse.Namespace, cfg: dict, doc: dict, columns=None, rows=None) -> int:
     """Write one artifact in ``args.format``; the only code that knows both.
 
@@ -292,45 +294,32 @@ def _cmd_kummer(cfg: dict, args: argparse.Namespace) -> int:
 
 def _cmd_varphi(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["specfun"]
+    # varphi_scaled's own split: elementary for n = 1, 3, Bessel otherwise
     return _emit(args, cfg, {"value": varphi(c["n"], c["r"]),
-                             "regime": "closed-form" if c["n"] <= 3 else "bessel"})
+                             "regime": "closed-form" if c["n"] in (1, 3) else "bessel"})
 
 
 def _cmd_log_gamma(cfg: dict, args: argparse.Namespace) -> int:
     return _emit(args, cfg, {"value": log_gamma(cfg["specfun"]["x"])})
 
 
-def _rel_dev(got: float, ref: float) -> float:
-    return abs(got / ref - 1.0) if ref else abs(got - ref)
-
-
 def _cmd_odecheck(cfg: dict, args: argparse.Namespace) -> int:
     c = cfg["odecheck"]
     params = ode.OdeParams(c["m"], c["lambda"])
     t = c["t"]
-    pair = ode.fundamental_pair(params, t)
     scaled = ode.fundamental_pair_scaled(params, t)
-    w1 = ode.ode_oracle_scaled(params, t, (1.0, 0.0), rtol=c["oracle_rtol"])
-    w2 = ode.ode_oracle_scaled(params, t, (0.0, 1.0), rtol=c["oracle_rtol"])
-    dev = max(
-        _rel_dev(scaled.v1, w1[0]),
-        _rel_dev(scaled.dv1, w1[1]),
-        _rel_dev(scaled.v2, w2[0]),
-        _rel_dev(scaled.dv2, w2[1]),
-    )
+    oracle = (*ode.ode_oracle_scaled(params, t, (1.0, 0.0), rtol=c["oracle_rtol"]),
+              *ode.ode_oracle_scaled(params, t, (0.0, 1.0), rtol=c["oracle_rtol"]))
     growth = params.lam * ode.phi_of_t(params.m, t)
     payload = {
-        "m": c["m"],
-        "lambda": c["lambda"],
-        "t": t,
-        "v1": pair.v1,
-        "dv1": pair.dv1,
-        "v2": pair.v2,
-        "dv2": pair.dv2,
-        "wronskian_residual": scaled.v1 * scaled.dv2
-        - scaled.dv1 * scaled.v2
+        **dataclasses.asdict(ode.fundamental_pair(params, t)),
+        "wronskian_residual": scaled.v1 * scaled.dv2 - scaled.dv1 * scaled.v2
         - math.exp(-2.0 * growth),
-        "oracle_rel_deviation": dev,
+        # relative, or absolute against an oracle value of exactly 0
+        "oracle_rel_deviation": max(
+            abs(got / ref - 1.0) if ref else abs(got - ref)
+            for got, ref in zip(dataclasses.astuple(scaled), oracle)
+        ),
     }
     if c["s"] >= 0:
         payload["phi1"] = ode.phi1(t, c["s"], params)
@@ -347,8 +336,6 @@ def _cmd_exponents(cfg: dict, args: argparse.Namespace) -> int:
     it = expmod.iteration_exponents(ctx)
     res1, res2 = expmod.critical_identities(ctx)
     payload = {
-        "m": c["m"],
-        "n": c["n"],
         "p": p,
         "gamma": expmod.gamma_mnp(ctx),
         "p_crit": pc,
@@ -360,7 +347,6 @@ def _cmd_exponents(cfg: dict, args: argparse.Namespace) -> int:
         "identity_residual_initiate": res2,
     }
     if not math.isnan(c["eps"]):
-        payload["eps"] = c["eps"]
         payload["lifespan_bound"] = expmod.lifespan_prediction(ctx, c["eps"], c["constant"])
     return _emit(args, cfg, payload)
 
@@ -383,8 +369,7 @@ def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
         "excluded_points": report.excluded,
         "unconverged_points": report.unconverged,
     }
-    rows = [(r.part, r.t, r.s, r.x_norm, r.value, r.envelope, r.ratio) for r in report.rows]
-    return _emit(args, cfg, doc, ["part", "t", "s", "x_norm", "value", "envelope", "ratio"], rows)
+    return _emit(args, cfg, doc, *_table(tfmod.Lemma22Row, report.rows))
 
 
 def _engine_ctx(cfg: dict, p_default) -> tuple[dict, expmod.ExponentContext]:
@@ -432,18 +417,14 @@ def _build_run_config(cfg: dict) -> pde.RunConfig:
 def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     run_cfg = _build_run_config(cfg)
     record, series = pde.run_until_blowup(run_cfg)
-    doc = {"result": {
-        "t_blowup": record.t_blowup,
-        "censored": record.censored,
-        "peak": record.peak,
-        "threshold_sensitivity": record.threshold_sensitivity,
-    }}
+    result = dataclasses.asdict(record)
+    del result["eps"]  # the config's model.eps
     f_map = dict(zip(series.f_times.tolist(), series.f_values.tolist()))
     rows = [
         (t, series.max_u[i], series.g[i], f_map.get(t), series.support_radius[i])
         for i, t in enumerate(series.t.tolist())
     ]
-    return _emit(args, cfg, doc, ["t", "max_u", "g", "f", "support_radius"], rows)
+    return _emit(args, cfg, {"result": result}, ["t", "max_u", "g", "f", "support_radius"], rows)
 
 
 def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
@@ -456,25 +437,14 @@ def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     if not eps_values:
         raise ConfigError("scan.eps_list is empty")
     records = pde.lifespan_scan(run_cfg, eps_values)
-    rows = [
-        (r.eps, r.t_blowup, r.censored, r.peak, r.threshold_sensitivity)
-        for r in records
-    ]
-    cols = ["eps", "t_blowup", "censored", "peak", "threshold_sensitivity"]
-    _emit(args, cfg, {}, cols, rows)
+    _emit(args, cfg, {}, *_table(pde.LifespanRecord, records))
     fit_doc: dict = {"kind": "lifespan_fit"}
     try:
         fit = pde.fit_scaling(records)
         md = run_cfg.model
         law = expmod.lifespan_law(expmod.ExponentContext(md.m, md.n, md.p))
-        fit_doc["fit"] = {
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "n_used": fit.n_used,
-            "theory_slope": -law.theta,
-            "note": fit.note,
-        }
+        fit_doc["fit"] = {**dataclasses.asdict(fit), "theory_slope": -law.theta,
+                          "note": fit.note}
     except DomainError as exc:
         fit_doc["fit"] = None
         fit_doc["fit_error"] = str(exc)
@@ -489,6 +459,20 @@ _REPORT_CHECKS = {
     "wronskian_residual": 1e-8,
     "oracle_rel_deviation": 1e-6,
 }
+
+
+def _report_rows(doc: dict):
+    """(name, value, reference, tolerance) of each check ``doc`` carries: its
+    ``_REPORT_CHECKS`` keys against 0, and a fitted slope against the theory
+    slope to 20%; a fit without a theory slope gets no tolerance and fails."""
+    for key, tol in _REPORT_CHECKS.items():
+        if doc.get(key) is not None:
+            yield key, float(doc[key]), 0.0, tol
+    fit = doc.get("fit")
+    if isinstance(fit, dict) and fit.get("slope") is not None:
+        theory = fit.get("theory_slope")
+        yield ("fit_slope_vs_theory", fit["slope"], theory,
+               None if theory is None else 0.2 * abs(theory))
 
 
 def _cmd_report(paths: list[str], out: str | None) -> int:
@@ -507,42 +491,16 @@ def _cmd_report(paths: list[str], out: str | None) -> int:
             except json.JSONDecodeError:
                 sys.stderr.write(f"report: {path} is not JSON\n")
                 return EXIT_REPORT_GAP
-        for key, tol in _REPORT_CHECKS.items():
-            if key in doc and doc[key] is not None:
-                value = float(doc[key])
-                checks.append(
-                    {
-                        "source": os.path.basename(path),
-                        "name": key,
-                        "value": value,
-                        "tolerance": tol,
-                        "pass": abs(value) <= tol,
-                    }
-                )
-        fit = doc.get("fit")
-        if isinstance(fit, dict) and fit.get("slope") is not None:
-            theory = fit.get("theory_slope")
-            ok = (
-                theory is not None
-                and abs(fit["slope"] - theory) <= 0.2 * abs(theory)
-            )
-            checks.append(
-                {
-                    "source": os.path.basename(path),
-                    "name": "fit_slope_vs_theory",
-                    "value": fit["slope"],
-                    "tolerance": None if theory is None else 0.2 * abs(theory),
-                    "pass": bool(ok),
-                }
-            )
+        checks += [
+            {"source": os.path.basename(path), "name": name, "value": value,
+             "tolerance": tol, "pass": tol is not None and abs(value - ref) <= tol}
+            for name, value, ref, tol in _report_rows(doc)
+        ]
     if not checks:
         sys.stderr.write("report: inputs contained nothing checkable\n")
         return EXIT_REPORT_GAP
-    summary = {
-        "inputs": [os.path.basename(p) for p in paths],
-        "checks": checks,
-        "overall_pass": all(c["pass"] for c in checks),
-    }
+    summary = {"inputs": [os.path.basename(p) for p in paths], "checks": checks,
+               "overall_pass": all(c["pass"] for c in checks)}
     _write(out, dump_json(summary))
     return EXIT_OK
 

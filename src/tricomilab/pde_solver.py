@@ -140,8 +140,11 @@ class _Row:
     edge: int
     peak: float = 0.0
     t_low: float | None = None
-    blown_up: bool = False
     blowup_time: float | None = None
+
+    @property
+    def blown_up(self) -> bool:
+        return self.blowup_time is not None
 
     def note(self, amp: float, t: float, threshold: float) -> None:
         """Take in max|u| of the level at time t; a nonfinite one is blow-up."""
@@ -150,7 +153,7 @@ class _Row:
         if amp >= threshold / 100.0 and self.t_low is None:
             self.t_low = t
         if amp >= threshold:
-            self.blown_up, self.blowup_time = True, t
+            self.blowup_time = t
 
     def record(self) -> LifespanRecord:
         """The run's record; censored unless it blew up."""

@@ -176,7 +176,7 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
     return out
 
 
-def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float):
+def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the lambda-integral of the profile times
     kernel(t, s, lam, m) at radii x_norm; ``kernel=None`` stands for exactly 1."""
     xn = np.asarray(x_norm, dtype=float)
@@ -197,18 +197,18 @@ def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float):
     return val, err
 
 
-def xi_q(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
-    """Test function xi_q at radius |x| = x_norm (scalar or array)."""
-    return _test_fn(kernel_phi1_scaled, x_norm, t, s, p, rtol)[0]
+def xi_q(x_norm, t: float, s: float, p: TestFnParams):
+    """Test function xi_q at radius |x| = x_norm (scalar or array), to rtol 1e-8."""
+    return _test_fn(kernel_phi1_scaled, x_norm, t, s, p)[0]
 
 
-def eta_q(x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
-    """Test function eta_q at radius |x| = x_norm (scalar or array).
+def eta_q(x_norm, t: float, s: float, p: TestFnParams):
+    """Test function eta_q at radius |x| = x_norm (scalar or array), to rtol 1e-8.
 
     On the diagonal s = t the kernel Phi2/(t-s) is exactly 1 and is skipped.
     """
     kernel = None if s == t else kernel_phi2_ratio_scaled
-    return _test_fn(kernel, x_norm, t, s, p, rtol)[0]
+    return _test_fn(kernel, x_norm, t, s, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +225,8 @@ class Lemma22Grid:
     """
 
     t_values: tuple
-    s_fractions: tuple = (0.0, 0.3, 0.7)
-    x_fractions: tuple = (0.0, 0.5, 0.95)
+    s_fractions: tuple
+    x_fractions: tuple
 
     @classmethod
     def log_default(

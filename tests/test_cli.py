@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -14,6 +16,7 @@ from tricomilab.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
     EXIT_REPORT_GAP,
+    OUTDIR_ENV,
     dispatch,
     fmt,
     resolve_config,
@@ -76,7 +79,7 @@ def test_config_file_and_override(tmp_path):
     )
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
-    assert doc["n"] == 3  # override wins over file
+    assert doc["config"]["exponents"]["n"] == 3  # override wins over file
 
 
 def test_config_echoed_in_csv_header(tmp_path):
@@ -101,6 +104,31 @@ def test_specfun_reports_regime(tmp_path):
     assert doc["regime"] == "asymptotic"
     # dM/dz = (a/b) M(a+1, b+1; z) at the same point
     assert doc["deriv"] == pytest.approx(0.000743719277796, rel=1e-11)
+
+
+@pytest.mark.parametrize("n, regime", [(1, "closed-form"), (2, "bessel"),
+                                       (3, "closed-form"), (4, "bessel")])
+def test_varphi_regime_follows_varphi_scaled(tmp_path, n, regime):
+    # n = 2 is 2 pi i0e(r), a Bessel value, like every n other than 1 and 3
+    out = tmp_path / "varphi.json"
+    argv = ["varphi", "--set", f"specfun.n={n}", "--format", "json", "--output", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    assert json.loads(out.read_text())["regime"] == regime
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
+    # every line of the README's command block, in order, from one directory,
+    # so report finds the files that the lines before it wrote
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"```sh\n(tricomilab .*?)```", fh.read(), re.S).group(1)
+    lines = [shlex.split(l) for l in block.replace("\\\n", " ").splitlines()]
+    assert lines[-1][1] == "report"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUTDIR_ENV, raising=False)
+    for argv in lines:
+        assert argv[0] == "tricomilab" and run_cli(argv[1:]) == EXIT_OK, argv
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -660,6 +688,30 @@ def test_probe_table_names_only_schema_keys():
     assert {c: set(keys) for c, keys in _PROBE.items()} == {
         c: {f"{sec}.{k}" for sec, keys in sections.items() for k in keys}
         for c, sections in _SCHEMA.items()}
+
+
+@pytest.mark.parametrize("command", sorted(_SCHEMA))
+def test_document_repeats_no_config_key(tmp_path, command):
+    # the config echo carries every input; no other entry or column of the
+    # document may name a config key again, bar exponents' resolved p (its
+    # nan default stands for p_crit)
+    base = _BASE.get(command, {})
+    argv = [command, *(f for k, v in base.items() for f in ("--set", f"{k}={v}"))]
+    out = tmp_path / "out"
+    if command == "scan":  # records are CSV only; the fit is JSON
+        fit = tmp_path / "fit.json"
+        assert run_cli(argv + ["--output", str(out), "--fit-output", str(fit)]) == EXIT_OK
+        header = next(l for l in out.read_text().splitlines() if not l.startswith("#"))
+        columns = set(header.split(","))
+        doc = json.loads(fit.read_text())
+    else:
+        assert run_cli(argv + ["--format", "json", "--output", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        columns = {column for row in doc.pop("rows", []) for column in row}
+    del doc["config"]
+    names = set(_flatten(doc)) | columns
+    config_keys = {key for keys in _SCHEMA[command].values() for key in keys}
+    assert names & config_keys <= ({"p"} if command == "exponents" else set())
 
 
 @pytest.mark.parametrize(

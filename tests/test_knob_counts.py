@@ -42,7 +42,7 @@ def settable_library_values() -> int:
 
 
 def test_settable_library_values():
-    assert settable_library_values() == 39
+    assert settable_library_values() == 34
 
 
 def test_cli_keys():
