@@ -24,6 +24,7 @@ import configparser
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 
@@ -251,8 +252,10 @@ def _flat(doc: dict, prefix: str = ""):
 
 
 def _table(cls, records) -> tuple[list, list]:
-    """The columns (the fields of dataclass ``cls``) and rows of ``records``."""
-    return [f.name for f in dataclasses.fields(cls)], [dataclasses.astuple(r) for r in records]
+    """The columns (the fields of dataclass ``cls``, two or more) and rows of
+    ``records``, read flat: no copy of any field."""
+    columns = [f.name for f in dataclasses.fields(cls)]
+    return columns, list(map(operator.attrgetter(*columns), records))
 
 
 def _emit(args: argparse.Namespace, cfg: dict, doc: dict, columns=None, rows=None) -> int:
@@ -459,14 +462,19 @@ _REPORT_CHECKS = {
     "wronskian_residual": 1e-8,
     "oracle_rel_deviation": 1e-6,
 }
+# the exponent identities hold only at the critical power p = p_crit
+_CRITICAL_ONLY = ("identity_residual_frame", "identity_residual_initiate")
 
 
 def _report_rows(doc: dict):
     """(name, value, reference, tolerance) of each check ``doc`` carries: its
-    ``_REPORT_CHECKS`` keys against 0, and a fitted slope against the theory
-    slope to 20%; a fit without a theory slope gets no tolerance and fails."""
+    ``_REPORT_CHECKS`` keys against 0 (the identities only where its gamma
+    passes ``lifespan_law``'s critical test), and a fitted slope against the
+    theory slope to 20%; a fit without a theory slope gets no tolerance and
+    fails."""
+    critical = doc.get("gamma") is not None and abs(doc["gamma"]) <= expmod.CRITICAL_GAMMA_TOL
     for key, tol in _REPORT_CHECKS.items():
-        if doc.get(key) is not None:
+        if doc.get(key) is not None and (critical or key not in _CRITICAL_ONLY):
             yield key, float(doc[key]), 0.0, tol
     fit = doc.get("fit")
     if isinstance(fit, dict) and fit.get("slope") is not None:

@@ -101,15 +101,21 @@ def _taylor_series(a: float, b: float, z: float, max_terms: int = 2000):
     total = 1.0
     peak = 1.0
     drift = 0.0
-    k = 0
+    k = 0.0  # a float counter: the same values as an int, fewer conversions
     z_hump = abs(z) + 10.0
     while k < max_terms:
         term *= (a + k) * z / ((b + k) * (k + 1.0))
         total += term
-        peak = max(peak, abs(total), abs(term))
-        k += 1
-        drift += k * abs(term)
-        if abs(term) <= _EPS * abs(total) and k > z_hump:
+        size = abs(term)
+        mag = abs(total)
+        # peak = max(peak, mag, size), compared in the same order
+        if mag > peak:
+            peak = mag
+        if size > peak:
+            peak = size
+        k += 1.0
+        drift += k * size
+        if size <= _EPS * mag and k > z_hump:
             break
     err = _EPS * (4.0 * peak + drift) + 2.0 * abs(term)
     return total, err

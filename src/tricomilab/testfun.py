@@ -12,6 +12,11 @@ e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
 and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
 bounded for arbitrarily large t, s.
 
+The lambda-integral is a graded Gauss-Legendre rule refined by doubling
+the order per panel.  Each level is a row-wise sum over the lambda nodes,
+one sum per radius, and each radius keeps the first level that meets rtol,
+so a value at a radius does not depend on which other radii share the call.
+
 Three blocks are built once and shared through read-only memos keyed on
 the exact inputs (``tricomi_ode._memoized``: at most 4 entries, one per
 Gauss level, evicted first-in-first-out): the graded rule per (q, lambda0,
@@ -121,9 +126,12 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
     """(integral, error estimate) of int_0^{lam0} g(lam) lam^q dlam.
 
     ``g`` must accept a 1-d lambda array and return an array whose last axis
-    matches it; the integral is taken over that axis.  The error estimate is
-    the change under doubling the Gauss order per panel, refined until it
-    falls below rtol in relative terms.
+    matches it; the integral is taken over that axis, one row at a time, so
+    a row's value does not depend on the other rows.  ``g`` is called once
+    per Gauss level.  A row's error estimate is the change under doubling
+    the Gauss order per panel; the row keeps the value and error of the
+    first level at which that falls below rtol in relative terms, and the
+    levels stop when every row has.
     """
     if not lam0 > 0:
         raise DomainError(f"lambda0 must be > 0, got {lam0}")
@@ -132,17 +140,18 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
     if not rtol > 0:
         raise DomainError(f"rtol must be > 0, got {rtol}")
     value = None
-    err = None
+    err = np.inf
+    done = False
     for level in (16, 32, 64, 128):
         lam, w = _memoized(_RULE_MEMO, (q, lam0, level), lambda: _graded_rule(q, lam0, level))
-        new = np.asarray(g(lam)) @ w
+        new = np.einsum("...l,l->...", g(lam), w)
         if value is not None:
-            err = np.abs(new - value)
-            value = new
-            if not np.any(_misses(new, err, rtol)):
-                break
-        else:
-            value = new
+            err = np.where(done, err, np.abs(new - value))
+            new = np.where(done, value, new)
+            done = ~_misses(new, err, rtol)
+        value = new
+        if np.all(done):
+            break
     return value, err
 
 

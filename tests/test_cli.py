@@ -129,6 +129,11 @@ def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
     monkeypatch.delenv(OUTDIR_ENV, raising=False)
     for argv in lines:
         assert argv[0] == "tricomilab" and run_cli(argv[1:]) == EXIT_OK, argv
+    # exponents.json is at p_crit, so report checks both identities
+    summary = json.loads((tmp_path / lines[-1][-1]).read_text())
+    assert [c["name"] for c in summary["checks"]] == [
+        "fit_slope_vs_theory", "identity_residual_frame", "identity_residual_initiate"]
+    assert summary["overall_pass"] is True
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -278,6 +283,28 @@ def test_report_merges_and_flags(tmp_path):
     doc = json.loads(summary.read_text())
     assert doc["overall_pass"] is True
     assert any(c["name"] == "identity_residual_frame" for c in doc["checks"])
+
+
+def test_report_checks_identities_only_at_the_critical_power(tmp_path):
+    # at (m, n, p) = (1, 2, 2) both residuals are -0.25 (p_crit = 2.186):
+    # report leaves them out there, and still checks them at p_crit
+    off, crit, ode = (tmp_path / f"{name}.json" for name in ("off", "crit", "ode"))
+    run_cli(["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2",
+             "--set", "exponents.p=2", "--format", "json", "--output", str(off)])
+    assert json.loads(off.read_text())["identity_residual_initiate"] == -0.25
+    run_cli(["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2",
+             "--format", "json", "--output", str(crit)])
+    run_cli(["odecheck", "--set", "odecheck.m=1", "--set", "odecheck.lambda=1",
+             "--set", "odecheck.t=2", "--format", "json", "--output", str(ode)])
+    summary = tmp_path / "summary.json"
+    assert run_cli(["report", str(off), str(crit), str(ode), "--output", str(summary)]) == EXIT_OK
+    doc = json.loads(summary.read_text())
+    assert [(c["source"], c["name"]) for c in doc["checks"]] == [
+        ("crit.json", "identity_residual_frame"), ("crit.json", "identity_residual_initiate"),
+        ("ode.json", "wronskian_residual"), ("ode.json", "oracle_rel_deviation")]
+    assert doc["overall_pass"] is True
+    # alone, the off-critical document carries nothing to check
+    assert run_cli(["report", str(off)]) == EXIT_REPORT_GAP
 
 
 def test_report_missing_inputs(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammasgn
 
+from tricomilab import specfun
 from tricomilab.errors import DomainError
 from tricomilab.specfun import (
     _gamma_sign,
@@ -68,6 +69,34 @@ def test_kummer_transformation_grid():
             lhs = kummer_m(a, b, float(z))
             rhs = math.exp(z) * kummer_m(b - a, b, float(-z))
             assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-10
+
+
+def _taylor_series_reference(a, b, z, max_terms=2000):
+    """The series loop with an int counter, max() and repeated abs()."""
+    term = total = peak = 1.0
+    drift = 0.0
+    k = 0
+    z_hump = abs(z) + 10.0
+    while k < max_terms:
+        term *= (a + k) * z / ((b + k) * (k + 1.0))
+        total += term
+        peak = max(peak, abs(total), abs(term))
+        k += 1
+        drift += k * abs(term)
+        if abs(term) <= specfun._EPS * abs(total) and k > z_hump:
+            break
+    return total, specfun._EPS * (4.0 * peak + drift) + 2.0 * abs(term)
+
+
+def test_taylor_series_matches_reference_loop_bitwise():
+    # the Kummer transformation grid's series calls, both sides of the
+    # transformation: the same float operations in the same order
+    for a, b in PAIRS:
+        for z in np.linspace(-50.0, 20.0, 141).tolist():
+            for args in ((a, b, z), (b - a, b, -z)):
+                got = np.array(specfun._taylor_series(*args))
+                ref = np.array(_taylor_series_reference(*args))
+                assert got.tobytes() == ref.tobytes(), args
 
 
 @settings(max_examples=80, deadline=None)

@@ -302,6 +302,88 @@ def test_memo_holds_at_most_four_blocks():
 
 
 # ---------------------------------------------------------------------------
+# row-wise lambda-quadrature: per-radius values and stopping
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_values_do_not_depend_on_grouping(n):
+    # a radius gets the same bits alone, among 400 radii, or in a reversed subset
+    p = TestFnParams(q=0.3, n=n, m=1.0)
+    t = 5.0
+    for fn, s in ((eta_q, t), (eta_q, 2.0), (xi_q, 2.0)):
+        xs = np.linspace(0.0, phi_of_t(p.m, s) + p.R, 400)
+        batch = fn(xs, t, s, p)
+        single = np.array([fn(x, t, s, p) for x in xs])
+        assert batch.tobytes() == single.tobytes(), (fn.__name__, s)
+        subset = xs[::-7]
+        assert fn(subset, t, s, p).tobytes() == batch[::-7].tobytes(), (fn.__name__, s)
+
+
+def test_each_row_stops_at_its_own_level():
+    # row 0 meets rtol at level 32, cos(80 lam) only at level 64
+    q, lam0 = 0.0, 1.0
+
+    def g_both(lam):
+        return np.stack((np.exp(-lam), np.cos(80.0 * lam)))
+
+    def level_sum(f, level):
+        lam, w = testfun._graded_rule(q, lam0, level)
+        return np.einsum("...l,l->...", f(lam), w)
+
+    at = {level: level_sum(g_both, level) for level in (16, 32, 64)}
+    assert at[32][0] != at[64][0]  # so keeping level 32 is visible
+    assert abs(at[32][1] - at[16][1]) > 1e-8 * abs(at[32][1])
+    val, err = integrate_lambda_weighted(g_both, q, lam0)
+    alone, alone_err = integrate_lambda_weighted(lambda lam: g_both(lam)[:1], q, lam0)
+    assert val[0] == alone[0] == at[32][0] and err[0] == alone_err[0] == abs(at[32][0] - at[16][0])
+    assert val[1] == at[64][1] and err[1] == abs(at[64][1] - at[32][1])
+
+
+def _whole_array_reference(g, q, lam0, rtol=1e-8):
+    """The quadrature with one (X, L) @ w product per level, every row
+    refined until all rows meet rtol."""
+    value = None
+    for level in (16, 32, 64, 128):
+        lam, w = testfun._graded_rule(q, lam0, level)
+        new = g(lam) @ w
+        if value is not None:
+            err = np.abs(new - value)
+            if np.all(err <= rtol * np.abs(new)):
+                return new
+        value = new
+    return value
+
+
+def _max_rel_to_reference(kernel, xn, t, s, p):
+    def g(lam):
+        out = _exp_profile(lam, xn, s, p)
+        if kernel is not None:
+            out *= kernel(t, s, lam, p.m)
+        return out
+
+    ref = _whole_array_reference(g, p.q, p.lambda0)
+    return np.max(np.abs(_test_fn(kernel, xn, t, s, p)[0] - ref) / np.abs(ref))
+
+
+def test_row_sum_matches_matrix_product():
+    # the grid and weight of an F-tracked n = 2 run (1,136 radii, q = 0)
+    cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
+    xn = initialize(cfg).r
+    p = cfg.default_testfn()
+    for t in (0.0, 0.625, 3.7, 10.0):
+        assert _max_rel_to_reference(None, xn, t, t, p) <= 1e-14
+    # off the diagonal: 7 radii of a testfun envelope row, both kernels
+    for m, n in ((1.0, 2), (0.0, 3)):
+        p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
+        for t in (5.0, 900.0):
+            s = 0.3 * t
+            xs = np.linspace(0.0, 0.95, 7) * (phi_of_t(m, s) + p.R)
+            for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
+                assert _max_rel_to_reference(kernel, xs, t, s, p) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # lemma22_report: shared time pair, reused s = 0 row, convergence count
 # ---------------------------------------------------------------------------
 

@@ -59,3 +59,26 @@ def test_traced_scan_books_every_level_under_step(monkeypatch):
     steps = [s for s in tracer.spans if s[2] == "pde_solver.step"]
     assert len(steps) == len(levels) > 0
     assert spans.layer_metrics(tracer.spans)["pde_solver.step.calls"] == len(levels)
+
+
+def test_traced_simulate_books_the_quadrature(tmp_path):
+    # an F-tracked run: every quadrature call shows up with the Gauss levels
+    # it evaluated (each F sample's radii all stop at level 32), the nodes
+    # of those levels, and no unconverged call
+    spans = _spans()
+    cli = importlib.import_module("tricomilab.cli")
+    tracer = spans.Tracer({mod: importlib.import_module(f"tricomilab.{mod}")
+                           for mod, _, _ in spans.TARGETS})
+    tracer.install()
+    try:
+        code = cli.dispatch([
+            "simulate", "--set", "model.m=1", "--set", "model.n=2", "--set", "model.p=2",
+            "--set", "grid.dx=0.05", "--set", "grid.t_max=2", "--set", "grid.n_f_samples=8",
+            "--output", str(tmp_path / "run.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    metrics = spans.layer_metrics(tracer.spans)
+    calls = metrics["testfun.quad.calls"]
+    assert calls > 0 and metrics["testfun.quad.levels"] == 2 * calls
+    assert metrics["testfun.quad.nodes"] > 0 and metrics["testfun.quad.unconverged"] == 0
