@@ -455,27 +455,27 @@ def _cmd_scan(cfg: dict, args: argparse.Namespace) -> int:
     return EXIT_CENSORED if all(r.censored for r in records) else EXIT_OK
 
 
-# key -> tolerance on |value|
+# key -> tolerance on |value - reference|
 _REPORT_CHECKS = {
     "identity_residual_frame": 1e-10,
     "identity_residual_initiate": 1e-10,
     "wronskian_residual": 1e-8,
     "oracle_rel_deviation": 1e-6,
 }
-# the exponent identities hold only at the critical power p = p_crit
-_CRITICAL_ONLY = ("identity_residual_frame", "identity_residual_initiate")
+# both exponent identities leave the residual -gamma/(2p), which is 0 at p_crit
+_IDENTITIES = ("identity_residual_frame", "identity_residual_initiate")
 
 
 def _report_rows(doc: dict):
     """(name, value, reference, tolerance) of each check ``doc`` carries: its
-    ``_REPORT_CHECKS`` keys against 0 (the identities only where its gamma
-    passes ``lifespan_law``'s critical test), and a fitted slope against the
-    theory slope to 20%; a fit without a theory slope gets no tolerance and
-    fails."""
-    critical = doc.get("gamma") is not None and abs(doc["gamma"]) <= expmod.CRITICAL_GAMMA_TOL
+    ``_REPORT_CHECKS`` keys against 0, bar the identities against -gamma/(2p)
+    from its own ``gamma`` and ``p``, and a fitted slope against the theory
+    slope to 20%.  A check without a reference fails."""
+    gamma, p = doc.get("gamma"), doc.get("p")
+    identity = None if gamma is None or p is None else -gamma / (2.0 * p)
     for key, tol in _REPORT_CHECKS.items():
-        if doc.get(key) is not None and (critical or key not in _CRITICAL_ONLY):
-            yield key, float(doc[key]), 0.0, tol
+        if doc.get(key) is not None:
+            yield key, float(doc[key]), identity if key in _IDENTITIES else 0.0, tol
     fit = doc.get("fit")
     if isinstance(fit, dict) and fit.get("slope") is not None:
         theory = fit.get("theory_slope")
@@ -501,7 +501,7 @@ def _cmd_report(paths: list[str], out: str | None) -> int:
                 return EXIT_REPORT_GAP
         checks += [
             {"source": os.path.basename(path), "name": name, "value": value,
-             "tolerance": tol, "pass": tol is not None and abs(value - ref) <= tol}
+             "tolerance": tol, "pass": ref is not None and abs(value - ref) <= tol}
             for name, value, ref, tol in _report_rows(doc)
         ]
     if not checks:

@@ -88,13 +88,8 @@ def p_crit(m: float, n: int) -> float:
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     a, b, c = _gamma_coeffs(m, n)
-    if a == 0.0:
-        root = -c / b
-        if root <= 1.0:
-            raise DomainError(
-                f"no critical power > 1 for m={m}, n={n} (degenerate quadratic)"
-            )
-        return root
+    if a == 0.0:  # (m + 2) n == 2: n = 1 and m + 2 == 2, whose linear root is -1
+        raise DomainError(f"no critical power > 1 for m={m}, n={n} (degenerate quadratic)")
     disc = b * b - 4.0 * a * c
     if disc < 0:
         raise DomainError(f"no real critical power for m={m}, n={n}")
@@ -137,8 +132,8 @@ def iteration_exponents(ctx: ExponentContext) -> IterationExponents:
 def critical_identities(ctx: ExponentContext) -> tuple[float, float]:
     """Residuals of the two exponent identities that close the proofs.
 
-    Both residuals vanish exactly at p = p_crit(m,n); away from the root the
-    second equals -gamma(m,n,p)/(2p).
+    Both residuals equal -gamma(m,n,p)/(2p), so they vanish exactly at
+    p = p_crit(m,n); ``report`` checks them against that at every p.
     """
     m, n, p = ctx.m, ctx.n, ctx.p
     half_m2 = (m + 2.0) / 2.0

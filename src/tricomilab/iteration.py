@@ -47,7 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exponents import ExponentContext, exp_or_inf, iteration_exponents, lifespan_law, p_crit
+from .exponents import (
+    ExponentContext, exp_or_inf, iteration_exponents, lifespan_law, p_crit, pow_or_inf,
+)
 
 # unused here; re-exported because the benchmark tracer wraps this name in this module
 from .exponents import gamma_mnp  # noqa: F401
@@ -258,21 +260,15 @@ def blowup_time_estimate(
     c2: float = 1.0,
     c0: float = 1.0,
 ) -> float:
-    """Lifespan bound C4 eps^{-2p(p-1)/gamma} with D1 = C2 eps^p.
+    """Lifespan bound C4 eps^{-2p(p-1)/gamma}: the ``j_threshold_time`` of the
+    one-term run with D1 = C2 eps^p and T0 = 0, so never below 2 T0 + 1 = 1.
 
-    C4 = (e^{(S_p(inf) + alpha_it log 2) + 1} / C2)^{2(p-1)/gamma}.
-    Coincides with j_threshold_time up to the max with 2 T0 + 1.
+    DomainError outside the subcritical range, and where C2 eps^p leaves
+    the positive doubles.
     """
-    _require_positive(eps=eps, C2=c2, C0=c0)
-    law = lifespan_law(ctx)
-    if law.regime != "subcritical":
-        raise DomainError(f"subcritical bound needs gamma > 0, got {law.gamma}")
-    ex = iteration_exponents(ctx)
-    c3 = c0 / ex.beta_it**2
-    spinf = sp_infinity(ctx.p, c3)
-    # log space: C4 alone overflows near p_crit; its exponent 2(p-1)/gamma is theta/p
-    log_c4 = law.theta / ctx.p * (spinf + ex.alpha_it * math.log(2.0) + 1.0 - math.log(c2))
-    return exp_or_inf(log_c4 - law.theta * math.log(eps))
+    _require_positive(eps=eps)
+    d1 = c2 * pow_or_inf(eps, ctx.p)
+    return j_threshold_time(subcritical_run(ctx, d1=d1, jmax=1, c0=c0))
 
 
 def subcritical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:
@@ -280,7 +276,7 @@ def subcritical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:
     fits against log(eps)."""
     out = []
     for eps in eps_values:
-        seq = subcritical_run(ctx, d1=eps**ctx.p, jmax=2)
+        seq = subcritical_run(ctx, d1=pow_or_inf(eps, ctx.p), jmax=2)
         out.append(threshold_time_log_scan(seq))
     return np.asarray(out)
 

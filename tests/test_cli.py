@@ -129,7 +129,7 @@ def test_readme_command_block_runs_as_written(tmp_path, monkeypatch):
     monkeypatch.delenv(OUTDIR_ENV, raising=False)
     for argv in lines:
         assert argv[0] == "tricomilab" and run_cli(argv[1:]) == EXIT_OK, argv
-    # exponents.json is at p_crit, so report checks both identities
+    # exponents.json carries both identity residuals, so report checks them
     summary = json.loads((tmp_path / lines[-1][-1]).read_text())
     assert [c["name"] for c in summary["checks"]] == [
         "fit_slope_vs_theory", "identity_residual_frame", "identity_residual_initiate"]
@@ -285,13 +285,15 @@ def test_report_merges_and_flags(tmp_path):
     assert any(c["name"] == "identity_residual_frame" for c in doc["checks"])
 
 
-def test_report_checks_identities_only_at_the_critical_power(tmp_path):
-    # at (m, n, p) = (1, 2, 2) both residuals are -0.25 (p_crit = 2.186):
-    # report leaves them out there, and still checks them at p_crit
+def test_report_checks_identities_at_every_power(tmp_path):
+    # at (m, n, p) = (1, 2, 2) gamma = 1 and both residuals are -gamma/(2p) =
+    # -0.25 (p_crit = 2.186): report checks them against that, and against
+    # the same reference, 0 up to rounding, at p_crit
     off, crit, ode = (tmp_path / f"{name}.json" for name in ("off", "crit", "ode"))
     run_cli(["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2",
              "--set", "exponents.p=2", "--format", "json", "--output", str(off)])
-    assert json.loads(off.read_text())["identity_residual_initiate"] == -0.25
+    off_doc = json.loads(off.read_text())
+    assert off_doc["gamma"] == 1.0 and off_doc["identity_residual_initiate"] == -0.25
     run_cli(["exponents", "--set", "exponents.m=1", "--set", "exponents.n=2",
              "--format", "json", "--output", str(crit)])
     run_cli(["odecheck", "--set", "odecheck.m=1", "--set", "odecheck.lambda=1",
@@ -299,12 +301,31 @@ def test_report_checks_identities_only_at_the_critical_power(tmp_path):
     summary = tmp_path / "summary.json"
     assert run_cli(["report", str(off), str(crit), str(ode), "--output", str(summary)]) == EXIT_OK
     doc = json.loads(summary.read_text())
+    identities = ["identity_residual_frame", "identity_residual_initiate"]
     assert [(c["source"], c["name"]) for c in doc["checks"]] == [
-        ("crit.json", "identity_residual_frame"), ("crit.json", "identity_residual_initiate"),
+        *(("off.json", name) for name in identities), *(("crit.json", name) for name in identities),
         ("ode.json", "wronskian_residual"), ("ode.json", "oracle_rel_deviation")]
-    assert doc["overall_pass"] is True
-    # alone, the off-critical document carries nothing to check
-    assert run_cli(["report", str(off)]) == EXIT_REPORT_GAP
+    assert all(c["pass"] for c in doc["checks"]) and doc["overall_pass"] is True
+
+    def report_alone(edit):
+        bad = tmp_path / "edited.json"
+        edited = dict(off_doc)
+        edit(edited)
+        bad.write_text(json.dumps(edited))
+        assert run_cli(["report", str(bad), "--output", str(summary)]) == EXIT_OK
+        return json.loads(summary.read_text())
+
+    # alone, the off-critical document passes both identity checks
+    alone = report_alone(lambda d: None)
+    assert [c["name"] for c in alone["checks"]] == identities
+    assert alone["overall_pass"] is True
+    # a residual off by 1e-6 fails, and so do residuals with no gamma or p
+    shifted = report_alone(lambda d: d.update(identity_residual_frame=-0.25 + 1e-6))
+    assert [c["pass"] for c in shifted["checks"]] == [False, True]
+    for key in ("gamma", "p"):
+        unreferenced = report_alone(lambda d: d.pop(key))
+        assert [c["pass"] for c in unreferenced["checks"]] == [False, False]
+        assert unreferenced["overall_pass"] is False
 
 
 def test_report_missing_inputs(tmp_path, capsys):

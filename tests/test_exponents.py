@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -100,6 +101,12 @@ def test_second_identity_off_critical_closed_form():
     ctx = ExponentContext(1.0, 2, 1.9)
     _, r2 = critical_identities(ctx)
     assert r2 == pytest.approx(-gamma_mnp(ctx) / (2.0 * 1.9), abs=1e-14)
+    # both residuals are -gamma/(2p) at every (m, n, p), the rule report checks
+    for m, n, p in itertools.product((0.0, 0.5, 1.0, 3.0, 20.0), range(1, 8),
+                                     (1.01, 1.5, 2.0, 3.7, 8.0)):
+        ctx = ExponentContext(m, n, p)
+        reference = -gamma_mnp(ctx) / (2.0 * p)
+        assert critical_identities(ctx) == pytest.approx((reference, reference), abs=1e-12)
 
 
 def test_exp_or_inf_cutoff():

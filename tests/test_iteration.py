@@ -98,6 +98,20 @@ def test_blowup_time_estimate_power_law():
     )
 
 
+def test_blowup_time_estimate_is_the_one_term_threshold():
+    # the certified floor 2 T0 + 1 = 1 where the power law C4 / eps drops below 1
+    assert blowup_time_estimate(CTX, 100.0) == pytest.approx(4.663287963194245, rel=1e-12)
+    assert blowup_time_estimate(CTX, 1e3) == 1.0
+    assert blowup_time_estimate(CTX, 1e100) == 1.0
+    for eps, c2, c0 in ((0.3, 2.0, 0.5), (1e-4, 1.0, 3.0)):
+        seq = subcritical_run(CTX, d1=c2 * eps**2, jmax=1, c0=c0)
+        assert blowup_time_estimate(CTX, eps, c2=c2, c0=c0) == j_threshold_time(seq)
+    # c2 eps^p overflows or underflows the positive doubles
+    for eps, c2 in ((1e200, 1.0), (1e-200, 1.0), (1e150, 1e100), (1e-160, 1e-10)):
+        with pytest.raises(DomainError):
+            blowup_time_estimate(CTX, eps, c2=c2)
+
+
 def test_subcritical_slope_extraction():
     eps = 2.0 ** -np.arange(4, 15)
     log_t = subcritical_threshold_curve(CTX, eps)
@@ -149,6 +163,8 @@ def test_subcritical_scope_errors():
         subcritical_run(CTX, d1=0.1, jmax=61)
     with pytest.raises(DomainError):
         j_function(0.5, subcritical_run(CTX, d1=0.1, t0=1.0, jmax=2))
+    with pytest.raises(DomainError):
+        subcritical_threshold_curve(CTX, [1e200])  # D1 = eps^p overflows
 
 
 # ---------------------------------------------------------------------------

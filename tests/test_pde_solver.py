@@ -230,6 +230,19 @@ def test_support_cone():
     assert np.all(ser.support_radius <= cfg.model.R + phi + 2.0 * cfg.dx)
 
 
+def test_derived_domain_reflection_error(monkeypatch):
+    # a domain wider by 2 keeps the record and moves G by the reflection
+    # error that domain_radius states, 7.1e-10 relative at the horizon
+    cfg = RunConfig(model=ModelParams(2.0, 1, 3.0, eps=0.1), dx=0.05, t_max=5.0)
+    rec, ser = run_until_blowup(cfg)
+    assert rec.censored and cfg.domain_radius() == 14.25
+    derived = RunConfig.domain_radius
+    monkeypatch.setattr(RunConfig, "domain_radius", lambda self: derived(self) + 2.0)
+    wide_rec, wide = run_until_blowup(cfg)
+    assert wide_rec == rec and np.array_equal(wide.t, ser.t)
+    assert np.max(np.abs(wide.g / ser.g - 1.0)) <= 1e-9
+
+
 def test_blowup_detected_and_threshold_insensitive():
     rec, ser = run_until_blowup(small_cfg(dx=0.02))
     assert not rec.censored
