@@ -470,12 +470,15 @@ def _report_rows(doc: dict):
     """(name, value, reference, tolerance) of each check ``doc`` carries: its
     ``_REPORT_CHECKS`` keys against 0, bar the identities against -gamma/(2p)
     from its own ``gamma`` and ``p``, and a fitted slope against the theory
-    slope to 20%.  A check without a reference fails."""
+    slope to 20%.  A check without a reference fails.  A tolerance is at
+    least 1e-11 |reference|, above the 12-digit rendering of the value and of
+    the gamma and p the reference comes from."""
     gamma, p = doc.get("gamma"), doc.get("p")
     identity = None if gamma is None or p is None else -gamma / (2.0 * p)
     for key, tol in _REPORT_CHECKS.items():
         if doc.get(key) is not None:
-            yield key, float(doc[key]), identity if key in _IDENTITIES else 0.0, tol
+            ref = identity if key in _IDENTITIES else 0.0
+            yield key, float(doc[key]), ref, max(tol, 1e-11 * abs(ref or 0.0))
     fit = doc.get("fit")
     if isinstance(fit, dict) and fit.get("slope") is not None:
         theory = fit.get("theory_slope")

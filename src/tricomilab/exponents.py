@@ -91,6 +91,8 @@ def p_crit(m: float, n: int) -> float:
     if a == 0.0:  # (m + 2) n == 2: n = 1 and m + 2 == 2, whose linear root is -1
         raise DomainError(f"no critical power > 1 for m={m}, n={n} (degenerate quadratic)")
     disc = b * b - 4.0 * a * c
+    if not math.isfinite(disc):  # from m ~ 4e153, where the root tends to 1
+        raise DomainError(f"the discriminant of gamma(m,n,.) leaves the double range at m={m}")
     if disc < 0:
         raise DomainError(f"no real critical power for m={m}, n={n}")
     # q is never 0 here: c = m+2 >= 2 rules out a double root at p = 0

@@ -276,6 +276,7 @@ def subcritical_threshold_curve(ctx: ExponentContext, eps_values) -> np.ndarray:
     fits against log(eps)."""
     out = []
     for eps in eps_values:
+        _require_positive(eps=eps)
         seq = subcritical_run(ctx, d1=pow_or_inf(eps, ctx.p), jmax=2)
         out.append(threshold_time_log_scan(seq))
     return np.asarray(out)

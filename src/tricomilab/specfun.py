@@ -254,7 +254,10 @@ def surface_area(n: int) -> float:
     """Surface measure of the unit sphere S^{n-1} in R^n."""
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    try:
+        return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    except OverflowError:  # Gamma(n/2) from n = 344
+        raise DomainError(f"Gamma(n/2) leaves the double range at dimension {n}") from None
 
 
 def _check_dim_radius(n: int, r) -> np.ndarray:
@@ -301,11 +304,16 @@ def varphi(n: int, r):
     """Sphere average varphi(|x|) = int_{S^{n-1}} e^{x.w} dw (2 cosh for n=1).
 
     Satisfies Lap(varphi) = varphi and varphi ~ C_n r^{-(n-1)/2} e^r for
-    large r.  Overflows to inf for r beyond ~700; use ``varphi_scaled``
-    in exponent-compensated expressions.
+    large r.  It is inf wherever e^r leaves the double range (r > ~709.78);
+    use ``varphi_scaled`` in exponent-compensated expressions.  A non-finite
+    r is a DomainError.
     """
     r = _check_dim_radius(n, r)
-    out = np.exp(r) * varphi_scaled(n, r)
+    if not np.all(np.isfinite(r)):
+        raise DomainError("radius must be finite")
+    big = r > _LOG_MAX
+    inside = np.where(big, 0.0, r)
+    out = np.where(big, np.inf, np.exp(inside) * varphi_scaled(n, inside))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -336,4 +344,7 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0."""
     if not (x > 0):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:  # above ~2.55e305
+        raise DomainError(f"log_gamma({x}) leaves the double range") from None

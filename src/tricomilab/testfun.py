@@ -10,7 +10,9 @@ The integrands are assembled from exponentially scaled pieces: the
 propagator kernels of ``tricomi_ode`` (modified-Bessel basis, scaled by
 e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
 and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
-bounded for arbitrarily large t, s.
+bounded for arbitrarily large t, s.  Both kernels are exactly 1 on the
+diagonal s = t, where no kernel is evaluated (eta_q(x,t,t) weights the
+solver's F(t)); next to it Phi2/(t-s) comes from a (t-s)-series.
 
 The lambda-integral is a graded Gauss-Legendre rule refined by doubling
 the order per panel.  Each level is a row-wise sum over the lambda nodes,
@@ -171,14 +173,14 @@ def _vphi_block(n: int, lam: np.ndarray, xn: np.ndarray) -> np.ndarray:
 
 
 def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams):
-    """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|), shape (X, L).
+    """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|) at the 1-d radii
+    x_norm, shape (X, L).
 
     Returns a fresh array; the t-independent varphi factor comes from the memo.
     """
-    xn = np.atleast_1d(np.asarray(x_norm, dtype=float))
     # fetched first, so no profile array is alive while a block is built
-    block = _vphi_block(p.n, lam, xn)
-    out = lam[None, :] * (xn[:, None] - phi_of_t(p.m, s) - p.R)
+    block = _vphi_block(p.n, lam, x_norm)
+    out = lam[None, :] * (x_norm[:, None] - phi_of_t(p.m, s) - p.R)
     np.minimum(out, _EXP_CLIP, out=out)
     np.exp(out, out=out)
     out *= block
@@ -187,8 +189,9 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
 
 def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the lambda-integral of the profile times
-    kernel(t, s, lam, m) at radii x_norm; ``kernel=None`` stands for exactly 1."""
-    xn = np.asarray(x_norm, dtype=float)
+    kernel(t, s, lam, m) at radii x_norm.  On the diagonal s = t the kernel
+    is not called: both propagator kernels are exactly 1 there."""
+    xn = np.atleast_1d(np.asarray(x_norm, dtype=float))
     if np.any(xn < 0):
         raise DomainError("x_norm must be >= 0")
     if s < 0 or t < s:
@@ -196,12 +199,12 @@ def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 
 
     def g(lam):
         out = _exp_profile(lam, xn, s, p)  # fresh, so the kernel multiplies in place
-        if kernel is not None:
+        if s != t:
             out *= kernel(t, s, lam, p.m)
         return out
 
     val, err = integrate_lambda_weighted(g, p.q, p.lambda0, rtol)
-    if np.ndim(xn) == 0:
+    if np.ndim(x_norm) == 0:
         return float(val[0]), float(err[0])
     return val, err
 
@@ -212,12 +215,8 @@ def xi_q(x_norm, t: float, s: float, p: TestFnParams):
 
 
 def eta_q(x_norm, t: float, s: float, p: TestFnParams):
-    """Test function eta_q at radius |x| = x_norm (scalar or array), to rtol 1e-8.
-
-    On the diagonal s = t the kernel Phi2/(t-s) is exactly 1 and is skipped.
-    """
-    kernel = None if s == t else kernel_phi2_ratio_scaled
-    return _test_fn(kernel, x_norm, t, s, p)[0]
+    """Test function eta_q at radius |x| = x_norm (scalar or array), to rtol 1e-8."""
+    return _test_fn(kernel_phi2_ratio_scaled, x_norm, t, s, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +336,7 @@ def lemma22_report(
             env_xi = bracket(phi_t) ** (-alpha)
             env_eta = bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0)))
             vals_xi = measure(kernel_phi1_scaled, xs, t, 0.0)
-            # eta_q's kernel: exactly 1 on the diagonal t = s = 0
-            vals_eta = measure(None if t == 0.0 else kernel_phi2_ratio_scaled, xs, t, 0.0)
+            vals_eta = measure(kernel_phi2_ratio_scaled, xs, t, 0.0)
             for x, vx, ve in zip(xs, vals_xi, vals_eta):
                 add("i-xi", t, 0.0, x, vx, env_xi)
                 add("i-eta", t, 0.0, x, ve, env_eta)
@@ -366,7 +364,7 @@ def lemma22_report(
             excluded += len(grid.x_fractions)
             continue
         xs3 = np.asarray(grid.x_fractions) * (phi_t + p.R)
-        vals = measure(None, xs3, t, t)  # diagonal: the kernel is exactly 1
+        vals = measure(kernel_phi2_ratio_scaled, xs3, t, t)
         for x, v in zip(xs3, vals):
             env = bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(phi_t - x) ** (
                 (n - 3.0) / 2.0 - q

@@ -25,11 +25,11 @@ arbitrarily large t:
 * ``fundamental_pair_scaled`` -- the pair times e^{-x_t} (``fundamental_pair``
   evaluates the same formula with the unscaled ``iv``);
 * ``kernel_phi1_scaled`` / ``kernel_phi2_ratio_scaled`` -- the two-point
-  propagators Phi1, Phi2 (unit data at time s) times e^{-(x_t - x_s)},
-  vectorized over lambda for the test-function quadratures.  Away from the
-  diagonal s = t they are sums of positive Bessel products, so no
-  subtractive cancellation occurs; a (t-s)-series takes over at the
-  diagonal, and the leading small-s terms where lambda phi(s) < 1e-8.
+  propagators Phi1, Phi2/(t-s) (unit data at time s) times e^{-(x_t - x_s)},
+  vectorized over lambda for the test-function quadratures.  Both are
+  exactly 1 on the diagonal s = t.  Off it they are Bessel products, with
+  a (t-s)-series for Phi2/(t-s) next to the diagonal, where its Bessel
+  difference cancels, and the leading small-s terms where lambda phi(s) < 1e-8.
   The time-t pair ive(nu, x_t), kve(nu, x_t) is memoized (``_bessel_pair``),
   so one t and Gauss level of a quadrature evaluates it once; at s = 0 it
   gives V1 and V2 with no negative order (see ``_small_s_factors``).
@@ -121,15 +121,11 @@ def _pair(params: OdeParams, t: float, scaled: bool) -> FundamentalEval:
     c1 = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t)
     c2 = math.gamma(1.0 + nu) * (nu * lam) ** -nu * math.sqrt(t)
     dx = lam * t ** (m / 2.0)
-    # one call for the four orders; the unscaled I_mu overflow to inf by themselves
+    # one call for the four orders; the unscaled I_mu overflow to inf by
+    # themselves, and as Python floats their products do so without a warning
     bessel_i = ive if scaled else iv
-    i_neg, i_neg1, i_pos, i_pos1 = bessel_i((-nu, 1.0 - nu, nu, nu - 1.0), x)
-    return FundamentalEval(
-        float(c1 * i_neg),
-        float(c1 * i_neg1 * dx),
-        float(c2 * i_pos),
-        float(c2 * i_pos1 * dx),
-    )
+    i_neg, i_neg1, i_pos, i_pos1 = map(float, bessel_i((-nu, 1.0 - nu, nu, nu - 1.0), x))
+    return FundamentalEval(c1 * i_neg, c1 * i_neg1 * dx, c2 * i_pos, c2 * i_pos1 * dx)
 
 
 def fundamental_pair(params: OdeParams, t: float) -> FundamentalEval:
@@ -191,15 +187,15 @@ def _small_s_factors(t: float, lam: np.ndarray, m: float, i_nu, k_nu):
 def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndarray:
     """e^{-lam (phi(t)-phi(s))} Phi1(t,s;lam) for t >= s >= 0, elementwise in lam.
 
-    For s > 0 this is the sum of two positive Bessel products; for s = 0 it
-    reduces to the scaled V1.  Where x_s < _SMALL_X those products lose
-    digits and finally underflow to 0 * inf, so Phi1 = V1(t) V2'(s) -
-    V2(t) V1'(s) is taken with V2'(s) = 1 and V1'(s) = lam^2 s^{m+1}/(m+1),
-    whose relative corrections are O(x_s^2).
+    Exactly 1 at s = t.  For t > s > 0 this is the sum of two positive Bessel
+    products; for s = 0 it reduces to the scaled V1.  Where x_s < _SMALL_X
+    those products lose digits and finally underflow to 0 * inf, so Phi1 =
+    V1(t) V2'(s) - V2(t) V1'(s) is taken with V2'(s) = 1 and V1'(s) =
+    lam^2 s^{m+1}/(m+1), whose relative corrections are O(x_s^2).
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
-    if t == 0.0:
+    if s == t:
         return np.ones_like(lam)
     x_t = lam * phi_of_t(m, t)
     i_t, k_t = _bessel_pair(nu, x_t)
@@ -232,13 +228,13 @@ def kernel_phi2_ratio_scaled(
 ) -> np.ndarray:
     """e^{-lam (phi(t)-phi(s))} Phi2(t,s;lam)/(t-s) for t >= s >= 0.
 
-    The ratio is continuous through the diagonal (limit 1 at s = t).  Where
+    Exactly 1 at s = t, and continuous there (a (t-s)-series).  Where
     x_s < _SMALL_X, Phi2 = V2(t) V1(s) - V1(t) V2(s) is taken with V1(s) = 1
     and V2(s) = s, as in ``kernel_phi1_scaled``.
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
-    if t == 0.0:
+    if s == t:
         return np.ones_like(lam)
     x_t = lam * phi_of_t(m, t)
     if s == 0.0:
@@ -279,7 +275,7 @@ def phi1(t: float, s: float, params: OdeParams) -> float:
 
 
 def phi2_ratio(t: float, s: float, params: OdeParams) -> float:
-    """Phi2(t,s)/(t-s), continuous through the diagonal (limit 1 at s=t)."""
+    """Phi2(t,s)/(t-s), exactly 1 at s = t and continuous there."""
     return _unscaled(kernel_phi2_ratio_scaled, t, s, params)
 
 

@@ -327,6 +327,18 @@ def test_report_checks_identities_at_every_power(tmp_path):
         assert [c["pass"] for c in unreferenced["checks"]] == [False, False]
         assert unreferenced["overall_pass"] is False
 
+    # at (20, 7, 4.1) gamma = -1017.76: the 12-digit renderings of the
+    # residuals (124.117073171), gamma and p differ by 2.7e-10, within the
+    # tolerance 1e-11 |-gamma/(2p)|
+    supercritical = tmp_path / "super.json"
+    run_cli(["exponents", "--set", "exponents.m=20", "--set", "exponents.n=7",
+             "--set", "exponents.p=4.1", "--format", "json", "--output", str(supercritical)])
+    assert json.loads(supercritical.read_text())["identity_residual_frame"] == 124.117073171
+    assert run_cli(["report", str(supercritical), "--output", str(summary)]) == EXIT_OK
+    doc = json.loads(summary.read_text())
+    assert [c["name"] for c in doc["checks"]] == identities and doc["overall_pass"] is True
+    assert all(c["tolerance"] == pytest.approx(1.24117073171e-09) for c in doc["checks"])
+
 
 def test_report_missing_inputs(tmp_path, capsys):
     assert run_cli(["report"]) == EXIT_REPORT_GAP
@@ -583,6 +595,21 @@ _EDGE = [
     (["testfun", "--set", "testfun.q=1e6"], EXIT_DOMAIN),
     (["testfun", "--set", "testfun.q=1e300"], EXIT_DOMAIN),
     (["testfun", "--set", "testfun.q=inf"], EXIT_DOMAIN),
+    # the discriminant of gamma(m, n, .) overflows (the root tends to 1)
+    (["exponents", "--set", "exponents.m=1e300", "--set", "exponents.n=2"], EXIT_DOMAIN),
+    # Gamma(n/2) of the sphere area overflows from n = 344
+    (["varphi", "--set", "specfun.n=2000", "--set", "specfun.r=1"], EXIT_DOMAIN),
+    (["varphi", "--set", "specfun.n=400", "--set", "specfun.r=0"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.n=400", "--set", "testfun.q=0", "--set", "testfun.nt=1",
+      "--set", "testfun.ns=1", "--set", "testfun.nx=2"], EXIT_DOMAIN),
+    (["log_gamma", "--set", "specfun.x=1e308"], EXIT_DOMAIN),
+    # varphi is inf, with no warning, wherever e^r leaves the double range
+    (["varphi", "--set", "specfun.r=710"], EXIT_OK),
+    (["varphi", "--set", "specfun.n=3", "--set", "specfun.r=1e308"], EXIT_OK),
+    (["varphi", "--set", "specfun.r=inf"], EXIT_DOMAIN),
+    # lambda phi(t) = 709.5: the unscaled pair's products pass the double range
+    (["odecheck", "--set", "odecheck.m=1", "--set", "odecheck.lambda=1",
+      "--set", "odecheck.t=104.238728661", "--set", "odecheck.s=0"], EXIT_OK),
 ]
 
 
@@ -593,9 +620,11 @@ def test_edge_config_exit_code(tmp_path, argv, code):
     assert run_cli(argv + ["--format", "json", "--output", str(out)]) == code
     # refused before any unbounded work (each takes well under 1 s)
     assert time.perf_counter() - t0 < 5.0
-    if argv[0] == "exponents":
+    if argv[0] == "exponents" and code == EXIT_OK:
         # the critical law exp(C eps^{-p(p-1)}) passes the double range
         assert json.loads(out.read_text())["lifespan_bound"] == "inf"
+    if argv[0] == "varphi" and code == EXIT_OK:
+        assert json.loads(out.read_text())["value"] == "inf"
 
 
 def test_critical_search_warns_nothing(tmp_path):

@@ -165,6 +165,10 @@ def test_subcritical_scope_errors():
         j_function(0.5, subcritical_run(CTX, d1=0.1, t0=1.0, jmax=2))
     with pytest.raises(DomainError):
         subcritical_threshold_curve(CTX, [1e200])  # D1 = eps^p overflows
+    # eps <= 0: (-0.1)^2 would pass as D1 = 0.01, and (-0.1)^1.5 is complex
+    for ctx in (CTX, ExponentContext(1.0, 1, 1.5)):
+        with pytest.raises(DomainError, match="eps"):
+            subcritical_threshold_curve(ctx, [-0.1])
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def test_closed_form_at_origin():
     val, err = _test_fn(kernel_phi1_scaled, 0.0, 0.0, 0.0, p, 1e-8)
     assert val == pytest.approx(expected, rel=1e-10)
     assert err <= 1e-8 * abs(val) + 1e-12
-    val2, _ = _test_fn(None, 0.0, 0.0, 0.0, p, 1e-8)  # diagonal eta: kernel 1
+    val2, _ = _test_fn(kernel_phi2_ratio_scaled, 0.0, 0.0, 0.0, p, 1e-8)
     assert val2 == pytest.approx(expected, rel=1e-10)
 
 
@@ -137,6 +137,20 @@ def test_positivity():
         assert eta_q(x, t, t, p) > 0
 
 
+def test_diagonal_skips_the_kernel():
+    # both kernels are exactly 1 at s = t, so _test_fn never calls one there
+    def refuse(*args):
+        raise AssertionError("kernel evaluated on the diagonal")
+
+    p = TestFnParams(q=0.4, lambda0=0.5, R=1.0, n=3, m=1.0)
+    for t in (0.0, 3.0):
+        val, err = _test_fn(refuse, [0.0, 0.5], t, t, p)
+        assert val.tobytes() == eta_q(np.array([0.0, 0.5]), t, t, p).tobytes()
+        assert xi_q(0.5, t, t, p) == eta_q(0.5, t, t, p) == val[1]
+    with pytest.raises(AssertionError, match="diagonal"):
+        _test_fn(refuse, 0.5, 3.0, 2.0, p)
+
+
 def test_diagonal_continuity():
     p = TestFnParams(q=0.4, lambda0=0.5, R=1.0, n=3, m=1.0)
     t = 3.0
@@ -153,9 +167,8 @@ def test_quadrature_tolerance_honesty():
         t = rng.uniform(0.0, 30.0)
         s = rng.uniform(0.0, t) if rng.random() < 0.7 else t
         x = rng.uniform(0.0, phi_of_t(1.0, s) + 1.0)
-        kernel = None if s == t else kernel_phi2_ratio_scaled  # as in eta_q
-        v1, e1 = _test_fn(kernel, x, t, s, p, 1e-8)
-        v2, _ = _test_fn(kernel, x, t, s, p, 5e-9)
+        v1, e1 = _test_fn(kernel_phi2_ratio_scaled, x, t, s, p, 1e-8)
+        v2, _ = _test_fn(kernel_phi2_ratio_scaled, x, t, s, p, 5e-9)
         assert abs(v2 - v1) <= max(np.max(e1), 1e-13 * abs(v1))
 
 
@@ -357,10 +370,7 @@ def _whole_array_reference(g, q, lam0, rtol=1e-8):
 
 def _max_rel_to_reference(kernel, xn, t, s, p):
     def g(lam):
-        out = _exp_profile(lam, xn, s, p)
-        if kernel is not None:
-            out *= kernel(t, s, lam, p.m)
-        return out
+        return _exp_profile(lam, xn, s, p) * kernel(t, s, lam, p.m)
 
     ref = _whole_array_reference(g, p.q, p.lambda0)
     return np.max(np.abs(_test_fn(kernel, xn, t, s, p)[0] - ref) / np.abs(ref))
@@ -372,7 +382,7 @@ def test_row_sum_matches_matrix_product():
     xn = initialize(cfg).r
     p = cfg.default_testfn()
     for t in (0.0, 0.625, 3.7, 10.0):
-        assert _max_rel_to_reference(None, xn, t, t, p) <= 1e-14
+        assert _max_rel_to_reference(kernel_phi2_ratio_scaled, xn, t, t, p) <= 1e-14
     # off the diagonal: 7 radii of a testfun envelope row, both kernels
     for m, n in ((1.0, 2), (0.0, 3)):
         p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
@@ -464,6 +474,25 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
     kernel_phi1_scaled(t, 0.0, lam, m)
     kernel_phi2_ratio_scaled(t, 0.0, lam, m)
     assert sorted((fn, order) for fn, order, _ in calls) == [("ive", nu), ("kve", nu)]
+
+
+def test_lemma22_excludes_lower_bounds_below_minus_alpha():
+    # m = 1: alpha = 1/6, so q = -0.5 <= -alpha drops parts i and ii at every
+    # t; q > (n - 3)/2 = -1 keeps part iii at t > 0
+    p = TestFnParams(q=-0.5, n=1, m=1.0)
+    grid = Lemma22Grid(t_values=(0.0, 2.0, 30.0), s_fractions=(0.0, 0.5),
+                       x_fractions=(0.0, 0.5, 0.95))
+    rep = lemma22_report(p, grid)
+    # per t: 2 x 3 (i) + 2 x 3 (ii), and 3 (iii) at t = 0
+    assert rep.excluded == 3 * 12 + 3 and rep.unconverged == 0
+    assert all(math.isnan(rep.constants[part]) for part in ("i-xi", "i-eta", "ii"))
+    assert [(r.part, r.t, r.s) for r in rep.rows] == [
+        ("iii", t, t) for t in (2.0, 30.0) for _ in range(3)]
+    assert [r.x_norm for r in rep.rows] == [
+        x for t in (2.0, 30.0) for x in np.asarray(grid.x_fractions) * (phi_of_t(1.0, t) + 1.0)]
+    assert [r.value for r in rep.rows[:3]] == eta_q(np.asarray(
+        [r.x_norm for r in rep.rows[:3]]), 2.0, 2.0, p).tolist()
+    assert rep.constants["iii"] == max(r.ratio for r in rep.rows) > 0
 
 
 def test_lemma22_counts_unconverged_points():

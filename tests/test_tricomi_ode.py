@@ -246,6 +246,17 @@ def test_propagator_vs_oracle_from_interior_time():
         assert target(t, s, params) == pytest.approx(sol.y[0, -1], rel=1e-6)
 
 
+def test_kernels_are_exactly_one_on_the_diagonal():
+    lam = np.geomspace(1e-12, 50.0, 200)
+    for m in (0.0, 1.0, 2.5):
+        for t in (1e-9, 0.3, 2.0, 40.0):
+            for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
+                assert np.all(kernel(t, t, lam, m) == 1.0)
+    params = OdeParams(1.0, 1.0)
+    assert phi1(2.0, 2.0, params) == 1.0 and phi2_ratio(2.0, 2.0, params) == 1.0
+    assert phi2(2.0, 2.0, params) == 0.0
+
+
 def test_phi2_ratio_diagonal_and_continuity():
     params = OdeParams(1.0, 1.0)
     assert phi2_ratio(2.0, 2.0, params) == 1.0
