@@ -273,7 +273,9 @@ def varphi_scaled(n: int, r):
     """e^{-r} * varphi(n, r); stays bounded for all r >= 0.
 
     Large-radius work (test-function integrands) must use this form: the
-    bare eigenfunction grows like e^r and overflows near r ~ 700.
+    bare eigenfunction grows like e^r and overflows near r ~ 700.  For
+    n >= 4 a radius where ive(n/2 - 1, r) underflows to 0 (small r, large n)
+    or is nan (scipy's ive stops at r = 2^30) is a DomainError.
     """
     r = _check_dim_radius(n, r)
     if n == 1:
@@ -282,21 +284,28 @@ def varphi_scaled(n: int, r):
         out = 2.0 * math.pi * i0e(r)  # = ive(0, r), ~3x cheaper
     elif n == 3:
         small = r < 1e-6
+        rt = np.minimum(r, 1e-6)
         rs = np.where(small, 1.0, r)
+        # expm1(-2r) is -1 to the bit from r ~ 19; the cap keeps 2r finite
         out = np.where(
             small,
-            4.0 * math.pi * np.exp(-r) * (1.0 + r * r / 6.0),
-            4.0 * math.pi * (-np.expm1(-2.0 * rs)) / (2.0 * rs),
+            4.0 * math.pi * np.exp(-rt) * (1.0 + rt * rt / 6.0),
+            2.0 * math.pi * (-np.expm1(-2.0 * np.minimum(rs, 400.0))) / rs,
         )
     else:
         nu = n / 2.0 - 1.0
         zero = r == 0.0
         rs = np.where(zero, 1.0, r)
-        out = np.where(
-            zero,
-            surface_area(n),
-            (2.0 * math.pi) ** (n / 2.0) * rs ** (-nu) * ive(nu, rs),
-        )
+        bessel = np.where(zero, 1.0, ive(nu, rs))
+        if not np.all(bessel > 0.0):
+            bad = rs[~(bessel > 0.0)].flat[0]
+            raise DomainError(f"ive({nu}, r) underflows to 0 or leaves scipy's range "
+                              f"(r > 2^30) at dimension {n}, r = {bad:g}")
+        # (2 pi)^{n/2} and r^{-nu} each leave the double range before their product
+        log_pref = 0.5 * n * math.log(2.0 * math.pi) - nu * np.log(rs)
+        out = np.exp(log_pref + np.log(bessel))
+        if np.any(zero):
+            out = np.where(zero, surface_area(n), out)
     return float(out) if np.ndim(out) == 0 else out
 
 

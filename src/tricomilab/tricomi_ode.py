@@ -144,7 +144,7 @@ def fundamental_pair_scaled(params: OdeParams, t: float) -> FundamentalEval:
 
 def _memoized(memo: dict, key, build):
     """memo[key]; on a miss build() makes it (an array or a tuple of arrays),
-    stored read-only.  At most 4 entries (one per Gauss level of
+    stored read-only.  At most 4 entries (the four most recent levels of
     testfun.integrate_lambda_weighted), evicted first-in-first-out."""
     value = memo.get(key)
     if value is None:

@@ -603,6 +603,10 @@ _EDGE = [
     (["testfun", "--set", "testfun.n=400", "--set", "testfun.q=0", "--set", "testfun.nt=1",
       "--set", "testfun.ns=1", "--set", "testfun.nx=2"], EXIT_DOMAIN),
     (["log_gamma", "--set", "specfun.x=1e308"], EXIT_DOMAIN),
+    # ive(170.5, r) underflows to 0 at small radii (the value itself is ~1e-222)
+    (["varphi", "--set", "specfun.n=343", "--set", "specfun.r=1e-3"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.q=0", "--set", "testfun.nt=1", "--set", "testfun.ns=1",
+      "--set", "testfun.nx=2", "--set", "testfun.n=343"], EXIT_DOMAIN),
     # varphi is inf, with no warning, wherever e^r leaves the double range
     (["varphi", "--set", "specfun.r=710"], EXIT_OK),
     (["varphi", "--set", "specfun.n=3", "--set", "specfun.r=1e308"], EXIT_OK),

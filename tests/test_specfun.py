@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -287,6 +288,32 @@ def test_varphi_scaled_two_dim_against_mpmath():
         ref = [float(2 * mpmath.pi * mpmath.exp(-r) * mpmath.besseli(0, r)) for r in rs]
     rel = np.abs(got - ref) / np.abs(ref)
     assert rel.max() <= 2e-15
+
+
+def test_varphi_scaled_bessel_branch_against_mpmath():
+    # n >= 4: (2 pi)^{n/2} and r^{-nu} leave the double range before their
+    # product does, so the prefactor is taken in log space
+    # at n = 343 ive underflows below r ~ 2 and the value past r ~ 300
+    for n, lo, hi in ((4, 0.05, 1e5), (50, 0.05, 1e5), (343, 5.0, 250.0)):
+        rs = np.geomspace(lo, hi, 40)
+        got = varphi_scaled(n, rs)
+        with mpmath.workdps(40):
+            nu = mpmath.mpf(n) / 2 - 1
+            ref = np.array([float((2 * mpmath.pi) ** (mpmath.mpf(n) / 2) * mpmath.mpf(r) ** -nu
+                                  * mpmath.besseli(nu, r) * mpmath.exp(-r)) for r in rs])
+        assert np.max(np.abs(got - ref) / ref) <= 5e-13, n
+
+
+def test_varphi_scaled_extremes_warn_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 2 pi (1 - e^{-2r}) / r, with no 2r overflow on the way
+        assert varphi_scaled(3, 1e308) == pytest.approx(2 * math.pi / 1e308, rel=1e-15)
+        assert varphi_scaled(343, 0.0) == surface_area(343)
+        # ive underflows to 0 (n = 343, r = 1e-3) or is past scipy's range
+        for n, r in ((343, 1e-3), (343, [0.0, 10.0, 1e-3]), (5, 1e308)):
+            with pytest.raises(DomainError, match="ive"):
+                varphi_scaled(n, r)
 
 
 def test_varphi_domain_errors():

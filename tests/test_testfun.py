@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tricomilab import testfun, tricomi_ode
@@ -280,7 +283,7 @@ def test_memoized_profile_is_bit_identical(monkeypatch):
         assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
         assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
         assert len(testfun._VPHI_MEMO) <= 4
-    # one block per Gauss level visited, all built on the first call
+    # one block per Gauss level visited (8 and 16), all built on the first call
     assert 2 <= len(misses) == len(testfun._VPHI_MEMO) <= 4
 
     # a caller that writes into a returned profile cannot reach the memo
@@ -333,23 +336,25 @@ def test_values_do_not_depend_on_grouping(n):
         assert fn(subset, t, s, p).tobytes() == batch[::-7].tobytes(), (fn.__name__, s)
 
 
+def _level_sum(g, q, lam0, level):
+    """One Gauss level's row-wise sums, as integrate_lambda_weighted forms them."""
+    lam, w = testfun._graded_rule(q, lam0, level)
+    return np.einsum("...l,l->...", g(lam), w)
+
+
 def test_each_row_stops_at_its_own_level():
-    # row 0 meets rtol at level 32, cos(80 lam) only at level 64
+    # row 0 meets rtol at level 16, cos(80 lam) only at level 64
     q, lam0 = 0.0, 1.0
 
     def g_both(lam):
         return np.stack((np.exp(-lam), np.cos(80.0 * lam)))
 
-    def level_sum(f, level):
-        lam, w = testfun._graded_rule(q, lam0, level)
-        return np.einsum("...l,l->...", f(lam), w)
-
-    at = {level: level_sum(g_both, level) for level in (16, 32, 64)}
-    assert at[32][0] != at[64][0]  # so keeping level 32 is visible
+    at = {level: _level_sum(g_both, q, lam0, level) for level in (8, 16, 32, 64)}
+    assert at[16][0] != at[64][0]  # so keeping level 16 is visible
     assert abs(at[32][1] - at[16][1]) > 1e-8 * abs(at[32][1])
     val, err = integrate_lambda_weighted(g_both, q, lam0)
     alone, alone_err = integrate_lambda_weighted(lambda lam: g_both(lam)[:1], q, lam0)
-    assert val[0] == alone[0] == at[32][0] and err[0] == alone_err[0] == abs(at[32][0] - at[16][0])
+    assert val[0] == alone[0] == at[16][0] and err[0] == alone_err[0] == abs(at[16][0] - at[8][0])
     assert val[1] == at[64][1] and err[1] == abs(at[64][1] - at[32][1])
 
 
@@ -357,7 +362,7 @@ def _whole_array_reference(g, q, lam0, rtol=1e-8):
     """The quadrature with one (X, L) @ w product per level, every row
     refined until all rows meet rtol."""
     value = None
-    for level in (16, 32, 64, 128):
+    for level in (8, 16, 32, 64, 128):
         lam, w = testfun._graded_rule(q, lam0, level)
         new = g(lam) @ w
         if value is not None:
@@ -368,29 +373,125 @@ def _whole_array_reference(g, q, lam0, rtol=1e-8):
     return value
 
 
-def _max_rel_to_reference(kernel, xn, t, s, p):
+def _max_rel_to_reference(kernel, xn, t, s, p, reference):
     def g(lam):
         return _exp_profile(lam, xn, s, p) * kernel(t, s, lam, p.m)
 
-    ref = _whole_array_reference(g, p.q, p.lambda0)
+    ref = reference(g, p.q, p.lambda0)
     return np.max(np.abs(_test_fn(kernel, xn, t, s, p)[0] - ref) / np.abs(ref))
 
 
-def test_row_sum_matches_matrix_product():
-    # the grid and weight of an F-tracked n = 2 run (1,136 radii, q = 0)
+def _quadrature_cases():
+    """(kernel, radii, t, s, params): the diagonal of an F-tracked n = 2 run
+    (1,136 radii, q = 0), then 7 radii of testfun envelope rows, both kernels."""
     cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
     xn = initialize(cfg).r
     p = cfg.default_testfn()
     for t in (0.0, 0.625, 3.7, 10.0):
-        assert _max_rel_to_reference(kernel_phi2_ratio_scaled, xn, t, t, p) <= 1e-14
-    # off the diagonal: 7 radii of a testfun envelope row, both kernels
-    for m, n in ((1.0, 2), (0.0, 3)):
+        yield kernel_phi2_ratio_scaled, xn, t, t, p
+    for m, n in ((1.0, 2), (1.0, 3), (0.0, 3)):
         p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
         for t in (5.0, 900.0):
             s = 0.3 * t
             xs = np.linspace(0.0, 0.95, 7) * (phi_of_t(m, s) + p.R)
             for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
-                assert _max_rel_to_reference(kernel, xs, t, s, p) <= 1e-14
+                yield kernel, xs, t, s, p
+
+
+def test_row_sum_matches_matrix_product():
+    for case in _quadrature_cases():
+        assert _max_rel_to_reference(*case, _whole_array_reference) <= 1e-14
+
+
+def _kummer_integral(q, lam0, c):
+    """int_0^{lam0} e^{c lam} lam^q dlam = lam0^{q+1}/(q+1) M(q+1, q+2; c lam0), in mpmath."""
+    q, lam0 = mpmath.mpf(q), mpmath.mpf(lam0)
+    return lam0 ** (q + 1) / (q + 1) * mpmath.hyp1f1(q + 1, q + 2, c * lam0)
+
+
+@seed(19)
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.floats(-0.9, 2.0, exclude_min=True),
+    lam0=st.floats(0.05, 5.0),
+    cs=st.lists(st.floats(-10.0, 1000.0), min_size=1, max_size=4),
+)
+def test_error_estimate_bounds_the_true_error(q, lam0, cs):
+    # g = e^{-c lam}, one c per row: each row's estimate covers its true error
+    c = np.array(cs)
+    val, err = integrate_lambda_weighted(lambda lam: np.exp(-c[:, None] * lam[None, :]), q, lam0)
+    with mpmath.workdps(40):
+        exact = [float(_kummer_integral(q, lam0, -ck)) for ck in cs]
+    for v, e, x in zip(val, err, exact):
+        assert abs(v - x) <= max(e, 1e-13 * abs(x)), (v, e, x)
+
+
+@pytest.mark.parametrize("n, q", [(1, -0.5), (1, 0.7), (3, 0.5), (3, 1.5)])
+def test_diagonal_eta_matches_its_kummer_closed_form(n, q):
+    # on the diagonal the kernel is 1 and varphi is elementary for odd n, so
+    # with a = phi(t) + R the integral is a sum of Kummer integrals:
+    #   n = 1: sum_{+-} int e^{lam(+-x - a)} lam^q
+    #   n = 3: (2 pi / x) int (e^{lam(x - a)} - e^{-lam(x + a)}) lam^{q-1}, q > 0
+    # (4 pi int e^{-lam a} lam^q at x = 0); measured error 1.7e-15
+    p = TestFnParams(q=q, n=n, m=1.0)
+    for t in (0.5, 10.0, 1000.0):
+        xs = np.array([0.0, 1e-3, 0.5, 1.0]) * (phi_of_t(p.m, t) + p.R)
+        with mpmath.workdps(40):
+            a = mpmath.mpf(phi_of_t(p.m, t)) + p.R
+            ref = []
+            for x in map(mpmath.mpf, xs):
+                if n == 1:
+                    ref.append(sum(_kummer_integral(q, p.lambda0, sg * x - a) for sg in (1, -1)))
+                elif x == 0:
+                    ref.append(4 * mpmath.pi * _kummer_integral(q, p.lambda0, -a))
+                else:
+                    ref.append(2 * mpmath.pi / x * (_kummer_integral(q - 1, p.lambda0, x - a)
+                                                    - _kummer_integral(q - 1, p.lambda0, -(x + a))))
+            ref = np.array([float(r) for r in ref])
+        assert np.max(np.abs(eta_q(xs, t, t, p) - ref) / ref) <= 1e-12, t
+
+
+def _ladder_from_16(g, q, lam0, rtol=1e-8):
+    """The quadrature with the Gauss ladder (16, 32, 64, 128): the rule's
+    first test compares 32 with 16 points per panel."""
+    value = None
+    err = np.inf
+    done = False
+    for level in (16, 32, 64, 128):
+        new = _level_sum(g, q, lam0, level)
+        if value is not None:
+            err = np.where(done, err, np.abs(new - value))
+            new = np.where(done, value, new)
+            done = err <= rtol * np.maximum(np.abs(new), 1e-300)
+        value = new
+        if np.all(done):
+            break
+    return value, err
+
+
+def test_values_stay_within_1e_14_of_the_ladder_from_16():
+    # where 16 points meet rtol against 8, the value is Q16; the ladder from
+    # 16 kept Q32 there.  On these rows they differ by at most 3.8e-15, far
+    # below the 12 digits the CLI prints
+    for case in _quadrature_cases():
+        rel = _max_rel_to_reference(*case, lambda g, q, lam0: _ladder_from_16(g, q, lam0)[0])
+        assert rel <= 1e-14
+
+
+@pytest.mark.parametrize("q", [-0.5, 0.0, 1.3])
+def test_rows_that_miss_at_16_follow_the_ladder_from_16(q):
+    # rows 1-3 miss rtol at 16 points per panel; row 0 meets it there and
+    # keeps the 16-point value, beside rows that go on
+    def g(lam):
+        return np.stack((np.exp(-lam), np.cos(40.0 * lam), np.cos(80.0 * lam),
+                         np.cos(200.0 * lam)))
+
+    at = {level: _level_sum(g, q, 1.0, level) for level in (8, 16)}
+    assert np.all(np.abs(at[16] - at[8])[1:] > 1e-8 * np.abs(at[16][1:]))
+    val, err = integrate_lambda_weighted(g, q, 1.0)
+    ref, ref_err = _ladder_from_16(g, q, 1.0)
+    assert val[1:].tobytes() == ref[1:].tobytes() and err[1:].tobytes() == ref_err[1:].tobytes()
+    assert val[0] == at[16][0] and err[0] == abs(at[16][0] - at[8][0])
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,12 @@ def test_traced_scan_books_every_level_under_step(monkeypatch):
 
 def test_traced_simulate_books_the_quadrature(tmp_path):
     # an F-tracked run: every quadrature call shows up with the Gauss levels
-    # it evaluated (each F sample's radii all stop at level 32), the nodes
-    # of those levels, and no unconverged call
+    # it evaluated (each F sample's radii all stop at level 16, so 8 and 16
+    # points per panel), the nodes of those levels, and no unconverged call
     spans = _spans()
     cli = importlib.import_module("tricomilab.cli")
+    pde = importlib.import_module("tricomilab.pde_solver")
+    testfun = importlib.import_module("tricomilab.testfun")
     tracer = spans.Tracer({mod: importlib.import_module(f"tricomilab.{mod}")
                            for mod, _, _ in spans.TARGETS})
     tracer.install()
@@ -81,4 +83,7 @@ def test_traced_simulate_books_the_quadrature(tmp_path):
     metrics = spans.layer_metrics(tracer.spans)
     calls = metrics["testfun.quad.calls"]
     assert calls > 0 and metrics["testfun.quad.levels"] == 2 * calls
-    assert metrics["testfun.quad.nodes"] > 0 and metrics["testfun.quad.unconverged"] == 0
+    assert metrics["testfun.quad.unconverged"] == 0
+    q = pde.RunConfig(pde.ModelParams(1.0, 2, 2.0)).default_testfn().q
+    panels = testfun._octaves(q) + 1  # the dyadic panels and the last one, down to 0
+    assert metrics["testfun.quad.nodes"] == calls * (8 + 16) * panels
