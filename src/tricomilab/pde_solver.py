@@ -28,11 +28,16 @@ and t_max step as the rows of one ``SolverState``, each with its own extent,
 outer boundary cell and amplitude history; a row leaves at a blow-up
 threshold crossing (with a threshold-sensitivity diagnostic), at a
 nonfinite value, or censored at its horizon.  A single run is a one-row
-state, whose tracked functionals span its whole grid: G(t) = int u dx,
-int |u|^p dx, F(t) = int u(x,t) eta_q(x,t,t) dx, the support radius and the
-peak amplitude.  ``lifespan_scan`` sweeps eps, subcritical only (the regime
-and the eps-exponent come from ``exponents.lifespan_law``), keeping only
-each run's record; ``fit_scaling`` fits its slope.
+state, whose arrays span its whole grid.  Its tracked functionals are G(t) =
+int u dx, int |u|^p dx, F(t) = int u(x,t) eta_q(x,t,t) dx, the support radius
+and the peak amplitude.  They read only the live window of row 0: past it u
+is exactly 0.0, so the peak and the support radius are those of the whole
+grid, and the integrals are the whole grid's trapezoid rule summed in
+another order.  One pass over |u| gives the four per-step scalars, with
+radial trapezoid weights built once per grid, and F takes eta_q only at
+the radii of the window.  ``lifespan_scan`` sweeps eps, subcritical only
+(the regime and the eps-exponent come from ``exponents.lifespan_law``),
+keeping only each run's record; ``fit_scaling`` fits its slope.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .errors import ConfigError, DomainError
 from .exponents import ExponentContext, lifespan_law, pow_or_inf, q_choice
 from .specfun import surface_area
 from .testfun import TestFnParams, eta_q
-from .tricomi_ode import phi_of_t
+from .tricomi_ode import _memoized, phi_of_t
 
 # unused here; re-exported because the benchmark tracer wraps this name in this module
 from .exponents import gamma_mnp  # noqa: F401
@@ -180,8 +185,9 @@ class SolverState:
     u and u_prev are (rows, width) arrays over the radii r.  The width starts
     at the smallest domain of the rows, so a single run's arrays span its
     whole grid, and grows by doubling up to the largest.  Row i is exactly
-    0.0 from ``rows[i].live`` on.  ``step`` recycles the buffer of u_prev
-    (zero before the first step) for the new level.
+    0.0 from ``rows[i].live`` on, so the functionals read row 0 only below
+    that extent.  ``step`` recycles the buffer of u_prev (zero before the
+    first step) for the new level.
     """
 
     r: np.ndarray
@@ -338,26 +344,60 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
     return state
 
 
-def _radial_integral(values: np.ndarray, state: SolverState, cfg: RunConfig) -> float:
-    """int f dx over R^n for the values of f at the radii r, by the trapezoid rule."""
-    n = cfg.model.n
-    return surface_area(n) * float(np.trapezoid(values * state.r ** (n - 1), dx=cfg.dx))
+_WEIGHT_MEMO: dict[tuple, np.ndarray] = {}
+
+
+def _weights(state: SolverState, cfg: RunConfig) -> np.ndarray:
+    """Radial trapezoid weights surface_area(n) dx r^{n-1} of the state's
+    grid, halved at both ends: int f dx over R^n is their sum against f.
+    Built once per grid."""
+    n, size = cfg.model.n, state.r.size
+
+    def build():
+        w = surface_area(n) * cfg.dx * state.r ** (n - 1)
+        w[[0, -1]] *= 0.5
+        return w
+
+    return _memoized(_WEIGHT_MEMO, (n, cfg.dx, size), build)
+
+
+def _support(r: np.ndarray, a: np.ndarray, amp: float) -> float:
+    """Largest radius where a = |u| exceeds 1e-4 * max(1, amp), amp = max |u|."""
+    above = np.flatnonzero(a > 1e-4 * max(1.0, amp))
+    return float(r[above[-1]]) if above.size else 0.0
+
+
+def _live_scalars(state: SolverState, cfg: RunConfig) -> tuple[float, float, float, float]:
+    """(max |u|, G, int |u|^p, support radius) of row 0 from one |u| array
+    over its live window; past the window u is exactly 0.0."""
+    live = state.rows[0].live
+    u = state.u[0, :live]
+    a = np.abs(u)
+    w = _weights(state, cfg)[:live]
+    amp = float(a.max())
+    return (amp, float(np.einsum("i,i->", u, w)), float(np.einsum("i,i->", a ** cfg.model.p, w)),
+            _support(state.r, a, amp))
 
 
 def functional_G(state: SolverState, cfg: RunConfig) -> float:
-    """G(t) = int u dx."""
-    return _radial_integral(state.u[0], state, cfg)
+    """G(t) = int u dx, by the trapezoid rule over row 0's live window."""
+    return _live_scalars(state, cfg)[1]
 
 
 def functional_lp(state: SolverState, cfg: RunConfig) -> float:
-    """int |u|^p dx."""
-    return _radial_integral(np.abs(state.u[0]) ** cfg.model.p, state, cfg)
+    """int |u|^p dx, by the trapezoid rule over row 0's live window."""
+    return _live_scalars(state, cfg)[2]
 
 
 def functional_F(state: SolverState, cfg: RunConfig) -> float:
-    """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``)."""
-    eta_diag = eta_q(state.r, state.t, state.t, cfg.default_testfn())
-    return _radial_integral(state.u[0] * eta_diag, state, cfg)
+    """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``).
+
+    eta_q is taken only at the radii of row 0's live window, where u can be
+    nonzero; the trapezoid weights are those of G.
+    """
+    live = state.rows[0].live
+    eta_diag = eta_q(state.r[:live], state.t, state.t, cfg.default_testfn())
+    return float(np.einsum("i,i,i->", state.u[0, :live], eta_diag, _weights(state, cfg)[:live]))
 
 
 def support_radius(state: SolverState) -> float:
@@ -367,9 +407,8 @@ def support_radius(state: SolverState) -> float:
     second-order scheme (measured O(dx^2.5), ~1e-5 relative at dx = 0.02),
     otherwise scheme noise ahead of the true front is counted as support.
     """
-    thresh = 1e-4 * max(1.0, float(_amplitude(state.u[0])))
-    idx = np.nonzero(np.abs(state.u[0]) > thresh)[0]
-    return float(state.r[idx[-1]]) if len(idx) else 0.0
+    a = np.abs(state.u[0, :state.rows[0].live])
+    return _support(state.r, a, float(a.max()))
 
 
 def _run(*cfgs: RunConfig, observe=None) -> list[LifespanRecord]:
@@ -408,10 +447,8 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
     def record(state):
         nonlocal f_next
         ts.append(state.t)
-        amps.append(float(_amplitude(state.u[0])))
-        gs.append(functional_G(state, cfg))
-        lps.append(functional_lp(state, cfg))
-        supps.append(support_radius(state))
+        for values, x in zip((amps, gs, lps, supps), _live_scalars(state, cfg)):
+            values.append(x)
         if cfg.track_f and state.t >= f_next:
             f_t.append(state.t)
             f_v.append(functional_F(state, cfg))

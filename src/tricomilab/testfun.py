@@ -23,13 +23,19 @@ on every panel: on the envelope and F-tracked runs, 8 and 16 points agree
 to 2.4e-12 and the 16-point value is within 5e-15 of the 32-point one, so
 every radius there stops at 16.
 
-Three blocks are built once and shared through read-only memos keyed on
-the exact inputs (``tricomi_ode._memoized``: at most 4 entries, the four
-most recent, evicted first-in-first-out): the graded rule per (q, lambda0,
-level), with its Gauss-Legendre nodes per level; the t- and s-independent
-factor varphi_scaled(n, lam|x|) per (n, lambda nodes, radii); and, in
+Three blocks are built once and shared through read-only memos
+(``tricomi_ode._memoized``: at most 4 entries, the four most recent,
+evicted first-in-first-out): the graded rule per (q, lambda0, level), with
+its Gauss-Legendre nodes per level; the t- and s-independent factor
+varphi_scaled(n, lam|x|) per (n, lambda nodes, radii); and, in
 ``tricomi_ode``, the kernels' time-t Bessel pair per (m, lambda phi(t)).
-A miss builds the block afresh, and results are bit-identical to that.
+The rule and the pair are keyed on the exact inputs.  The varphi block
+also serves radii that begin a cached entry's radii, by its first rows,
+and extends an entry whose radii begin the requested ones by building the
+new rows alone, so the growing live window of an F-tracked run builds each
+row once.  A miss builds the block afresh, and results are bit-identical
+to that (varphi_scaled works element by element).  The exp factor skips
+its clip at 700 where the largest exponent of the block is within it.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -174,9 +180,25 @@ _VPHI_MEMO: dict[tuple, np.ndarray] = {}
 
 
 def _vphi_block(n: int, lam: np.ndarray, xn: np.ndarray) -> np.ndarray:
-    """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized."""
-    key = (n, lam.tobytes(), xn.shape, xn.tobytes())
-    return _memoized(_VPHI_MEMO, key, lambda: varphi_scaled(n, lam[None, :] * xn[:, None]))
+    """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized.
+
+    Radii that begin a cached entry's radii are served by its first rows; an
+    entry whose radii begin the requested ones is replaced by itself plus
+    the new rows, built alone.  varphi_scaled works element by element, so
+    either is what a fresh build gives.
+    """
+    head, radii = (n, lam.tobytes()), xn.tobytes()
+    entries = [(key, block) for key, block in _VPHI_MEMO.items() if key[0] == head]
+    for (_, known), block in entries:
+        if known.startswith(radii):
+            return block[:xn.size]
+    for key, block in entries:
+        if radii.startswith(key[1]):
+            del _VPHI_MEMO[key]
+            rows = varphi_scaled(n, lam[None, :] * xn[block.shape[0]:, None])
+            return _memoized(_VPHI_MEMO, (head, radii), lambda: np.concatenate((block, rows)))
+    return _memoized(_VPHI_MEMO, (head, radii),
+                     lambda: varphi_scaled(n, lam[None, :] * xn[:, None]))
 
 
 def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams):
@@ -187,8 +209,12 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
     """
     # fetched first, so no profile array is alive while a block is built
     block = _vphi_block(p.n, lam, x_norm)
-    out = lam[None, :] * (x_norm[:, None] - phi_of_t(p.m, s) - p.R)
-    np.minimum(out, _EXP_CLIP, out=out)
+    phi_s = phi_of_t(p.m, s)
+    out = lam[None, :] * (x_norm[:, None] - phi_s - p.R)
+    # rounding is monotone and lam > 0, so the largest exponent is this one
+    # formed in the same order; where it is within the clip, the clip is a no-op
+    if not (x_norm.size and lam.max() * (x_norm.max() - phi_s - p.R) <= _EXP_CLIP):
+        np.minimum(out, _EXP_CLIP, out=out)
     np.exp(out, out=out)
     out *= block
     return out
@@ -379,7 +405,8 @@ def lemma22_report(
             add("iii", t, t, x, v, env)
 
     constants = {}
-    for part, agg in (("i-xi", min), ("i-eta", min), ("ii", min), ("iii", max)):
+    # numpy's reductions, unlike min and max, return nan if any ratio is nan
+    for part, agg in (("i-xi", np.min), ("i-eta", np.min), ("ii", np.min), ("iii", np.max)):
         ratios = [r.ratio for r in rows if r.part == part]
-        constants[part] = agg(ratios) if ratios else math.nan
+        constants[part] = float(agg(ratios)) if ratios else math.nan
     return Lemma22Report(tuple(rows), constants, excluded, unconverged)

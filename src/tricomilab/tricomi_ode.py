@@ -33,6 +33,8 @@ arbitrarily large t:
   The time-t pair ive(nu, x_t), kve(nu, x_t) is memoized (``_bessel_pair``),
   so one t and Gauss level of a quadrature evaluates it once; at s = 0 it
   gives V1 and V2 with no negative order (see ``_small_s_factors``).
+  scipy's ive and kve return nan past x = 2^30 - 0.5, so the kernels and
+  ``fundamental_pair_scaled`` raise a DomainError where x_t passes it.
 
 ``fundamental_pair``, ``phi1``, ``phi2`` and ``phi2_ratio`` are the unscaled
 scalar forms.  ``ode_oracle_scaled`` is an independent check: adaptive
@@ -111,9 +113,22 @@ def _nu(m: float) -> float:
 _SMALL_X = 1e-8
 
 
+# scipy's ive and kve return nan past x = 2^30 - 0.5, at every order
+_MAX_BESSEL_X = 2.0**30 - 0.5
+
+
+def _check_bessel_range(x_max: float) -> None:
+    """A DomainError where the largest x = lambda phi(t) passes _MAX_BESSEL_X."""
+    if not x_max <= _MAX_BESSEL_X:
+        raise DomainError(f"lambda phi(t) = {x_max:.12g} passes the range of the "
+                          f"scaled Bessel functions ({_MAX_BESSEL_X:.12g})")
+
+
 def _pair(params: OdeParams, t: float, scaled: bool) -> FundamentalEval:
     m, lam = params.m, params.lam
     x = lam * phi_of_t(m, t)
+    if scaled:
+        _check_bessel_range(x)
     if x < _SMALL_X:
         e = math.exp(-x) if scaled else 1.0
         return FundamentalEval(e, e * lam * lam * t ** (m + 1.0) / (m + 1.0), e * t, e)
@@ -145,7 +160,8 @@ def fundamental_pair_scaled(params: OdeParams, t: float) -> FundamentalEval:
 def _memoized(memo: dict, key, build):
     """memo[key]; on a miss build() makes it (an array or a tuple of arrays),
     stored read-only.  At most 4 entries (the four most recent levels of
-    testfun.integrate_lambda_weighted), evicted first-in-first-out."""
+    testfun.integrate_lambda_weighted, or grids of pde_solver), evicted
+    first-in-first-out."""
     value = memo.get(key)
     if value is None:
         value = build()
@@ -161,8 +177,14 @@ _PAIR_MEMO: dict[tuple, tuple] = {}
 
 
 def _bessel_pair(nu: float, x: np.ndarray):
-    """Read-only (ive(nu, x), kve(nu, x)), memoized on the exact (nu, x)."""
-    return _memoized(_PAIR_MEMO, (nu, x.shape, x.tobytes()), lambda: (ive(nu, x), kve(nu, x)))
+    """Read-only (ive(nu, x), kve(nu, x)), memoized on the exact (nu, x); a
+    DomainError past _MAX_BESSEL_X."""
+
+    def build():
+        _check_bessel_range(float(np.max(x)))
+        return ive(nu, x), kve(nu, x)
+
+    return _memoized(_PAIR_MEMO, (nu, x.shape, x.tobytes()), build)
 
 
 def _small_s_factors(t: float, lam: np.ndarray, m: float, i_nu, k_nu):

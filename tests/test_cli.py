@@ -595,6 +595,9 @@ _EDGE = [
     (["testfun", "--set", "testfun.q=1e6"], EXIT_DOMAIN),
     (["testfun", "--set", "testfun.q=1e300"], EXIT_DOMAIN),
     (["testfun", "--set", "testfun.q=inf"], EXIT_DOMAIN),
+    # lambda phi(t) ~ 1e10 at t = 1e7, past the range of scipy's ive and kve
+    (["testfun", "--set", "testfun.nt=2", "--set", "testfun.ns=2", "--set", "testfun.nx=2",
+      "--set", "testfun.t_max=1e7"], EXIT_DOMAIN),
     # the discriminant of gamma(m, n, .) overflows (the root tends to 1)
     (["exponents", "--set", "exponents.m=1e300", "--set", "exponents.n=2"], EXIT_DOMAIN),
     # Gamma(n/2) of the sphere area overflows from n = 344

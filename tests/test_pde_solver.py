@@ -8,6 +8,7 @@ import tricomilab.pde_solver as pde
 from tricomilab.errors import ConfigError, DomainError
 from tricomilab.exponents import ExponentContext, lifespan_law
 from tricomilab.specfun import surface_area
+from tricomilab.testfun import eta_q
 from tricomilab.pde_solver import (
     FitResult,
     LifespanRecord,
@@ -84,7 +85,9 @@ def _assert_steps_match_full_grid(monkeypatch, *cfgs):
     compare every row of every level, byte for byte, with the scheme applied
     to its run's whole grid (``_full_grid_step``), and row 0's G, L^p and
     support radius with their full-grid values where the state's arrays span
-    that grid (always, for a single run).  A run must be in the batch
+    that grid (always, for a single run): the support radius byte for byte,
+    G and L^p, which the solver sums over the live window only, to 1e-13
+    relative of the full-grid trapezoid.  A run must be in the batch
     exactly until its reference has blown up (max |u| >= threshold or
     nonfinite) or reached its horizon.  Returns, per run, the steps it took,
     its last live extent, its outer boundary cell and whether it blew up.
@@ -124,12 +127,13 @@ def _assert_steps_match_full_grid(monkeypatch, *cfgs):
             spans = state.r.size == size
             assert spans or len(cfgs) > 1  # a single run's arrays span its grid
             if j == 0 and spans and np.all(np.isfinite(ref["u"])):
-                # row 0's functionals are full-grid trapezoids
+                # row 0's functionals are full-grid trapezoids, summed in another order
                 md, u, r = run.model, ref["u"], ref["r"]
                 for fn, values in ((functional_G, u), (functional_lp, np.abs(u) ** md.p)):
                     full = surface_area(md.n) * float(np.trapezoid(values * r ** (md.n - 1),
                                                                     dx=run.dx))
-                    assert fn(state, run) == full, (fn.__name__, i, ref["steps"])
+                    assert abs(fn(state, run) - full) <= 1e-13 * abs(full), (
+                        fn.__name__, i, ref["steps"])
                 above = np.nonzero(np.abs(u) > 1e-4 * max(1.0, np.max(np.abs(u))))[0]
                 assert support_radius(state) == (r[above[-1]] if above.size else 0.0)
             ref["steps"] += 1
@@ -187,6 +191,95 @@ def test_step_matches_full_grid_scheme_at_outer_boundary(monkeypatch):
     assert [row["edge"] for row in seen] == [55, 115, 75]
     assert [row["live"] for row in seen] == [row["edge"] for row in seen]  # windows span the grids
     assert [row["steps"] for row in seen] == [50, 200, 100]
+
+
+def _full_grid_run(cfg):
+    """run_until_blowup written out on the run's whole grid: every level by
+    ``_full_grid_step``, every functional over every cell (np.trapezoid,
+    eta_q at every radius).  Returns the blow-up time (None if censored),
+    the series as a dict of lists, and the last level."""
+    md = cfg.model
+    r = np.arange(pde._grid_size(cfg)) * cfg.dx
+    u = md.eps * np.where(r < md.R, (1.0 - (r / md.R) ** 2) ** 4, 0.0)
+    v0 = u.copy() if cfg.u1_mode == "same" else np.zeros_like(u)
+    u_prev, t, dt_prev = None, 0.0, 0.0
+    f_next, f_stride = 0.0, cfg.t_max / max(1, cfg.n_f_samples)
+    ser = {k: [] for k in ("t", "max_u", "g", "lp", "support_radius", "f_times", "f_values")}
+
+    def integral(values):
+        return surface_area(md.n) * float(np.trapezoid(values * r ** (md.n - 1), dx=cfg.dx))
+
+    def observe():
+        nonlocal f_next
+        a = np.abs(u)
+        amp = float(np.max(a))
+        above = np.nonzero(a > 1e-4 * max(1.0, amp))[0]
+        for key, value in (("t", t), ("max_u", amp), ("g", integral(u)),
+                           ("lp", integral(a ** md.p)),
+                           ("support_radius", float(r[above[-1]]) if above.size else 0.0)):
+            ser[key].append(value)
+        if cfg.track_f and t >= f_next:
+            ser["f_times"].append(t)
+            ser["f_values"].append(integral(u * eta_q(r, t, t, cfg.default_testfn())))
+            f_next += f_stride
+
+    observe()
+    while True:
+        dt = pde._pick_dt(cfg, t)
+        u, u_prev = _full_grid_step(u, u_prev, r, t, dt, dt_prev, cfg, v0), u
+        t, dt_prev = t + dt, dt
+        if not np.max(np.abs(u)) < cfg.blowup_threshold:
+            return t, ser, u
+        observe()
+        if t >= cfg.t_max:
+            return None, ser, u
+
+
+@pytest.mark.parametrize("n, eps", [(1, 1.0), (2, 2.0), (3, 6.0)])
+@pytest.mark.parametrize("linear", [False, True])
+def test_run_until_blowup_matches_full_grid_run(n, eps, linear):
+    # the per-step scalars and F read only the live window: t, max|u|, the
+    # support radius and T are bit-identical to the whole grid's, and G, L^p
+    # and F, summed in another order, agree to 1e-13 relative
+    cfg = RunConfig(ModelParams(0.0 if linear else 1.0, n, 2.0, eps=eps), dx=0.05,
+                    t_max=2.0 if linear else 12.0, linear_only=linear, track_f=True,
+                    n_f_samples=4)
+    t_blowup, ref, u_last = _full_grid_run(cfg)
+    rec, ser = run_until_blowup(cfg)
+    assert rec.t_blowup == t_blowup and (t_blowup is None) == linear
+    if linear:  # the nonzero cells reach the cell before the held outer boundary
+        assert np.flatnonzero(u_last)[-1] == pde._grid_size(cfg) - 2
+    for key in ("t", "max_u", "support_radius", "f_times"):
+        assert getattr(ser, key).tobytes() == np.asarray(ref[key]).tobytes(), key
+    assert len(ser.f_times) >= 2
+    for key, got in (("g", ser.g), ("lp", ser.lp), ("f_values", ser.f_values)):
+        want = np.asarray(ref[key])
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), key
+
+
+def test_f_tracked_simulate_takes_eta_q_only_inside_the_live_window(monkeypatch, tmp_path):
+    # u is exactly 0.0 from row 0's live extent on, so F never pays for eta_q there
+    from tricomilab.cli import EXIT_OK, dispatch
+
+    extents, calls = [], []
+    real_f, real_eta = pde.functional_F, pde.eta_q
+
+    def spied_f(state, cfg):
+        extents.append(state.r[state.rows[0].live])
+        return real_f(state, cfg)
+
+    def spied_eta(x_norm, t, s, p):
+        calls.append((np.max(x_norm), extents[-1]))
+        return real_eta(x_norm, t, s, p)
+
+    monkeypatch.setattr(pde, "functional_F", spied_f)
+    monkeypatch.setattr(pde, "eta_q", spied_eta)
+    argv = ["simulate", "--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2",
+            "--set", "grid.dx=0.05", "--set", "grid.t_max=3", "--set", "grid.n_f_samples=8",
+            "--output", str(tmp_path / "run.csv")]
+    assert dispatch(argv) == EXIT_OK
+    assert len(calls) == len(extents) >= 8
+    assert all(radius < extent for radius, extent in calls)
 
 
 def test_batch_rejects_runs_that_differ_in_the_scheme():

@@ -317,6 +317,47 @@ def test_memo_holds_at_most_four_blocks():
             arr[0] = 1.0
 
 
+def test_growing_prefix_builds_only_the_new_rows(monkeypatch):
+    # F's radii grow from sample to sample: each request whose radii begin a
+    # cached entry's is served by its first rows, and one that extends an
+    # entry builds only the rows past it
+    cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
+    r = initialize(cfg).r
+    p = cfg.default_testfn()
+    built = []
+
+    def counted(n, x):
+        built.append(x.shape)
+        return varphi_scaled(n, x)
+
+    monkeypatch.setattr(testfun, "varphi_scaled", counted)
+    testfun._VPHI_MEMO.clear()
+    sizes = (100, 250, 250, 600, 300, 1, r.size)
+    for k, t in zip(sizes, np.linspace(0.0, 10.0, len(sizes))):
+        ref = _eta_diag_reference(r[:k], t, p)
+        assert eta_q(r[:k], t, t, p).tobytes() == ref.tobytes(), k
+        assert len(testfun._VPHI_MEMO) <= 4
+    levels = sorted({cols for _, cols in built})
+    assert len(levels) == 2  # every radius stops at 16 points per panel
+    for cols in levels:
+        assert [rows for rows, c in built if c == cols] == [100, 150, 350, r.size - 600]
+    assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
+
+
+def test_far_radius_still_clips():
+    # the clip of the exponent lam(|x| - phi(s) - R) at 700 acts where it
+    # must, and where it cannot act the profile is the unclipped one
+    p = TestFnParams(q=0.0, n=3, m=1.0)
+    lam, _ = testfun._graded_rule(p.q, p.lambda0, 16)
+    for xn, clips in ((np.array([0.0, 3.0, 5000.0]), True), (np.array([0.0, 3.0]), False)):
+        arg = lam[None, :] * (xn[:, None] - phi_of_t(p.m, 1.0) - p.R)
+        assert np.any(arg > 700.0) == clips
+        block = varphi_scaled(p.n, lam[None, :] * xn[:, None])
+        ref = np.exp(np.minimum(arg, 700.0)) * block
+        got = _exp_profile(lam, xn, 1.0, p)
+        assert got.tobytes() == ref.tobytes() and np.all(np.isfinite(got))
+
+
 # ---------------------------------------------------------------------------
 # row-wise lambda-quadrature: per-radius values and stopping
 # ---------------------------------------------------------------------------

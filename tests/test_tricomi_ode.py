@@ -146,6 +146,29 @@ def test_large_t_overflows_to_inf():
     assert 0.0 < sc.v1 < 1.0 and math.isfinite(sc.dv2)
 
 
+def test_scaled_forms_refuse_past_the_bessel_range():
+    # scipy's ive and kve are nan past x = 2^30 - 0.5; the scaled forms are
+    # finite up to it and refuse anything past it
+    edge = 2.0**30 - 0.5
+    for fn in (ive, kve):
+        assert math.isfinite(fn(1.0 / 3.0, edge)) and math.isnan(fn(1.0 / 3.0, edge + 1e-7))
+    m = 1.0
+    t_edge = (1.5 * edge) ** (2.0 / 3.0)  # phi(t_edge) = 2^30 - 0.5 at m = 1, lambda = 1
+    for t, ok in ((t_edge * (1.0 - 1e-9), True), (t_edge * (1.0 + 1e-9), False)):
+        lam = np.array([0.25, 1.0])
+        calls = (lambda: fundamental_pair_scaled(OdeParams(m, 1.0), t),
+                 lambda: kernel_phi1_scaled(t, 0.5 * t, lam, m),
+                 lambda: kernel_phi2_ratio_scaled(t, 0.0, lam, m))
+        for call in calls:
+            if ok:
+                out = call()
+                values = [out.v1, out.dv2] if hasattr(out, "v1") else out
+                assert np.all(np.isfinite(values))
+            else:
+                with pytest.raises(DomainError, match="range of the scaled Bessel"):
+                    call()
+
+
 def test_wave_reduction_m0():
     lam = 1.3
     for t in (0.0, 0.5, 2.0, 7.0):
