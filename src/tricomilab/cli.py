@@ -14,7 +14,7 @@ the document names no config key again, bar the resolved p of exponents.
 Floats are rendered with 12 significant digits everywhere.
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 scan with every
-run censored, 5 report with missing inputs.
+run censored, 5 report with missing or malformed inputs.
 """
 
 from __future__ import annotations
@@ -186,12 +186,13 @@ def resolve_config(command: str, config_path: str | None, overrides: list[str]) 
     provided: list[tuple[str, str, str]] = []
     if config_path:
         parser = configparser.ConfigParser()
-        read = parser.read(config_path)
-        if not read:
-            raise ConfigError(f"config file not found: {config_path}")
-        for sec in parser.sections():
-            for key, raw in parser.items(sec):
-                provided.append((sec, key, raw))
+        try:  # no section header, a duplicate option, a bad %-interpolation
+            if not parser.read(config_path):
+                raise ConfigError(f"config file not found: {config_path}")
+            provided += [(sec, key, raw) for sec in parser.sections()
+                         for key, raw in parser.items(sec)]
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
     for item in overrides:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
@@ -467,23 +468,28 @@ _IDENTITIES = ("identity_residual_frame", "identity_residual_initiate")
 
 
 def _report_rows(doc: dict):
-    """(name, value, reference, tolerance) of each check ``doc`` carries: its
+    """(name, value, tolerance, pass) of each check ``doc`` carries: its
     ``_REPORT_CHECKS`` keys against 0, bar the identities against -gamma/(2p)
     from its own ``gamma`` and ``p``, and a fitted slope against the theory
-    slope to 20%.  A check without a reference fails.  A tolerance is at
-    least 1e-11 |reference|, above the 12-digit rendering of the value and of
-    the gamma and p the reference comes from."""
+    slope.  A check without a reference fails.  A tolerance is at least
+    1e-11 |reference|, above the 12-digit rendering of the value and of the
+    gamma and p the reference comes from.  theta bounds the lifespan from
+    above, so only a slope steeper than the theory slope by more than 20%
+    of it fails; a shallower one is consistent with the bound.  A value that
+    is not a number raises ValueError or TypeError."""
     gamma, p = doc.get("gamma"), doc.get("p")
-    identity = None if gamma is None or p is None else -gamma / (2.0 * p)
+    identity = None if gamma is None or p is None else -float(gamma) / (2.0 * float(p))
     for key, tol in _REPORT_CHECKS.items():
         if doc.get(key) is not None:
-            ref = identity if key in _IDENTITIES else 0.0
-            yield key, float(doc[key]), ref, max(tol, 1e-11 * abs(ref or 0.0))
+            value, ref = float(doc[key]), identity if key in _IDENTITIES else 0.0
+            tol = max(tol, 1e-11 * abs(ref or 0.0))
+            yield key, value, tol, ref is not None and abs(value - ref) <= tol
     fit = doc.get("fit")
     if isinstance(fit, dict) and fit.get("slope") is not None:
-        theory = fit.get("theory_slope")
-        yield ("fit_slope_vs_theory", fit["slope"], theory,
-               None if theory is None else 0.2 * abs(theory))
+        slope, theory = float(fit["slope"]), fit.get("theory_slope")
+        tol = None if theory is None else 0.2 * abs(float(theory))
+        yield ("fit_slope_vs_theory", slope, tol,
+               theory is not None and slope >= float(theory) - tol)
 
 
 def _cmd_report(paths: list[str], out: str | None) -> int:
@@ -496,17 +502,17 @@ def _cmd_report(paths: list[str], out: str | None) -> int:
         return EXIT_REPORT_GAP
     checks = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError:
-                sys.stderr.write(f"report: {path} is not JSON\n")
-                return EXIT_REPORT_GAP
-        checks += [
-            {"source": os.path.basename(path), "name": name, "value": value,
-             "tolerance": tol, "pass": ref is not None and abs(value - ref) <= tol}
-            for name, value, ref, tol in _report_rows(doc)
-        ]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)  # a JSONDecodeError or UnicodeDecodeError is a ValueError
+            if not isinstance(doc, dict):
+                raise TypeError(f"a JSON {type(doc).__name__}, not an object")
+            rows = list(_report_rows(doc))
+        except (OSError, ValueError, TypeError, ZeroDivisionError) as exc:
+            sys.stderr.write(f"report: cannot check {path}: {exc}\n")
+            return EXIT_REPORT_GAP
+        checks += [{"source": os.path.basename(path), "name": name, "value": value,
+                    "tolerance": tol, "pass": ok} for name, value, tol, ok in rows]
     if not checks:
         sys.stderr.write("report: inputs contained nothing checkable\n")
         return EXIT_REPORT_GAP

@@ -23,11 +23,11 @@ whose inputs are all exactly zero stays exactly zero, so the update is
 bit-identical to the full-grid one.  The scheme's precursor ahead of the
 front underflows to 0.0, so the extent trails the step count.
 
-dt depends only on (t, dx, m, cfl_safety), so runs that differ only in eps
-and t_max step as the rows of one ``SolverState``, each with its own extent,
-outer boundary cell and amplitude history; a row leaves at a blow-up
-threshold crossing (with a threshold-sensitivity diagnostic), at a
-nonfinite value, or censored at its horizon.  A single run is a one-row
+dt depends only on (t, dx, m, cfl_safety), so the runs of one ``RunConfig``
+at several (eps, t_max) step as the rows of one ``SolverState``, each with
+its own extent, outer boundary cell and amplitude history; a row leaves at
+a blow-up threshold crossing (with a threshold-sensitivity diagnostic), at
+a nonfinite value, or censored at its horizon.  A single run is a one-row
 state, whose arrays span its whole grid.  Its tracked functionals are G(t) =
 int u dx, int |u|^p dx, F(t) = int u(x,t) eta_q(x,t,t) dx, the support radius
 and the peak amplitude.  They read only the live window of row 0: past it u
@@ -43,7 +43,7 @@ keeping only each run's record; ``fit_scaling`` fits its slope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -179,8 +179,8 @@ class _Row:
 
 @dataclass
 class SolverState:
-    """Mutable stepping state of runs that differ only in eps and t_max, one
-    row per run; the runs own their state exclusively.
+    """Mutable stepping state of the runs (eps, t_max) of one ``RunConfig``,
+    one row per run; the runs own their state exclusively.
 
     u and u_prev are (rows, width) arrays over the radii r.  The width starts
     at the smallest domain of the rows, so a single run's arrays span its
@@ -238,29 +238,16 @@ def _grid_size(cfg: RunConfig) -> int:
     return int(math.ceil(cfg.domain_radius() / cfg.dx)) + 1
 
 
-def _shared_config(cfgs) -> RunConfig:
-    """The configuration runs step with; a ConfigError names the first field
-    other than eps and t_max where they differ."""
-    for cfg in cfgs[1:]:
-        for ours, theirs in ((cfgs[0], cfg), (cfgs[0].model, cfg.model)):
-            for name in (f.name for f in fields(ours)):
-                a, b = getattr(ours, name), getattr(theirs, name)
-                if name not in ("model", "eps", "t_max") and a != b:
-                    raise ConfigError(f"batched runs must share {name}, got {a!r} and {b!r}")
-    return cfgs[0]
-
-
-def initialize(*cfgs: RunConfig) -> SolverState:
-    """Sample the initial data eps*u0 of each run, one row per run, on the
-    radial grid; the runs may differ only in eps and t_max (and so in the
-    domain)."""
-    cfg = _shared_config(cfgs)
-    edges = [_grid_size(c) - 1 for c in cfgs]
+def initialize(cfg: RunConfig, *runs: tuple[float, float]) -> SolverState:
+    """Sample the initial data eps*u0 of cfg's runs (eps, t_max), by default
+    its own, one row per run on the radial grid of its horizon's domain."""
+    runs = runs or ((cfg.model.eps, cfg.t_max),)
+    edges = [_grid_size(replace(cfg, t_max=t_max)) - 1 for _, t_max in runs]
     r = np.arange(min(edges) + 1) * cfg.dx  # the smallest domain
-    u = np.array([c.model.eps for c in cfgs])[:, None] * _bump(r, cfg.model.R)
+    u = np.array([eps for eps, _ in runs])[:, None] * _bump(r, cfg.model.R)
     live = int(np.count_nonzero(r < cfg.model.R))
-    rows = [_Row(c.model.eps, c.t_max, live, edge, peak=amp)
-            for c, edge, amp in zip(cfgs, edges, _amplitude(u).tolist())]
+    rows = [_Row(eps, t_max, live, edge, peak=amp)
+            for (eps, t_max), edge, amp in zip(runs, edges, _amplitude(u).tolist())]
     return SolverState(r=r, u=u, u_prev=np.zeros_like(u), t=0.0, dt_prev=0.0, rows=rows)
 
 
@@ -411,17 +398,17 @@ def support_radius(state: SolverState) -> float:
     return _support(state.r, a, float(a.max()))
 
 
-def _run(*cfgs: RunConfig, observe=None) -> list[LifespanRecord]:
-    """Step runs as the rows of one state; a row leaves at blow-up, at
-    nonfinite values, or censored at its horizon.  ``observe(state)`` (one
-    row) sees the initial state and every step that does not blow up.
-    """
-    state = initialize(*cfgs)
+def _run(cfg: RunConfig, *runs: tuple[float, float], observe=None) -> list[LifespanRecord]:
+    """Step cfg's runs (eps, t_max), by default its own, as the rows of one
+    state; a row leaves at blow-up, at nonfinite values, or censored at its
+    horizon.  ``observe(state)`` (one row) sees the initial state and every
+    step that does not blow up."""
+    state = initialize(cfg, *runs)
     rows = state.rows[:]
     if observe is not None:
         observe(state)
     while state.rows:
-        step(state, cfgs[0])
+        step(state, cfg)
         if observe is not None and not state.rows[0].blown_up:
             observe(state)
         keep = [not row.blown_up and state.t < row.t_max for row in state.rows]
@@ -484,8 +471,9 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     leaves the double range); censored runs are retried once with a doubled
     horizon and kept (flagged) if still censored.  Records return sorted by
     eps.  The runs up to the calibration go one by one; the rest step as
-    the rows of one state.  Each record is the one ``run_until_blowup``
-    gives for the run's configuration; no per-step functional is computed.
+    one state, a row per (eps, t_max) of ``cfg``.  Each record is the one
+    ``run_until_blowup`` gives for ``cfg`` at the run's eps and t_max; no
+    per-step functional is computed.
     Of ``cfg`` the sweep ignores eps and the F-tracking fields track_f and
     n_f_samples; every run takes the domain of its own horizon.
     """
@@ -497,25 +485,20 @@ def lifespan_scan(cfg: RunConfig, eps_values) -> list[LifespanRecord]:
     if law.regime != "subcritical":
         raise DomainError("lifespan scaling applies to subcritical runs only")
 
-    def run_cfg(eps: float, t_max: float) -> RunConfig:
-        return replace(cfg, model=replace(md, eps=eps), t_max=t_max)
-
-    def retried(run: RunConfig, rec: LifespanRecord) -> LifespanRecord:
-        return _run(run_cfg(run.model.eps, 2.0 * run.t_max))[0] if rec.censored else rec
+    def retried(eps: float, t_max: float, rec: LifespanRecord) -> LifespanRecord:
+        return _run(cfg, (eps, 2.0 * t_max))[0] if rec.censored else rec
 
     records: dict[float, LifespanRecord] = {}
     pending = eps_sorted[::-1]
     c_emp = None
     while pending and c_emp is None:
         eps = pending.pop(0)
-        run = run_cfg(eps, cfg.t_max)
-        records[eps] = rec = retried(run, _run(run)[0])
+        records[eps] = rec = retried(eps, cfg.t_max, _run(cfg, (eps, cfg.t_max))[0])
         if rec.t_blowup is not None:
             c_emp = rec.t_blowup * _horizon_power(eps, law.theta)
-    runs = [run_cfg(e, min(4.0 * c_emp * _horizon_power(e, -law.theta), 1e4))
-            for e in pending]
-    for run, rec in zip(runs, _run(*runs) if runs else ()):
-        records[run.model.eps] = retried(run, rec)
+    runs = [(e, min(4.0 * c_emp * _horizon_power(e, -law.theta), 1e4)) for e in pending]
+    for run, rec in zip(runs, _run(cfg, *runs) if runs else ()):
+        records[run[0]] = retried(*run, rec)
     return [records[e] for e in eps_sorted]
 
 

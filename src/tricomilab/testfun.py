@@ -25,15 +25,14 @@ every radius there stops at 16.
 
 Three blocks are built once and shared through read-only memos
 (``tricomi_ode._memoized``: at most 4 entries, the four most recent,
-evicted first-in-first-out): the graded rule per (q, lambda0, level), with
-its Gauss-Legendre nodes per level; the t- and s-independent factor
-varphi_scaled(n, lam|x|) per (n, lambda nodes, radii); and, in
-``tricomi_ode``, the kernels' time-t Bessel pair per (m, lambda phi(t)).
-The rule and the pair are keyed on the exact inputs.  The varphi block
-also serves radii that begin a cached entry's radii, by its first rows,
-and extends an entry whose radii begin the requested ones by building the
-new rows alone, so the growing live window of an F-tracked run builds each
-row once.  A miss builds the block afresh, and results are bit-identical
+evicted first-in-first-out): the graded rule per (q, lambda0, level); the
+t- and s-independent factor varphi_scaled(n, lam|x|) per (n, lambda nodes,
+radii); and, in ``tricomi_ode``, the kernels' time-t Bessel pair per (m,
+lambda phi(t)).  The rule and the pair are keyed on the exact inputs.  The
+varphi block also serves radii that begin a cached entry's radii, by its
+first rows, and extends an entry whose radii begin the requested ones by
+building the new rows alone, so the growing live window of an F-tracked
+run builds each row once.  A miss builds the block afresh, and results are bit-identical
 to that (varphi_scaled works element by element).  The exp factor skips
 its clip at 700 where the largest exponent of the block is within it.
 
@@ -91,8 +90,7 @@ def bracket(s):
 # graded Gauss-Legendre quadrature for int_0^{lam0} g(lam) lam^q dlam
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes per order and graded rules, see the module docstring
-_GL_MEMO: dict[int, tuple] = {}
+# graded rules, see the module docstring
 _RULE_MEMO: dict[tuple, tuple] = {}
 
 
@@ -112,7 +110,7 @@ def _graded_rule(q: float, lam0: float, per_octave: int):
     u = lam^{q+1} (du = (q+1) lam^q dlam) removes the endpoint singularity
     first, so plain Gauss panels stay accurate.
     """
-    xg, wg = _memoized(_GL_MEMO, per_octave, lambda: np.polynomial.legendre.leggauss(per_octave))
+    xg, wg = np.polynomial.legendre.leggauss(per_octave)
     n_oct = _octaves(q)
     upper = lam0 ** (q + 1.0) if q < 0.0 else lam0
     edges = upper * 2.0 ** -np.arange(n_oct + 1, dtype=float)

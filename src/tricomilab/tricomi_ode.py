@@ -288,7 +288,14 @@ def _unscaled(kernel, t: float, s: float, params: OdeParams) -> float:
         raise DomainError(f"need t >= s, got t={t} < s={s}")
     m, lam = params.m, params.lam
     scaled = float(kernel(t, s, np.array([lam]), m)[0])
-    return scaled * exp_or_inf(lam * (phi_of_t(m, t) - phi_of_t(m, s)))
+    growth = lam * (phi_of_t(m, t) - phi_of_t(m, s))
+    if growth < 709.0 or not scaled:
+        return scaled * exp_or_inf(growth)
+    # e^growth alone leaves the double range, the product need not: add the logs
+    try:
+        return math.copysign(math.exp(growth + math.log(abs(scaled))), scaled)
+    except OverflowError:
+        return math.copysign(math.inf, scaled)
 
 
 def phi1(t: float, s: float, params: OdeParams) -> float:

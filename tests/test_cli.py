@@ -347,6 +347,58 @@ def test_report_missing_inputs(tmp_path, capsys):
     assert "absent.json" in err
 
 
+_MALFORMED_REPORT_INPUTS = {
+    "directory": None,
+    "not-utf8": b'{"wronskian_residual": "\xff"}',
+    "json-list": b"[1, 2]",
+    "residual-not-a-number": json.dumps({"identity_residual_frame": "abc", "gamma": 1.0,
+                                         "p": 2.0}).encode(),
+    "slope-not-a-number": json.dumps({"fit": {"slope": "x", "theory_slope": -1.0}}).encode(),
+    "zero-p": json.dumps({"identity_residual_frame": 0.0, "gamma": 1.0, "p": 0}).encode(),
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED_REPORT_INPUTS))
+def test_report_refuses_malformed_inputs(tmp_path, capsys, kind):
+    path, summary = tmp_path / "input.json", tmp_path / "summary.json"
+    content = _MALFORMED_REPORT_INPUTS[kind]
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert run_cli(["report", str(path), "--output", str(summary)]) == EXIT_REPORT_GAP
+    assert str(path) in capsys.readouterr().err
+    assert not summary.exists()
+
+
+def test_report_reads_the_inf_strings_it_writes(tmp_path):
+    # _round_floats writes an infinite value as "inf" or "-inf"
+    path, summary = tmp_path / "input.json", tmp_path / "summary.json"
+    path.write_text(json.dumps({"wronskian_residual": "inf",
+                                "fit": {"slope": "-inf", "theory_slope": -1.0}}))
+    assert run_cli(["report", str(path), "--output", str(summary)]) == EXIT_OK
+    doc = json.loads(summary.read_text())
+    assert [(c["value"], c["pass"]) for c in doc["checks"]] == [("inf", False), ("-inf", False)]
+
+
+@pytest.mark.parametrize("slope, passed", [
+    (-0.5186, True),  # the (0,1,2) u1 = u0 scan at eps 0.01-0.03: shallower, within the bound
+    (-0.2, True),
+    (-0.7, True),
+    (-0.79, True),
+    (-0.85, False),  # steeper than -theta by more than 20% of theta
+])
+def test_report_slope_check_is_one_sided(tmp_path, slope, passed):
+    path, summary = tmp_path / "fit.json", tmp_path / "summary.json"
+    path.write_text(json.dumps({"kind": "lifespan_fit",
+                                "fit": {"slope": slope, "theory_slope": -0.666666666667}}))
+    assert run_cli(["report", str(path), "--output", str(summary)]) == EXIT_OK
+    doc = json.loads(summary.read_text())
+    assert [(c["name"], c["pass"]) for c in doc["checks"]] == [("fit_slope_vs_theory", passed)]
+    assert doc["checks"][0]["tolerance"] == pytest.approx(0.1333333333334)
+    assert doc["overall_pass"] is passed
+
+
 def test_unknown_flag_is_config_error(capsys):
     code = run_cli(["exponents", "--bogus-flag", "1"])
     assert code == EXIT_CONFIG
@@ -556,6 +608,47 @@ def test_invalid_input_exit_code(tmp_path, argv, code):
         assert proc.returncode == code
     else:
         assert run_cli(argv) == code
+
+
+_MALFORMED_CONFIG_FILES = {
+    "no-section-header": "m = 1\n",
+    "duplicate-option": "[exponents]\nm = 1\nm = 2\n",
+    "interpolation": "[exponents]\nm = %(x)s\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(_MALFORMED_CONFIG_FILES))
+def test_malformed_config_file_is_a_config_error(tmp_path, capsys, kind):
+    path = tmp_path / "bad.ini"
+    path.write_text(_MALFORMED_CONFIG_FILES[kind])
+    argv = ["exponents", "--config", str(path), "--set", "exponents.n=3"]
+    assert run_cli(argv) == EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+
+
+_CLI_ERRORS = [
+    (["exponents", "--set", "exponents.m=abc", "--set", "exponents.n=3"], EXIT_CONFIG,
+     "cannot parse value for 'exponents.m'"),
+    (["simulate", *_SIM, "--set", "grid.linear_only=maybe"], EXIT_CONFIG,
+     "cannot parse value for 'grid.linear_only'"),
+    (["exponents", "--config", "{tmp}/absent.ini"], EXIT_CONFIG, "config file not found"),
+    (["exponents", "--set", "m=1"], EXIT_CONFIG, "section.key=value"),
+    (["scan", *_SIM, "--set", "scan.eps_list=a,b"], EXIT_CONFIG, "cannot parse scan.eps_list"),
+    (["scan", *_SIM, "--set", "scan.eps_list=,"], EXIT_CONFIG, "scan.eps_list is empty"),
+    (["report", "{tmp}/text.json"], EXIT_REPORT_GAP, "text.json"),
+    (["report", "{tmp}/empty.json"], EXIT_REPORT_GAP, "nothing checkable"),
+]
+
+
+@pytest.mark.parametrize("argv, code, words", _CLI_ERRORS,
+                         ids=[f"{a[0]}-{a[-1].rsplit('/', 1)[-1]}" for a, _, _ in _CLI_ERRORS])
+def test_cli_error_paths(tmp_path, capsys, argv, code, words):
+    (tmp_path / "text.json").write_text("not json\n")
+    (tmp_path / "empty.json").write_text('{"kind": "lifespan_fit", "fit": null}\n')
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run_cli(argv + ["--output", str(tmp_path / "out")]) == code
+    assert words in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # configs at the edge of the double range: each ends in a result or a domain

@@ -80,10 +80,11 @@ def _full_grid_step(u, u_prev, r, t, dt, dt_prev, cfg, v0):
     return u_new
 
 
-def _assert_steps_match_full_grid(monkeypatch, *cfgs):
-    """Step cfgs as the rows of one batch through the solver's loop and
-    compare every row of every level, byte for byte, with the scheme applied
-    to its run's whole grid (``_full_grid_step``), and row 0's G, L^p and
+def _assert_steps_match_full_grid(monkeypatch, cfg, pairs):
+    """Step cfg's runs at each (eps, t_max) of pairs (none: cfg's own run) as
+    the rows of one batch through the solver's loop and compare every row of
+    every level, byte for byte, with the scheme applied to its run's whole
+    grid (``_full_grid_step``), and row 0's G, L^p and
     support radius with their full-grid values where the state's arrays span
     that grid (always, for a single run): the support radius byte for byte,
     G and L^p, which the solver sums over the live window only, to 1e-13
@@ -92,27 +93,29 @@ def _assert_steps_match_full_grid(monkeypatch, *cfgs):
     nonfinite) or reached its horizon.  Returns, per run, the steps it took,
     its last live extent, its outer boundary cell and whether it blew up.
     """
+    cfgs = _runs_at(cfg, *pairs) if pairs else [cfg]
     refs = []
-    for cfg in cfgs:
-        md = cfg.model
-        r = np.arange(pde._grid_size(cfg)) * cfg.dx
+    for run in cfgs:
+        md = run.model
+        r = np.arange(pde._grid_size(run)) * run.dx
         u0 = md.eps * np.where(r < md.R, (1.0 - (r / md.R) ** 2) ** 4, 0.0)
-        v0 = u0.copy() if cfg.u1_mode == "same" else np.zeros_like(u0)
+        v0 = u0.copy() if run.u1_mode == "same" else np.zeros_like(u0)
         refs.append(dict(r=r, u=u0, u_prev=None, dt_prev=0.0, v0=v0, steps=0,
                          live=None, edge=r.size - 1, blown_up=False, done=False))
     order = []  # the state's rows, in the order of cfgs
     real_initialize, real_step = pde.initialize, pde.step
 
-    def traced_initialize(*runs):
-        state = real_initialize(*runs)
+    def traced_initialize(cfg, *runs):
+        state = real_initialize(cfg, *runs)
         order.extend(state.rows)
         return state
 
-    def checked_step(state, cfg):
+    def checked_step(state, step_cfg):
+        assert step_cfg is cfg
         rows = [next(i for i, known in enumerate(order) if known is row) for row in state.rows]
         assert rows == [i for i, ref in enumerate(refs) if not ref["done"]]
         t = state.t
-        real_step(state, cfg)
+        real_step(state, step_cfg)
         for j, i in enumerate(rows):
             ref, run = refs[i], cfgs[i]
             ref["u"], ref["u_prev"] = _full_grid_step(
@@ -144,7 +147,7 @@ def _assert_steps_match_full_grid(monkeypatch, *cfgs):
 
     monkeypatch.setattr(pde, "initialize", traced_initialize)
     monkeypatch.setattr(pde, "step", checked_step)
-    pde._run(*cfgs)
+    pde._run(cfg, *pairs)
     monkeypatch.undo()
     assert all(ref["done"] for ref in refs)
     return [{k: ref[k] for k in ("steps", "live", "edge", "blown_up")} for ref in refs]
@@ -165,8 +168,7 @@ def test_step_matches_full_grid_scheme(monkeypatch, n, p, u1_mode):
     # horizon gives it the smaller domain: the arrays start at its edge,
     # which its window reaches, and grow to the others'.
     cfg = small_cfg(model=ModelParams(1.0, n, p), dx=0.05, u1_mode=u1_mode)
-    runs = _runs_at(cfg, (0.8, 3.0), (1.5, 3.0), (0.5, 1.5))
-    seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    seen = _assert_steps_match_full_grid(monkeypatch, cfg, [(0.8, 3.0), (1.5, 3.0), (0.5, 1.5)])
     assert seen[2]["steps"] < seen[0]["steps"]
     assert seen[2]["edge"] < seen[0]["edge"] == seen[1]["edge"]
     assert seen[2]["live"] == seen[2]["edge"]
@@ -174,20 +176,19 @@ def test_step_matches_full_grid_scheme(monkeypatch, n, p, u1_mode):
 
 def test_step_matches_full_grid_scheme_through_blowup(monkeypatch):
     # the eps = 1.0 row blows up; the eps = 0.6 row runs on to its horizon
-    runs = _runs_at(small_cfg(dx=0.05), (1.0, 12.0), (0.6, 5.0), (0.8, 3.0))
-    seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    cfg = small_cfg(dx=0.05)  # eps 1.0, t_max 12.0
+    seen = _assert_steps_match_full_grid(monkeypatch, cfg, [(1.0, 12.0), (0.6, 5.0), (0.8, 3.0)])
     assert [row["blown_up"] for row in seen] == [True, False, False]
     assert seen[2]["steps"] < seen[0]["steps"] < seen[1]["steps"]
     # alone, the eps = 1.0 run takes the same steps, its functionals checked at each
-    assert _assert_steps_match_full_grid(monkeypatch, runs[0]) == seen[:1]
+    assert _assert_steps_match_full_grid(monkeypatch, cfg, []) == seen[:1]
 
 
 def test_step_matches_full_grid_scheme_at_outer_boundary(monkeypatch):
     # long linear runs: every row's window reaches its outer boundary cell
     # and keeps stepping there, on the domain its horizon sizes
     cfg = RunConfig(model=ModelParams(0.0, 2, 2.0, R=1.0), dx=0.05, linear_only=True)
-    runs = _runs_at(cfg, (1.0, 1.0), (0.5, 4.0), (2.0, 2.0))
-    seen = _assert_steps_match_full_grid(monkeypatch, *runs)
+    seen = _assert_steps_match_full_grid(monkeypatch, cfg, [(1.0, 1.0), (0.5, 4.0), (2.0, 2.0)])
     assert [row["edge"] for row in seen] == [55, 115, 75]
     assert [row["live"] for row in seen] == [row["edge"] for row in seen]  # windows span the grids
     assert [row["steps"] for row in seen] == [50, 200, 100]
@@ -280,17 +281,6 @@ def test_f_tracked_simulate_takes_eta_q_only_inside_the_live_window(monkeypatch,
     assert dispatch(argv) == EXIT_OK
     assert len(calls) == len(extents) >= 8
     assert all(radius < extent for radius, extent in calls)
-
-
-def test_batch_rejects_runs_that_differ_in_the_scheme():
-    cfg = small_cfg(dx=0.05)
-    initialize(*_runs_at(cfg, (1.0, 2.0), (0.5, 4.0), (1.0, 40.0)))  # three domains
-    with pytest.raises(ConfigError, match="share dx,"):
-        initialize(cfg, replace(cfg, dx=0.04))
-    with pytest.raises(ConfigError, match="share u1_mode,"):
-        initialize(cfg, cfg, replace(cfg, u1_mode="zero"))
-    with pytest.raises(ConfigError, match="share R,"):
-        initialize(cfg, replace(cfg, model=replace(cfg.model, R=2.0)))
 
 
 def test_zero_front_trails_the_step_count():
@@ -530,9 +520,9 @@ def test_lifespan_scan_records_equal_run_until_blowup(monkeypatch):
     runs = []
     run = pde._run
 
-    def spy(*cfgs, observe=None):
-        recs = run(*cfgs, observe=observe)
-        runs.extend(zip(cfgs, recs))
+    def spy(cfg, *pairs, observe=None):
+        recs = run(cfg, *pairs, observe=observe)
+        runs.extend(zip(_runs_at(cfg, *pairs), recs))
         return recs
 
     monkeypatch.setattr(pde, "_run", spy)
@@ -622,18 +612,17 @@ def test_row_batch_levels_equal_single_runs(monkeypatch):
     # reached its outer boundary, the eps = 0.5 row is censored, and the
     # eps = 0.7 row on the largest domain runs on after both left
     cfg = small_cfg(model=ModelParams(0.0, 1, 3.0), dx=0.1, u1_mode="zero")
-    runs = [replace(cfg, model=replace(cfg.model, eps=e), t_max=h)
-            for e, h in ((1.0, 24.0), (0.5, 12.0), (0.7, 60.0))]
+    runs = [(1.0, 24.0), (0.5, 12.0), (0.7, 60.0)]
     seen = []
     amplitude = pde._amplitude
     monkeypatch.setattr(pde, "_amplitude", lambda u: seen.append(u.copy()) or amplitude(u))
     singles = []
     for run in runs:
         seen.clear()
-        pde._run(run)
+        pde._run(cfg, run)
         singles.append([u[0] for u in seen])  # the initial data, then each level's window
     seen.clear()
-    pde._run(*runs)
+    pde._run(cfg, *runs)
     batch = seen[:]
     assert len(batch) == max(len(levels) for levels in singles)
     for k, rows in enumerate(batch):

@@ -41,9 +41,9 @@ def test_traced_scan_books_every_level_under_step(monkeypatch):
         levels.append(args[4])  # the time the level starts from
         return next_level(*args)
 
-    def counted_run(*cfgs, **kw):
-        batches.append(len(cfgs))
-        return run(*cfgs, **kw)
+    def counted_run(cfg, *runs, **kw):
+        batches.append(len(runs))
+        return run(cfg, *runs, **kw)
 
     monkeypatch.setattr(pde, "_next_level", counted_level)
     monkeypatch.setattr(pde, "_run", counted_run)

@@ -146,6 +146,20 @@ def test_large_t_overflows_to_inf():
     assert 0.0 < sc.v1 < 1.0 and math.isfinite(sc.dv2)
 
 
+def test_unscaled_propagators_are_inf_only_where_the_value_overflows():
+    # at m = 0, lambda = 1 the growth is t: e^709.4 overflows, but cosh 709.4 =
+    # 6.13e307 and sinh(709.4)/709.4 do not
+    params, t = OdeParams(0.0, 1.0), 709.4
+    assert phi1(t, 0.0, params) == pytest.approx(math.cosh(t), rel=1e-12, abs=0.0)
+    assert phi2_ratio(t, 0.0, params) == pytest.approx(math.sinh(t) / t, rel=1e-12, abs=0.0)
+    assert phi2(t, 0.0, params) == pytest.approx(math.sinh(t), rel=1e-12, abs=0.0)
+    assert phi1(711.0, 0.0, params) == math.inf  # cosh 711 leaves the double range
+    # below e^709 the value is the scaled kernel times e^growth, as it was
+    lam = np.array([1.0])
+    for kernel, fn in ((kernel_phi1_scaled, phi1), (kernel_phi2_ratio_scaled, phi2_ratio)):
+        assert fn(708.9, 0.0, params) == float(kernel(708.9, 0.0, lam, 0.0)[0]) * math.exp(708.9)
+
+
 def test_scaled_forms_refuse_past_the_bessel_range():
     # scipy's ive and kve are nan past x = 2^30 - 0.5; the scaled forms are
     # finite up to it and refuse anything past it
