@@ -7,7 +7,9 @@ speed t^{m/2} grows with time, so the step obeys a time-dependent CFL rule
     dt_k = cfl_safety * dx / max(t_{k+1}^{m/2}, sqrt(dx)),
 
 where the sqrt(dx) floor keeps the Taylor start near the degenerate t = 0
-accurate.  Because dt varies, the update uses the nonuniform-step central
+accurate.  Where the speed at t_{k+1} leaves the double range (or the step
+would not move t), dt is halved until the rule holds at the step's end.
+Because dt varies, the update uses the nonuniform-step central
 formula (it reduces to plain leapfrog for constant dt):
 
     u^{k+1} = u^k + (dt_k/dt_{k-1}) (u^k - u^{k-1})
@@ -34,8 +36,9 @@ and the peak amplitude.  They read only the live window of row 0: past it u
 is exactly 0.0, so the peak and the support radius are those of the whole
 grid, and the integrals are the whole grid's trapezoid rule summed in
 another order.  One pass over |u| gives the four per-step scalars, with
-radial trapezoid weights built once per grid, and F takes eta_q only at
-the radii of the window.  ``lifespan_scan`` sweeps eps, subcritical only
+radial trapezoid weights built once per grid, and F takes the diagonal
+eta_q, a sphere average of one Kummer kernel, only at the radii of the
+window.  ``lifespan_scan`` sweeps eps, subcritical only
 (the regime and the eps-exponent come from ``exponents.lifespan_law``),
 keeping only each run's record; ``fit_scaling`` fits its slope.
 """
@@ -263,18 +266,28 @@ def radial_laplacian(u: np.ndarray, r: np.ndarray, dx: float, n: int) -> np.ndar
 
 
 def _pick_dt(cfg: RunConfig, t: float) -> float:
-    """The CFL step from t; a DomainError where the speed t^{m/2} leaves the
-    double range (an infinite speed would stall the run at dt = 0)."""
+    """The CFL step from t.  Where the speed t^{m/2} at t + dt leaves the
+    double range, or the step is too small to move t, the trial dt that set
+    it is halved until the rule holds at the step's end with a finite speed;
+    a DomainError where no step t + dt > t does."""
     m = cfg.model.m
     floor = math.sqrt(cfg.dx)
-    dt = 0.0
+    dt = trial = 0.0
     for _ in range(4):  # dt depends on t_{k+1}; fixed point converges fast
         speed = pow_or_inf(t + dt, m / 2.0)
         if speed == math.inf:
-            raise DomainError(f"wave speed t^(m/2) leaves the double range at "
-                              f"t={t + dt:.12g}, m={m:.12g}")
-        dt = cfg.cfl_safety * cfg.dx / max(speed, floor)
-    return dt
+            break
+        trial, dt = dt, cfg.cfl_safety * cfg.dx / max(speed, floor)
+    else:
+        if t + dt > t:
+            return dt
+        dt = trial
+    while t + dt > t:
+        dt *= 0.5
+        if dt * max(pow_or_inf(t + dt, m / 2.0), floor) <= cfg.cfl_safety * cfg.dx:
+            return dt
+    raise DomainError(f"wave speed t^(m/2) leaves the double range within any "
+                      f"step from t={t:.12g}, m={m:.12g}")
 
 
 def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: float):
@@ -379,8 +392,10 @@ def functional_lp(state: SolverState, cfg: RunConfig) -> float:
 def functional_F(state: SolverState, cfg: RunConfig) -> float:
     """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``).
 
-    eta_q is taken only at the radii of row 0's live window, where u can be
-    nonzero; the trapezoid weights are those of G.
+    The diagonal eta_q is the sphere average of one Kummer kernel (see
+    ``testfun._sphere_average``; no lambda-quadrature at n <= 3), taken only
+    at the radii of row 0's live window, where u can be nonzero; the
+    trapezoid weights are those of G.
     """
     live = state.rows[0].live
     eta_diag = eta_q(state.r[:live], state.t, state.t, cfg.default_testfn())

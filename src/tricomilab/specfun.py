@@ -12,9 +12,10 @@ Two special functions:
   the Laplacian with eigenvalue one (Lap(phi) = phi).
 
 This module holds the package's only reference to ``scipy.special``: the
-modified Bessel functions ``iv``, ``ive``, ``kve`` and ``i0e`` forward to it
-and import it on the first call (~0.3 s), so a command that never
-evaluates a Bessel function never loads it.  Kummer's function and
+modified Bessel functions ``iv``, ``ive``, ``kve`` and ``i0e`` and the
+vectorised Kummer function ``hyp1f1`` (the kernel of the diagonal test
+functions) forward to it and import it on the first call (~0.3 s), so a
+command that evaluates neither never loads it.  ``kummer_m`` and
 ``varphi`` for n = 1, 3 need none.
 
 All functions are pure; the one lazily built value (the Gauss rule of
@@ -72,6 +73,11 @@ def kve(v, z):
 def i0e(z):
     """Exponentially scaled I_0(z) e^{-|z|} (``scipy.special.i0e``)."""
     return _special().i0e(z)
+
+
+def hyp1f1(a, b, z):
+    """Kummer's M(a, b; z), elementwise over arrays (``scipy.special.hyp1f1``)."""
+    return _special().hyp1f1(a, b, z)
 
 
 class KummerEval(NamedTuple):

@@ -11,8 +11,16 @@ propagator kernels of ``tricomi_ode`` (modified-Bessel basis, scaled by
 e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
 and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
 bounded for arbitrarily large t, s.  Both kernels are exactly 1 on the
-diagonal s = t, where no kernel is evaluated (eta_q(x,t,t) weights the
-solver's F(t)); next to it Phi2/(t-s) comes from a (t-s)-series.
+diagonal s = t, where the quadrature evaluates no kernel; next to it
+Phi2/(t-s) comes from a (t-s)-series.
+
+On the diagonal, xi_q = eta_q (the weight of the solver's F(t) and of
+``lemma22_report``'s part iii) is, for n <= 2 and for n = 3 with q > 0, the
+sphere average int_{S^{n-1}} K(|x| w_1 - phi(t) - R) dw of one Kummer
+kernel K(w) = int_0^{lam0} e^{lam w} lam^q dlam = lam0^{q+1}/(q+1)
+M(q+1, q+2; lam0 w) (``specfun.hyp1f1``), see ``_sphere_average``; it
+needs no lambda-quadrature.  n >= 4, and n = 3 with q <= 0, take the
+quadrature, whose diagonal ``_test_fn`` also stays the tests' oracle.
 
 The lambda-integral is a graded Gauss-Legendre rule refined by doubling
 the order per panel: 8, 16, 32, 64, 128 points.  Each level is a row-wise
@@ -28,13 +36,9 @@ Three blocks are built once and shared through read-only memos
 evicted first-in-first-out): the graded rule per (q, lambda0, level); the
 t- and s-independent factor varphi_scaled(n, lam|x|) per (n, lambda nodes,
 radii); and, in ``tricomi_ode``, the kernels' time-t Bessel pair per (m,
-lambda phi(t)).  The rule and the pair are keyed on the exact inputs.  The
-varphi block also serves radii that begin a cached entry's radii, by its
-first rows, and extends an entry whose radii begin the requested ones by
-building the new rows alone, so the growing live window of an F-tracked
-run builds each row once.  A miss builds the block afresh, and results are bit-identical
-to that (varphi_scaled works element by element).  The exp factor skips
-its clip at 700 where the largest exponent of the block is within it.
+lambda phi(t)).  All three are keyed on the exact inputs, so results are
+bit-identical to building each block afresh.  The exp factor skips its
+clip at 700 where the largest exponent of the block is within it.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -49,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import varphi_scaled
+from .specfun import hyp1f1, varphi_scaled
 from .tricomi_ode import _memoized, kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
 
 _EXP_CLIP = 700.0
@@ -178,24 +182,8 @@ _VPHI_MEMO: dict[tuple, np.ndarray] = {}
 
 
 def _vphi_block(n: int, lam: np.ndarray, xn: np.ndarray) -> np.ndarray:
-    """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized.
-
-    Radii that begin a cached entry's radii are served by its first rows; an
-    entry whose radii begin the requested ones is replaced by itself plus
-    the new rows, built alone.  varphi_scaled works element by element, so
-    either is what a fresh build gives.
-    """
-    head, radii = (n, lam.tobytes()), xn.tobytes()
-    entries = [(key, block) for key, block in _VPHI_MEMO.items() if key[0] == head]
-    for (_, known), block in entries:
-        if known.startswith(radii):
-            return block[:xn.size]
-    for key, block in entries:
-        if radii.startswith(key[1]):
-            del _VPHI_MEMO[key]
-            rows = varphi_scaled(n, lam[None, :] * xn[block.shape[0]:, None])
-            return _memoized(_VPHI_MEMO, (head, radii), lambda: np.concatenate((block, rows)))
-    return _memoized(_VPHI_MEMO, (head, radii),
+    """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized."""
+    return _memoized(_VPHI_MEMO, (n, lam.tobytes(), xn.tobytes()),
                      lambda: varphi_scaled(n, lam[None, :] * xn[:, None]))
 
 
@@ -218,15 +206,22 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
     return out
 
 
+def _radii(x_norm, t: float, s: float) -> np.ndarray:
+    """The radii x_norm as a 1-d array; a DomainError unless they are finite
+    and >= 0 and t >= s >= 0."""
+    xn = np.atleast_1d(np.asarray(x_norm, dtype=float))
+    if not np.all((xn >= 0) & (xn < math.inf)):
+        raise DomainError("x_norm must be finite and >= 0")
+    if s < 0 or t < s:
+        raise DomainError(f"need t >= s >= 0, got t={t}, s={s}")
+    return xn
+
+
 def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the lambda-integral of the profile times
     kernel(t, s, lam, m) at radii x_norm.  On the diagonal s = t the kernel
     is not called: both propagator kernels are exactly 1 there."""
-    xn = np.atleast_1d(np.asarray(x_norm, dtype=float))
-    if np.any(xn < 0):
-        raise DomainError("x_norm must be >= 0")
-    if s < 0 or t < s:
-        raise DomainError(f"need t >= s >= 0, got t={t}, s={s}")
+    xn = _radii(x_norm, t, s)
 
     def g(lam):
         out = _exp_profile(lam, xn, s, p)  # fresh, so the kernel multiplies in place
@@ -240,14 +235,109 @@ def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 
     return val, err
 
 
+# ---------------------------------------------------------------------------
+# the diagonal s = t as a sphere average of one Kummer kernel
+# ---------------------------------------------------------------------------
+
+# even powers of the n = 3 small-radius series, 0..18 (see _sphere_average)
+_SERIES_J = np.arange(0.0, 19.0, 2.0)
+_SERIES_FACT = np.array([math.factorial(int(j) + 1) for j in _SERIES_J], dtype=float)
+# past this many angles the n = 2 rule is refused (lambda0 |x| > ~6.9e10)
+_MAX_ANGLES = 2**20
+
+
+def _on_sphere(p: TestFnParams) -> bool:
+    """Whether the diagonal takes the sphere average: n <= 2, or n = 3 with q > 0."""
+    return p.n < 3 or (p.n == 3 and p.q > 0.0)
+
+
+def _kummer_integral(b, lam0: float, w):
+    """int_0^{lam0} e^{lam w} lam^{b-1} dlam = lam0^b / b M(b, b+1; lam0 w), b > 0."""
+    return lam0**b / b * hyp1f1(b, b + 1.0, lam0 * w)
+
+
+def _angles(z: np.ndarray) -> np.ndarray:
+    """The n = 2 midpoint counts at lambda0 |x| = z: the smallest of 16, 32,
+    64, ... that is >= 4 sqrt(z) + 16, per radius."""
+    need = 4.0 * np.sqrt(z) + 16.0
+    n = 16.0 * 2.0 ** np.ceil(np.log2(need / 16.0))
+    n = np.where(n < need, 2.0 * n, n)  # where log2 rounded down
+    if n.size and n.max() > _MAX_ANGLES:
+        raise DomainError(f"the n = 2 sphere average needs more than {_MAX_ANGLES} "
+                          f"angles at lambda0 |x| = {z.max():g}")
+    return n.astype(int)
+
+
+def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
+    """eta_q(x, t, t) = xi_q(x, t, t) at the 1-d radii xn, for ``_on_sphere(p)``.
+
+    With a = phi(t) + R and K(w) = int_0^{lam0} e^{lam w} lam^q dlam, the
+    diagonal is int_{S^{n-1}} K(|x| w_1 - a) dw:
+
+    * n = 1: K(x - a) + K(-x - a);
+    * n = 2: 2 int_0^pi K(x cos th - a) dth, by the midpoint rule with
+      ``_angles(lam0 x)`` points (even and periodic, so spectrally
+      accurate), one count per radius;
+    * n = 3: (2 pi / x) [L(x - a) - L(-x - a)] with L(w) = int e^{lam w}
+      lam^{q-1} dlam = (lam0^q e^{lam0 w} - w K(w)) / q (by parts, so K is
+      the only kernel; scipy's M(q, q+1; .) itself loses up to 2e-13 at
+      small q).  Where the difference cancels, the odd part of L is summed
+      instead: 4 pi sum_{j even} x^j / (j+1)! K_j(-a), K_j the integral of
+      lam^{q+j}, all terms positive.  The series is taken for
+      x <= max(1/lam0, a / (10 sqrt C)), C = max(1, (q+1)(q+2)/6): there
+      K_{j+2}/K_j <= min(lam0^2, (q+j+1)(q+j+2)/a^2) makes its 10 terms
+      (j <= 18) exact to ~1e-17, and past it the difference keeps 1e-12
+      (pinned against mpmath).
+
+    Every radius is computed alone, so its value does not depend on which
+    other radii share the call.
+    """
+    a = phi_of_t(p.m, t) + p.R
+    q, lam0 = p.q, p.lambda0
+    if p.n == 1:
+        return _kummer_integral(q + 1.0, lam0, xn - a) + _kummer_integral(q + 1.0, lam0, -xn - a)
+    if p.n == 2:
+        out = np.empty_like(xn)
+        counts = _angles(lam0 * xn)
+        for n_th in np.unique(counts).tolist():
+            rows = np.flatnonzero(counts == n_th)
+            cos_th = np.cos((np.arange(n_th) + 0.5) * (math.pi / n_th))
+            # row chunks of at most 2^16 values, so a wide count stays small
+            for chunk in np.array_split(rows, -(-rows.size * n_th // 2**16)):
+                k = _kummer_integral(q + 1.0, lam0, xn[chunk, None] * cos_th - a)
+                out[chunk] = (2.0 * math.pi / n_th) * k.sum(axis=1)
+        return out
+    out = np.empty_like(xn)
+    series = xn <= max(1.0 / lam0, a / (10.0 * math.sqrt(max(1.0, (q + 1.0) * (q + 2.0) / 6.0))))
+    coef = _kummer_integral(q + 1.0 + _SERIES_J, lam0, -a) / _SERIES_FACT
+    out[series] = 4.0 * math.pi * np.polyval(coef[::-1], xn[series] ** 2)
+    x = xn[~series]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf past the double range
+        ends = lam0**q * (np.exp(lam0 * (x - a)) - np.exp(-lam0 * (x + a)))
+        k_in, k_out = (_kummer_integral(q + 1.0, lam0, w) for w in (x - a, -x - a))
+        diff = np.where(ends < np.inf, ends - (x - a) * k_in - (x + a) * k_out, np.inf)
+    out[~series] = (2.0 * math.pi / (q * x)) * diff
+    return out
+
+
+def _value(kernel, x_norm, t: float, s: float, p: TestFnParams):
+    """The test function of ``kernel`` at radii x_norm (scalar or array): the
+    sphere average on the diagonal where ``_on_sphere``, else the
+    lambda-quadrature to rtol 1e-8."""
+    if s != t or not _on_sphere(p):
+        return _test_fn(kernel, x_norm, t, s, p)[0]
+    val = _sphere_average(_radii(x_norm, t, s), t, p)
+    return float(val[0]) if np.ndim(x_norm) == 0 else val
+
+
 def xi_q(x_norm, t: float, s: float, p: TestFnParams):
-    """Test function xi_q at radius |x| = x_norm (scalar or array), to rtol 1e-8."""
-    return _test_fn(kernel_phi1_scaled, x_norm, t, s, p)[0]
+    """Test function xi_q at radius |x| = x_norm (scalar or array), see ``_value``."""
+    return _value(kernel_phi1_scaled, x_norm, t, s, p)
 
 
 def eta_q(x_norm, t: float, s: float, p: TestFnParams):
-    """Test function eta_q at radius |x| = x_norm (scalar or array), to rtol 1e-8."""
-    return _test_fn(kernel_phi2_ratio_scaled, x_norm, t, s, p)[0]
+    """Test function eta_q at radius |x| = x_norm (scalar or array), see ``_value``."""
+    return _value(kernel_phi2_ratio_scaled, x_norm, t, s, p)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +428,9 @@ def lemma22_report(
 
     Constants are the inf (i, ii) or sup (iii) of value/envelope over the
     grid; hypothesis-violating grid points are excluded and counted, and so
-    are the points whose quadrature missed rtol (``unconverged``).
+    are the points whose quadrature missed rtol (``unconverged``).  The
+    diagonal s = t (part iii, and part i at t = 0) is the sphere average of
+    ``eta_q`` where it applies, a closed form with no rtol.
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
@@ -350,8 +442,11 @@ def lemma22_report(
     upper_ok = q > (n - 3.0) / 2.0
 
     def measure(kernel, xs, t, s):
-        """Values at radii xs; the ones that missed rtol are counted."""
+        """Values at radii xs: the diagonal's sphere average (see ``_value``),
+        else the quadrature, whose points that missed rtol are counted."""
         nonlocal unconverged
+        if s == t and _on_sphere(p):
+            return _sphere_average(xs, t, p)
         vals, err = _test_fn(kernel, xs, t, s, p, rtol)
         unconverged += np.count_nonzero(_misses(vals, err, rtol))
         return vals

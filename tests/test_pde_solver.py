@@ -283,6 +283,55 @@ def test_f_tracked_simulate_takes_eta_q_only_inside_the_live_window(monkeypatch,
     assert all(radius < extent for radius, extent in calls)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_f_tracked_simulate_makes_no_quadrature_call(monkeypatch, tmp_path, n):
+    # F's diagonal eta_q is the sphere average of the Kummer kernel at every
+    # n the solver supports, so the lambda-quadrature is never called
+    from tricomilab import testfun
+    from tricomilab.cli import EXIT_OK, dispatch
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lambda-quadrature called by F")
+
+    monkeypatch.setattr(testfun, "integrate_lambda_weighted", refuse)
+    out = tmp_path / "run.csv"
+    argv = ["simulate", "--set", "model.m=1", "--set", f"model.n={n}", "--set", "model.p=2",
+            "--set", "grid.dx=0.05", "--set", "grid.t_max=3", "--set", "grid.n_f_samples=8",
+            "--output", str(out)]
+    assert dispatch(argv) == EXIT_OK
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    col = lines[0].split(",").index("f")
+    f = [float(ln.split(",")[col]) for ln in lines[1:] if ln.split(",")[col]]
+    assert len(f) >= 8 and all(math.isfinite(v) and v > 0 for v in f)
+
+
+def test_pick_dt_shrinks_where_the_speed_overflows():
+    # m = 1e6: t^{m/2} leaves the double range just past t = 1, so the
+    # fixed-point trial steps overflow there; the step taken instead keeps the
+    # CFL rule at its end with a finite speed, and the run reaches t = 1
+    cfg = RunConfig(ModelParams(1e6, 1, 2.0), t_max=1.0)
+    floor = math.sqrt(cfg.dx)
+    for t in (0.97, 0.999, 0.99999, 1.0, 1.0000036):
+        dt = pde._pick_dt(cfg, t)
+        speed = (t + dt) ** (cfg.model.m / 2.0)
+        assert t + dt > t and dt * max(speed, floor) <= cfg.cfl_safety * cfg.dx, t
+    rec, ser = run_until_blowup(cfg)
+    assert rec.censored and ser.t[-2] < 1.0 <= ser.t[-1] < 1.0 + 1e-5
+    # where the speed at t itself overflows, no step can keep the rule
+    with pytest.raises(DomainError, match="within any step"):
+        pde._pick_dt(cfg, 1.01)
+
+
+def test_pick_dt_unchanged_where_the_fixed_point_is_finite():
+    # the halving never runs on an ordinary step: dt is the 4-pass fixed point
+    cfg = small_cfg()
+    for t in (0.0, 0.3, 2.0, 7.5):
+        dt = 0.0
+        for _ in range(4):
+            dt = cfg.cfl_safety * cfg.dx / max((t + dt) ** (cfg.model.m / 2.0), math.sqrt(cfg.dx))
+        assert pde._pick_dt(cfg, t) == dt
+
+
 def test_zero_front_trails_the_step_count():
     # criterion 8's grid and largest eps: the precursor ahead of the front
     # underflows to 0.0, so the extent stops gaining a cell every step

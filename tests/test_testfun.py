@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -148,8 +149,10 @@ def test_diagonal_skips_the_kernel():
     p = TestFnParams(q=0.4, lambda0=0.5, R=1.0, n=3, m=1.0)
     for t in (0.0, 3.0):
         val, err = _test_fn(refuse, [0.0, 0.5], t, t, p)
-        assert val.tobytes() == eta_q(np.array([0.0, 0.5]), t, t, p).tobytes()
-        assert xi_q(0.5, t, t, p) == eta_q(0.5, t, t, p) == val[1]
+        eta_quad = _test_fn(kernel_phi2_ratio_scaled, np.array([0.0, 0.5]), t, t, p)[0]
+        assert val.tobytes() == eta_quad.tobytes()
+        assert _test_fn(kernel_phi1_scaled, 0.5, t, t, p)[0] == val[1]
+        assert xi_q(0.5, t, t, p) == eta_q(0.5, t, t, p)
     with pytest.raises(AssertionError, match="diagonal"):
         _test_fn(refuse, 0.5, 3.0, 2.0, p)
 
@@ -263,6 +266,11 @@ def _eta_diag_reference(xn, t, p):
     return integrate_lambda_weighted(g, p.q, p.lambda0)[0]
 
 
+def _eta_diag_quad(xn, t, p):
+    """Diagonal eta_q by the lambda-quadrature, through the memoized profile."""
+    return _test_fn(kernel_phi2_ratio_scaled, xn, t, t, p)[0]
+
+
 def test_memoized_profile_is_bit_identical(monkeypatch):
     # the grid and weight of an F-tracked n = 2 run (1,136 radii, q = 0)
     cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
@@ -280,8 +288,8 @@ def test_memoized_profile_is_bit_identical(monkeypatch):
     for t in (0.0, 3.7, 10.0):
         ref = _eta_diag_reference(xn, t, p)
         # t = 0 fills the memo, every later call hits it
-        assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
-        assert eta_q(xn, t, t, p).tobytes() == ref.tobytes()
+        assert _eta_diag_quad(xn, t, p).tobytes() == ref.tobytes()
+        assert _eta_diag_quad(xn, t, p).tobytes() == ref.tobytes()
         assert len(testfun._VPHI_MEMO) <= 4
     # one block per Gauss level visited (8 and 16), all built on the first call
     assert 2 <= len(misses) == len(testfun._VPHI_MEMO) <= 4
@@ -290,7 +298,7 @@ def test_memoized_profile_is_bit_identical(monkeypatch):
     lam, _ = testfun._graded_rule(p.q, p.lambda0, 16)
     _exp_profile(lam, xn, 2.0, p)[:] = np.nan
     ref = _eta_diag_reference(xn, 2.0, p)
-    assert eta_q(xn, 2.0, 2.0, p).tobytes() == ref.tobytes()
+    assert _eta_diag_quad(xn, 2.0, p).tobytes() == ref.tobytes()
     assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
 
 
@@ -303,7 +311,7 @@ def test_memo_holds_at_most_four_blocks():
         p = TestFnParams(q=0.5 + k / 16, n=3, m=1.0)
         xn = np.linspace(0.0, 1.0 + k, 7)
         ref = _eta_diag_reference(xn, 1.5, p)
-        assert eta_q(xn, 1.5, 1.5, p).tobytes() == ref.tobytes()
+        assert _eta_diag_quad(xn, 1.5, p).tobytes() == ref.tobytes()
         eta_q(xn, 2.0 + k, 1.0, p)
         assert all(len(memo) <= 4 for memo in memos)
     assert all(len(memo) == 4 for memo in memos)
@@ -315,33 +323,6 @@ def test_memo_holds_at_most_four_blocks():
     for arr in (lam, w, i_t, k_t):
         with pytest.raises(ValueError):
             arr[0] = 1.0
-
-
-def test_growing_prefix_builds_only_the_new_rows(monkeypatch):
-    # F's radii grow from sample to sample: each request whose radii begin a
-    # cached entry's is served by its first rows, and one that extends an
-    # entry builds only the rows past it
-    cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
-    r = initialize(cfg).r
-    p = cfg.default_testfn()
-    built = []
-
-    def counted(n, x):
-        built.append(x.shape)
-        return varphi_scaled(n, x)
-
-    monkeypatch.setattr(testfun, "varphi_scaled", counted)
-    testfun._VPHI_MEMO.clear()
-    sizes = (100, 250, 250, 600, 300, 1, r.size)
-    for k, t in zip(sizes, np.linspace(0.0, 10.0, len(sizes))):
-        ref = _eta_diag_reference(r[:k], t, p)
-        assert eta_q(r[:k], t, t, p).tobytes() == ref.tobytes(), k
-        assert len(testfun._VPHI_MEMO) <= 4
-    levels = sorted({cols for _, cols in built})
-    assert len(levels) == 2  # every radius stops at 16 points per panel
-    for cols in levels:
-        assert [rows for rows, c in built if c == cols] == [100, 150, 350, r.size - 600]
-    assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
 
 
 def test_far_radius_still_clips():
@@ -423,8 +404,9 @@ def _max_rel_to_reference(kernel, xn, t, s, p, reference):
 
 
 def _quadrature_cases():
-    """(kernel, radii, t, s, params): the diagonal of an F-tracked n = 2 run
-    (1,136 radii, q = 0), then 7 radii of testfun envelope rows, both kernels."""
+    """(kernel, radii, t, s, params): the quadrature's diagonal on the grid of
+    an F-tracked n = 2 run (1,136 radii, q = 0), then 7 radii of testfun
+    envelope rows, both kernels."""
     cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
     xn = initialize(cfg).r
     p = cfg.default_testfn()
@@ -490,6 +472,109 @@ def test_diagonal_eta_matches_its_kummer_closed_form(n, q):
                                                     - _kummer_integral(q - 1, p.lambda0, -(x + a))))
             ref = np.array([float(r) for r in ref])
         assert np.max(np.abs(eta_q(xs, t, t, p) - ref) / ref) <= 1e-12, t
+
+
+# ---------------------------------------------------------------------------
+# the diagonal as a sphere average of the Kummer kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, q, rtol", [
+    (1, -0.5, 1e-13), (1, 0.3, 1e-13),
+    (2, 0.0, 1e-13), (2, q_choice(2, 1.8), 1e-13), (2, 0.3, 1e-13),
+    (3, q_choice(3, 1.6), 1e-12), (3, q_choice(3, p_crit(1, 3)), 1e-12), (3, 1.5, 1e-12),
+])
+def test_sphere_average_matches_the_quadrature(n, q, rtol):
+    # eta_q(x, t, t) against the lambda-quadrature of the same integral, on
+    # the dx = 0.02 grid of an F-tracked run out past the cone a = phi(t) + R
+    # (measured: 2.3e-15 at n = 1, 4.2e-15 at n = 2, 1.3e-14 at n = 3, where
+    # the closed difference past the series cut loses a few digits)
+    p = TestFnParams(q=q, n=n, m=1.0)
+    for t in (0.0, 1.0, 5.0, 10.0, 100.0):
+        if t == 100.0 and n != 2:
+            continue
+        xs = np.arange(0.0, phi_of_t(p.m, t) + p.R + 3.0, 0.02)
+        assert xs[0] == 0.0 and xs[1] == 0.02
+        if t == 100.0:
+            xs = xs[::40]  # 839 radii out to 671
+        ref = _test_fn(kernel_phi2_ratio_scaled, xs, t, t, p)[0]
+        got = eta_q(xs, t, t, p)
+        assert np.max(np.abs(got - ref) / ref) <= rtol, t
+        assert xi_q(xs, t, t, p).tobytes() == got.tobytes()
+
+
+def _sphere_average_n2(q, lam0, x, a):
+    """2 int_0^pi K(x cos th - a) dth, K the Kummer integral of lam^q, in mpmath."""
+    with mpmath.workdps(30):
+        q, lam0, x, a = map(mpmath.mpf, (q, lam0, x, a))
+
+        def k(th):
+            return lam0 ** (q + 1) / (q + 1) * mpmath.hyp1f1(q + 1, q + 2, lam0 * (x * mpmath.cos(th) - a))
+
+        return float(2 * mpmath.quad(k, [0, mpmath.pi / 2, mpmath.pi]))
+
+
+@pytest.mark.parametrize("q, t, x", [
+    (0.0, 10.0, 0.0), (0.0, 10.0, 12.3), (0.0, 10.0, 22.0), (-0.056, 3.0, 4.1),
+    (0.3, 100.0, 300.0), (0.3, 100.0, 668.0),
+])
+def test_n2_sphere_average_matches_mpmath(q, t, x):
+    # the midpoint rule with 4 sqrt(lam0 x) + 16 angles, rounded up to 16 2^k
+    # (16 to 128 angles here), against mpmath's quadrature; measured 2.2e-15
+    p = TestFnParams(q=q, n=2, m=1.0)
+    ref = _sphere_average_n2(q, p.lambda0, x, phi_of_t(p.m, t) + p.R)
+    assert abs(eta_q(x, t, t, p) - ref) <= 1e-14 * ref
+
+
+def test_n2_angle_count_depends_on_the_radius_alone():
+    # 16 angles up to lam0 x = 16, then doubling: each count >= 4 sqrt(lam0 x) + 16
+    z = np.array([0.0, 16.0, 16.0001, 144.0, 144.01, 3.3e2, 1e6])
+    counts = testfun._angles(z)
+    assert counts.tolist() == [16, 32, 64, 64, 128, 128, 4096]
+    assert np.all(counts >= 4.0 * np.sqrt(z) + 16.0) and np.all(counts[1:] < 2 * (4.0 * np.sqrt(z[1:]) + 16.0))
+    with pytest.raises(DomainError, match="angles"):
+        eta_q(1e12, 1.0, 1.0, TestFnParams(q=0.0, n=2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_average_is_inf_only_past_the_double_range(n):
+    # ~e^{lam0 (x - a)} far outside the cone: finite at x = 1000, inf from
+    # x = 1500 (lam0 (x - a) ~ 749), with no numpy warning
+    p = TestFnParams(q=0.4, n=n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = eta_q(np.array([0.0, 1000.0, 1500.0, 5000.0]), 1.0, 1.0, p)
+    assert np.all(np.isfinite(vals[:2])) and np.all(vals[:2] > 0) and np.all(vals[2:] == np.inf)
+
+
+def test_n3_small_radius_series():
+    # below max(1/lam0, a/(10 sqrt C)) the n = 3 diagonal is the series of the
+    # odd part of L, whose terms are all positive: at x = 0 it is 4 pi K(-a)
+    # itself, and at x = dx = 0.02 it stays within 1e-14 of mpmath where the
+    # closed difference (2 pi/(q x))[lam0^q (e^{lam0(x-a)} - e^{-lam0(x+a)})
+    # - (x-a) K(x-a) - (x+a) K(-x-a)] loses 1.6e-10 at t = 1000
+    q = q_choice(3, 1.6)
+    p = TestFnParams(q=q, n=3, m=1.0)
+    lam0 = p.lambda0
+    cut = {}
+    for t in (0.0, 10.0, 100.0, 1000.0):
+        a = phi_of_t(p.m, t) + p.R
+        cut[t] = max(1.0 / lam0, a / 10.0)  # C = 1 for q <= 1
+        k_a = testfun._kummer_integral(q + 1.0, lam0, -a)
+        assert eta_q(0.0, t, t, p) == 4.0 * math.pi * k_a
+        xs = np.array([0.02, 0.5 * cut[t], cut[t], np.nextafter(cut[t], np.inf), 2.0 * cut[t]])
+        with mpmath.workdps(40):
+            ma = mpmath.mpf(a)
+            ref = np.array([float(2 * mpmath.pi / mpmath.mpf(x)
+                                  * (_kummer_integral(q - 1, lam0, x - ma)
+                                     - _kummer_integral(q - 1, lam0, -(x + ma)))) for x in xs])
+        assert np.max(np.abs(eta_q(xs, t, t, p) - ref) / ref) <= 1e-14, t
+        if t == 1000.0:
+            x = xs[0]
+            k_in, k_out = (testfun._kummer_integral(q + 1.0, lam0, w) for w in (x - a, -x - a))
+            ends = lam0**q * (math.exp(lam0 * (x - a)) - math.exp(-lam0 * (x + a)))
+            closed = 2.0 * math.pi / (q * x) * (ends - (x - a) * k_in - (x + a) * k_out)
+            assert abs(closed - ref[0]) > 1e-11 * ref[0]
 
 
 def _ladder_from_16(g, q, lam0, rtol=1e-8):

@@ -61,22 +61,22 @@ def test_traced_scan_books_every_level_under_step(monkeypatch):
     assert spans.layer_metrics(tracer.spans)["pde_solver.step.calls"] == len(levels)
 
 
-def test_traced_simulate_books_the_quadrature(tmp_path):
-    # an F-tracked run: every quadrature call shows up with the Gauss levels
-    # it evaluated (each F sample's radii all stop at level 16, so 8 and 16
+def test_traced_testfun_books_the_quadrature(tmp_path):
+    # an envelope run: every quadrature call shows up with the Gauss levels
+    # it evaluated (each call's radii all stop at level 16, so 8 and 16
     # points per panel), the nodes of those levels, and no unconverged call
     spans = _spans()
     cli = importlib.import_module("tricomilab.cli")
-    pde = importlib.import_module("tricomilab.pde_solver")
+    exponents = importlib.import_module("tricomilab.exponents")
     testfun = importlib.import_module("tricomilab.testfun")
     tracer = spans.Tracer({mod: importlib.import_module(f"tricomilab.{mod}")
                            for mod, _, _ in spans.TARGETS})
     tracer.install()
     try:
         code = cli.dispatch([
-            "simulate", "--set", "model.m=1", "--set", "model.n=2", "--set", "model.p=2",
-            "--set", "grid.dx=0.05", "--set", "grid.t_max=2", "--set", "grid.n_f_samples=8",
-            "--output", str(tmp_path / "run.csv")])
+            "testfun", "--set", "testfun.m=1", "--set", "testfun.n=2", "--set", "testfun.nt=3",
+            "--set", "testfun.ns=2", "--set", "testfun.nx=3",
+            "--output", str(tmp_path / "envelope.csv")])
     finally:
         tracer.uninstall()
     assert code == 0
@@ -84,6 +84,6 @@ def test_traced_simulate_books_the_quadrature(tmp_path):
     calls = metrics["testfun.quad.calls"]
     assert calls > 0 and metrics["testfun.quad.levels"] == 2 * calls
     assert metrics["testfun.quad.unconverged"] == 0
-    q = pde.RunConfig(pde.ModelParams(1.0, 2, 2.0)).default_testfn().q
+    q = exponents.q_choice(2, exponents.p_crit(1.0, 2))
     panels = testfun._octaves(q) + 1  # the dyadic panels and the last one, down to 0
     assert metrics["testfun.quad.nodes"] == calls * (8 + 16) * panels
