@@ -29,10 +29,15 @@ dt depends only on (t, dx, m, cfl_safety), so the runs of one ``RunConfig``
 at several (eps, t_max) step as the rows of one ``SolverState``, each with
 its own extent, outer boundary cell and amplitude history; a row leaves at
 a blow-up threshold crossing (with a threshold-sensitivity diagnostic), at
-a nonfinite value, or censored at its horizon.  A single run is a one-row
-state, whose arrays span its whole grid.  Its tracked functionals are G(t) =
-int u dx, int |u|^p dx, F(t) = int u(x,t) eta_q(x,t,t) dx, the support radius
-and the peak amplitude.  They read only the live window of row 0: past it u
+a nonfinite value, or censored at its horizon.  The state's arrays are
+column-major, so the window of a step is one contiguous block of rows * w
+values and the leapfrog update runs in place through flat views of it, the
+radial neighbours of a cell ``rows`` values away.  In C order the window
+would be ``rows`` strips one array width apart, and every ufunc of a batch
+step would pay for that stride.  A single run is a one-row state, whose
+arrays span its whole grid.  Its tracked functionals are G(t) = int u dx,
+int |u|^p dx, F(t) = int u(x,t) eta_q(x,t,t) dx, the support radius and the
+peak amplitude.  They read only the live window of row 0: past it u
 is exactly 0.0, so the peak and the support radius are those of the whole
 grid, and the integrals are the whole grid's trapezoid rule summed in
 another order.  One pass over |u| gives the four per-step scalars, with
@@ -191,6 +196,12 @@ class SolverState:
     0.0 from ``rows[i].live`` on, so the functionals read row 0 only below
     that extent.  ``step`` recycles the buffer of u_prev (zero before the
     first step) for the new level.
+
+    Both arrays are column-major (Fortran order), so the window ``[:, :w]``
+    that a step updates is one contiguous block (see the module docstring).
+    A one-row array is both C- and F-contiguous, so a single run's memory is
+    that of C order.  work holds the step's two scratch blocks of
+    rows * width values.
     """
 
     r: np.ndarray
@@ -199,6 +210,7 @@ class SolverState:
     t: float
     dt_prev: float
     rows: list[_Row]
+    work: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -247,16 +259,19 @@ def initialize(cfg: RunConfig, *runs: tuple[float, float]) -> SolverState:
     runs = runs or ((cfg.model.eps, cfg.t_max),)
     edges = [_grid_size(replace(cfg, t_max=t_max)) - 1 for _, t_max in runs]
     r = np.arange(min(edges) + 1) * cfg.dx  # the smallest domain
-    u = np.array([eps for eps, _ in runs])[:, None] * _bump(r, cfg.model.R)
+    u = np.asfortranarray(np.array([eps for eps, _ in runs])[:, None] * _bump(r, cfg.model.R))
     live = int(np.count_nonzero(r < cfg.model.R))
+    work = np.empty((2, u.size))
     rows = [_Row(eps, t_max, live, edge, peak=amp)
-            for (eps, t_max), edge, amp in zip(runs, edges, _amplitude(u).tolist())]
-    return SolverState(r=r, u=u, u_prev=np.zeros_like(u), t=0.0, dt_prev=0.0, rows=rows)
+            for (eps, t_max), edge, amp in zip(runs, edges, _amplitude(u, work[1]))]
+    return SolverState(r=r, u=u, u_prev=np.zeros_like(u), t=0.0, dt_prev=0.0, rows=rows,
+                       work=work)
 
 
 def radial_laplacian(u: np.ndarray, r: np.ndarray, dx: float, n: int) -> np.ndarray:
     """3-point radial Laplacian u_rr + (n-1)/r u_r over the last axis of u;
-    n*u_rr at the origin, 0 at the last cell."""
+    n*u_rr at the origin, 0 at the last cell.  ``_next_level`` runs the same
+    operations in place; the full-grid reference of the tests takes this."""
     lap = np.zeros_like(u)
     lap[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
     if n > 1:
@@ -290,24 +305,72 @@ def _pick_dt(cfg: RunConfig, t: float) -> float:
                       f"step from t={t:.12g}, m={m:.12g}")
 
 
-def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: float):
-    """The scheme's next level over the last axis of the window u at time t;
-    u_prev None is the Taylor start from the data u = u0, u1 = u0 or 0:
-    u(dt) = u0 + dt u1 + dt^2/2 (t^m Lap u0 + |u0|^p)|_{t=0} (the degenerate
-    factor t^m kills the Laplacian term for m > 0)."""
+# (n-1)/r at r_1, r_2, ..., each repeated for the rows of a flat block;
+# built once per grid and row count
+_COEF_MEMO: dict[tuple, np.ndarray] = {}
+
+
+def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: float, work):
+    """Overwrite u_prev, the level before the window u at time t, with the
+    scheme's next level; r is the state's grid and work its scratch.
+
+    u and u_prev are F-ordered (rows, w) windows, each one contiguous block.
+    The update runs through flat views of them, in place, with a cell's
+    radial neighbours ``rows`` values away.  Its ufuncs are those of
+    ``radial_laplacian`` and of the update in the module docstring, in the
+    same order, so each row gets the bits of a run of its own.  At t = 0
+    u_prev is zero and the level is the Taylor start from the data u = u0,
+    u1 = u0 or 0: u(dt) = u0 + dt u1 + dt^2/2 (t^m Lap u0 + |u0|^p)|_{t=0}
+    (the degenerate factor t^m kills the Laplacian term for m > 0)."""
     md = cfg.model
-    rhs = t**md.m * radial_laplacian(u, r, cfg.dx, md.n)
+    k = u.shape[0]
+    # row i of radius j at j * k + i; views, as the windows are F-contiguous
+    x, y = u.ravel(order="F"), u_prev.ravel(order="F")
+    rhs, tmp = work[0, :x.size], work[1, :x.size]
+    inner, tmp_in = rhs[k:-k], tmp[k:-k]
+    # rhs = t^m Lap_h(u) + |u|^p, Lap_h being radial_laplacian's
+    np.multiply(2.0, x[k:-k], out=tmp_in)
+    np.subtract(x[2 * k:], tmp_in, out=tmp_in)
+    np.add(tmp_in, x[:-2 * k], out=tmp_in)
+    np.divide(tmp_in, cfg.dx**2, out=inner)
+    if md.n > 1:
+        np.subtract(x[2 * k:], x[:-2 * k], out=tmp_in)
+        coef = _memoized(_COEF_MEMO, (md.n, cfg.dx, r.size, k),
+                         lambda: np.repeat((md.n - 1.0) / r[1:], k))
+        np.multiply(coef[:tmp_in.size], tmp_in, out=tmp_in)
+        np.divide(tmp_in, 2.0 * cfg.dx, out=tmp_in)
+        np.add(inner, tmp_in, out=inner)
+    origin = rhs[:k]
+    np.subtract(x[k:2 * k], x[:k], out=origin)
+    np.multiply(md.n * 2.0, origin, out=origin)
+    np.divide(origin, cfg.dx**2, out=origin)
+    rhs[-k:] = 0.0
+    np.multiply(t**md.m, rhs, out=rhs)
     if not cfg.linear_only:
-        rhs = rhs + np.abs(u) ** md.p
-    if u_prev is None:
-        v0 = u if cfg.u1_mode == "same" else np.zeros_like(u)
-        return u + dt * v0 + 0.5 * dt * dt * rhs
-    return u + dt / dt_prev * (u - u_prev) + 0.5 * dt * (dt + dt_prev) * rhs
+        np.abs(x, out=tmp)
+        tmp **= md.p  # the operator, as in np.abs(u) ** p: p = 2 squares
+        np.add(rhs, tmp, out=rhs)
+    # u + dt/dt_prev (u - u_prev) + dt (dt + dt_prev)/2 rhs; the Taylor start
+    # takes dt u1 for the middle term, and u_prev (zero) is that for u1 = 0
+    if t > 0.0:
+        np.subtract(x, y, out=y)
+        np.multiply(dt / dt_prev, y, out=y)
+    elif cfg.u1_mode == "same":
+        np.multiply(dt, x, out=y)
+    np.add(x, y, out=y)
+    np.multiply(0.5 * dt * (dt + dt_prev), rhs, out=rhs)
+    np.add(y, rhs, out=y)
 
 
-def _amplitude(u):
-    """max |u| over the last axis (nan where a value is nan)."""
-    return np.abs(u).max(axis=-1)
+def _amplitude(u: np.ndarray, out: np.ndarray) -> list[float]:
+    """Each row's max |u| over the window u (nan where a value is nan).  |u|
+    goes row by row into the flat buffer out, row-major, so that each max
+    reads one contiguous strip (one 2-D abs into it would buffer the
+    transposition; a max over a strided row is slower)."""
+    a = out[:u.size].reshape(u.shape)
+    for row, dest in zip(u, a):
+        np.abs(row, out=dest)
+    return a.max(axis=-1).tolist()
 
 
 def step(state: SolverState, cfg: RunConfig) -> SolverState:
@@ -326,11 +389,12 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
         size = min(max(2 * state.r.size, w), max(row.edge for row in state.rows) + 1)
         grow = ((0, 0), (0, size - state.r.size))
         state.r = np.arange(size) * cfg.dx
-        state.u, state.u_prev = (np.pad(a, grow) for a in (state.u, state.u_prev))
+        state.u, state.u_prev = (np.pad(a, grow) for a in (state.u, state.u_prev))  # F order
+        state.work = np.empty((2, state.u.size))
     # u_prev's buffer is zero past the previous windows, so only :w is written
     u_new = state.u_prev
-    u_new[:, :w] = _next_level(cfg, state.u[:, :w], None if state.t == 0.0 else
-                               u_new[:, :w], state.r[:w], state.t, dt, state.dt_prev)
+    _next_level(cfg, state.u[:, :w], u_new[:, :w], state.r, state.t, dt, state.dt_prev,
+                state.work)
     for i, row in enumerate(state.rows):
         if row.edge < w:  # past it the row's cells never leave 0.0
             u_new[i, row.edge] = 0.0
@@ -339,7 +403,7 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
     state.u_prev, state.u = state.u, u_new
     state.t += dt
     state.dt_prev = dt
-    for row, amp in zip(state.rows, _amplitude(u_new[:, :w]).tolist()):
+    for row, amp in zip(state.rows, _amplitude(u_new[:, :w], state.work[1])):
         row.note(amp, state.t, cfg.blowup_threshold)
     return state
 
@@ -428,7 +492,9 @@ def _run(cfg: RunConfig, *runs: tuple[float, float], observe=None) -> list[Lifes
             observe(state)
         keep = [not row.blown_up and state.t < row.t_max for row in state.rows]
         if not all(keep):
-            state.u, state.u_prev = state.u[keep], state.u_prev[keep]
+            # a boolean row pick returns C order: copy back to F
+            state.u, state.u_prev = (np.asfortranarray(a[keep])
+                                     for a in (state.u, state.u_prev))
             state.rows = [row for row, k in zip(state.rows, keep) if k]
     return [row.record() for row in rows]
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -656,31 +657,106 @@ def test_row_batch_equals_one_run_per_eps_edge_cases(mnp, grid, eps, facts):
 
 
 def test_row_batch_levels_equal_single_runs(monkeypatch):
-    # every level of every row, its boundary cell included, is bit-identical
-    # to the single run's: the eps = 1.0 row blows up after its frontier
+    # every level of every row, all its cells included, is bit-identical to
+    # the single run's: the eps = 1.0 row blows up after its frontier
     # reached its outer boundary, the eps = 0.5 row is censored, and the
-    # eps = 0.7 row on the largest domain runs on after both left
+    # eps = 0.7 row on the largest domain runs on after both left.  The
+    # levels are taken from step itself, so a run's level count is its step
+    # count on the time grid the runs share
     cfg = small_cfg(model=ModelParams(0.0, 1, 3.0), dx=0.1, u1_mode="zero")
     runs = [(1.0, 24.0), (0.5, 12.0), (0.7, 60.0)]
-    seen = []
-    amplitude = pde._amplitude
-    monkeypatch.setattr(pde, "_amplitude", lambda u: seen.append(u.copy()) or amplitude(u))
+    grid = [0.0]
+    while grid[-1] < max(t_max for _, t_max in runs):
+        grid.append(grid[-1] + pde._pick_dt(cfg, grid[-1]))
+    real_step, on_level = pde.step, None
+
+    def level_step(state, step_cfg):
+        real_step(state, step_cfg)
+        on_level(state)
+        return state
+
+    monkeypatch.setattr(pde, "step", level_step)
     singles = []
     for run in runs:
-        seen.clear()
-        pde._run(cfg, run)
-        singles.append([u[0] for u in seen])  # the initial data, then each level's window
-    seen.clear()
-    pde._run(cfg, *runs)
-    batch = seen[:]
-    assert len(batch) == max(len(levels) for levels in singles)
-    for k, rows in enumerate(batch):
+        levels = []
+        on_level = lambda state: levels.append((state.t, state.u[0].copy()))
+        (rec,) = pde._run(cfg, run)
+        steps = (grid.index(rec.t_blowup) if not rec.censored
+                 else next(k for k, t in enumerate(grid) if t >= run[1]))
+        assert [t for t, _ in levels] == grid[1:steps + 1]
+        singles.append([u for _, u in levels])
+    assert sorted(len(levels) for levels in singles)[0] > 100
+    batch = []
+
+    def check_batch(state):  # each batch level, as it comes
+        k = len(batch)
         active = [levels[k] for levels in singles if k < len(levels)]
-        assert rows.shape[0] == len(active)
-        for row, single in zip(rows, active):
+        assert state.u.shape[0] == len(active)
+        for row, single in zip(state.u, active):
             width = max(row.size, single.size)
             assert (np.pad(row, (0, width - row.size)).tobytes()
                     == np.pad(single, (0, width - single.size)).tobytes()), k
+        batch.append(state.t)
+
+    on_level = check_batch
+    pde._run(cfg, *runs)
+    assert batch == grid[1:max(len(levels) for levels in singles) + 1]
+
+
+def test_batch_arrays_stay_column_major(monkeypatch):
+    # u and u_prev stay F-ordered through initialize, growth and the row
+    # drop of _run, so a step's window u[:, :w] is one contiguous block.  A
+    # fall-back to C order would keep every bit and lose the speed, so only
+    # this test sees it
+    cfg = small_cfg(model=ModelParams(0.0, 1, 3.0), dx=0.1, u1_mode="zero")
+    real_initialize, real_step = pde.initialize, pde.step
+    seen = []
+
+    def checked(state):
+        w = max(min(row.live + 2, row.edge + 1) for row in state.rows)
+        for a in (state.u, state.u_prev):
+            assert a.flags.f_contiguous and a[:, :w].flags.f_contiguous
+        seen.append((len(state.rows), state.r.size))
+
+    def checked_initialize(cfg, *runs):
+        state = real_initialize(cfg, *runs)
+        checked(state)
+        return state
+
+    def checked_step(state, step_cfg):
+        checked(state)  # after _run dropped the rows that left
+        real_step(state, step_cfg)
+        checked(state)
+        return state
+
+    monkeypatch.setattr(pde, "initialize", checked_initialize)
+    monkeypatch.setattr(pde, "step", checked_step)
+    pde._run(cfg, (1.0, 24.0), (0.5, 12.0), (0.7, 60.0))
+    rows = [k for k, _ in seen]
+    assert rows[0] == 3 and sorted(set(rows)) == [1, 2, 3]  # rows left mid-run
+    assert len({size for k, size in seen if k > 1}) > 1  # multi-row arrays grew
+
+
+def test_batch_step_allocates_less_than_a_window():
+    # after a warm-up, 50 steps of a 3-row batch allocate less than one
+    # (rows x window) block at their peak: the new level is written in place
+    # into u_prev's buffer, through the state's scratch blocks
+    cfg = small_cfg()
+    state = initialize(cfg, (1.0, 12.0), (0.8, 12.0), (0.6, 12.0))
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            step(state, cfg)
+        size, base = state.r.size, tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(50):
+            step(state, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert state.r.size == size  # no growth among the measured steps
+    w = max(min(row.live + 2, row.edge + 1) for row in state.rows)
+    assert peak < len(state.rows) * w * 8, (peak, w)
 
 
 def test_fit_scaling_synthetic():
