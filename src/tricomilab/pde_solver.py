@@ -268,18 +268,6 @@ def initialize(cfg: RunConfig, *runs: tuple[float, float]) -> SolverState:
                        work=work)
 
 
-def radial_laplacian(u: np.ndarray, r: np.ndarray, dx: float, n: int) -> np.ndarray:
-    """3-point radial Laplacian u_rr + (n-1)/r u_r over the last axis of u;
-    n*u_rr at the origin, 0 at the last cell.  ``_next_level`` runs the same
-    operations in place; the full-grid reference of the tests takes this."""
-    lap = np.zeros_like(u)
-    lap[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dx**2
-    if n > 1:
-        lap[..., 1:-1] += (n - 1.0) / r[1:-1] * (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
-    lap[..., 0] = n * 2.0 * (u[..., 1] - u[..., 0]) / dx**2
-    return lap
-
-
 def _pick_dt(cfg: RunConfig, t: float) -> float:
     """The CFL step from t.  Where the speed t^{m/2} at t + dt leaves the
     double range, or the step is too small to move t, the trial dt that set
@@ -316,9 +304,11 @@ def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: floa
 
     u and u_prev are F-ordered (rows, w) windows, each one contiguous block.
     The update runs through flat views of them, in place, with a cell's
-    radial neighbours ``rows`` values away.  Its ufuncs are those of
-    ``radial_laplacian`` and of the update in the module docstring, in the
-    same order, so each row gets the bits of a run of its own.  At t = 0
+    radial neighbours ``rows`` values away.  Lap_h is the 3-point radial
+    Laplacian (u_{j+1} - 2 u_j + u_{j-1})/dx^2 + (n-1)/r_j (u_{j+1} -
+    u_{j-1})/(2 dx), with 2 n (u_1 - u_0)/dx^2 at the origin and 0 at the
+    last cell; the ufuncs follow this formula and the update in the module
+    docstring in order, so each row gets the bits of a run of its own.  At t = 0
     u_prev is zero and the level is the Taylor start from the data u = u0,
     u1 = u0 or 0: u(dt) = u0 + dt u1 + dt^2/2 (t^m Lap u0 + |u0|^p)|_{t=0}
     (the degenerate factor t^m kills the Laplacian term for m > 0)."""
@@ -328,7 +318,7 @@ def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: floa
     x, y = u.ravel(order="F"), u_prev.ravel(order="F")
     rhs, tmp = work[0, :x.size], work[1, :x.size]
     inner, tmp_in = rhs[k:-k], tmp[k:-k]
-    # rhs = t^m Lap_h(u) + |u|^p, Lap_h being radial_laplacian's
+    # rhs = t^m Lap_h(u) + |u|^p
     np.multiply(2.0, x[k:-k], out=tmp_in)
     np.subtract(x[2 * k:], tmp_in, out=tmp_in)
     np.add(tmp_in, x[:-2 * k], out=tmp_in)

@@ -22,23 +22,24 @@ M(q+1, q+2; lam0 w) (``specfun.hyp1f1``), see ``_sphere_average``; it
 needs no lambda-quadrature.  n >= 4, and n = 3 with q <= 0, take the
 quadrature, whose diagonal ``_test_fn`` also stays the tests' oracle.
 
-The lambda-integral is a graded Gauss-Legendre rule refined by doubling
-the order per panel: 8, 16, 32, 64, 128 points.  Each level is a row-wise
-sum over the lambda nodes, one sum per radius, and each radius keeps the
-first level that meets rtol, so a value at a radius does not depend on
-which other radii share the call.  The test-function integrands are smooth
-on every panel: on the envelope and F-tracked runs, 8 and 16 points agree
-to 2.4e-12 and the 16-point value is within 5e-15 of the 32-point one, so
-every radius there stops at 16.
+The lambda-integral takes the integrand's scale a = phi(t) + R: k dyadic
+Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with lam^q in
+the weights, down to lam0 2^-k <= 2/a, and below them one Gauss-Jacobi
+panel of weight lam^q (Golub-Welsch), on which e^{-lam a} changes by at
+most a factor e^2.  Every panel doubles its order from 8 to
+16, 32, 64, 128 points.  Each level is a row-wise sum over the lambda
+nodes, one sum per radius, and each radius keeps the first level that
+meets rtol; k depends on t alone, so a value at a radius does not depend
+on which other radii share the call.  On the envelope runs every radius
+stops at 16 points.
 
-Three blocks are built once and shared through read-only memos
+Two blocks are built once and shared through read-only memos
 (``tricomi_ode._memoized``: at most 4 entries, the four most recent,
-evicted first-in-first-out): the graded rule per (q, lambda0, level); the
-t- and s-independent factor varphi_scaled(n, lam|x|) per (n, lambda nodes,
-radii); and, in ``tricomi_ode``, the kernels' time-t Bessel pair per (m,
-lambda phi(t)).  All three are keyed on the exact inputs, so results are
-bit-identical to building each block afresh.  The exp factor skips its
-clip at 700 where the largest exponent of the block is within it.
+evicted first-in-first-out): the rule per (q, lambda0, level, k), and, in
+``tricomi_ode``, the kernels' time-t Bessel pair per (m, lambda phi(t)).
+Both are keyed on the exact inputs, so results are bit-identical to
+building each block afresh.  The exp factor skips its clip at 700 where
+the largest exponent of the block is within it.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -57,6 +58,9 @@ from .specfun import hyp1f1, varphi_scaled
 from .tricomi_ode import _memoized, kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
 
 _EXP_CLIP = 700.0
+# past this q the 128-point panel [lam0/2, lam0] no longer resolves the
+# weight lam^q to 1e-8 (it misses int_0^1 lam^q e^{-c lam} by 1e-7 at q = 7000)
+_MAX_Q = 5000.0
 
 
 @dataclass(frozen=True)
@@ -72,11 +76,11 @@ class TestFnParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if not (-1 < self.q < math.inf and _octaves(self.q) <= _MAX_OCTAVES):
-            raise DomainError(f"q must be > -1 for integrability, with at most "
-                              f"{_MAX_OCTAVES} quadrature octaves, got {self.q}")
-        if not self.lambda0 > 0:
-            raise DomainError(f"lambda0 must be > 0, got {self.lambda0}")
+        if not -1 < self.q <= _MAX_Q:
+            raise DomainError(f"q must be > -1 for integrability and <= {_MAX_Q:g}, "
+                              f"the most the lambda-rule resolves, got {self.q}")
+        if not 0 < self.lambda0 < math.inf:
+            raise DomainError(f"lambda0 must be finite and > 0, got {self.lambda0}")
         if not self.R > 0:
             raise DomainError(f"R must be > 0, got {self.R}")
         if int(self.n) != self.n or self.n < 1:
@@ -91,44 +95,45 @@ def bracket(s):
 
 
 # ---------------------------------------------------------------------------
-# graded Gauss-Legendre quadrature for int_0^{lam0} g(lam) lam^q dlam
+# graded Gauss quadrature for int_0^{lam0} g(lam) lam^q dlam
 # ---------------------------------------------------------------------------
 
 # graded rules, see the module docstring
 _RULE_MEMO: dict[tuple, tuple] = {}
 
 
-# past this many octaves the panel edges upper * 2^-k (upper <= 1) underflow to 0
-_MAX_OCTAVES = 1074
+def _dyadic_panels(lam0: float, scale: float) -> int:
+    """k, the number of dyadic panels above the end panel [0, lam0 2^-k]:
+    the least k >= 0 with lam0 2^-k <= 2 / scale."""
+    return max(0, math.ceil(math.log2(lam0) + math.log2(scale) - 1.0))
 
 
-def _octaves(q: float) -> int:
-    """The graded rule's dyadic panel count for the weight lam^q."""
-    return max(54, int(14.0 * (q + 1.0)) + 40)
+def _jacobi_panel(q: float, level: int):
+    """Gauss-Jacobi nodes/weights of int_0^1 f(u) u^q du, by Golub-Welsch:
+    the eigenvalues of the Jacobi matrix of P^(0,q) on [-1, 1], mapped by
+    u = (1 + x)/2, and the squared first eigenvector components over q + 1.
+    The matrix's first entry, q^2/(q(q+2)) in the textbook form, is written
+    q/(q+2), so q = 0 gives its limit 0 instead of 0/0."""
+    j = np.arange(1.0, level)
+    d = 2.0 * j + q
+    diag = np.concatenate(([q / (q + 2.0)], q * q / (d * (d + 2.0))))
+    off = 2.0 * j * (j + q) / (d * np.sqrt(d * d - 1.0))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), v[0] ** 2 / (q + 1.0)
 
 
-def _graded_rule(q: float, lam0: float, per_octave: int):
-    """Nodes/weights for the lam^q-weighted integral on (0, lam0].
-
-    Panels are graded dyadically toward 0.  For q < 0 the substitution
-    u = lam^{q+1} (du = (q+1) lam^q dlam) removes the endpoint singularity
-    first, so plain Gauss panels stay accurate.
-    """
-    xg, wg = np.polynomial.legendre.leggauss(per_octave)
-    n_oct = _octaves(q)
-    upper = lam0 ** (q + 1.0) if q < 0.0 else lam0
-    edges = upper * 2.0 ** -np.arange(n_oct + 1, dtype=float)
-    lo = np.concatenate((edges[1:], [0.0]))
-    half = 0.5 * (edges - lo)
-    mid = 0.5 * (edges + lo)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
-    if q < 0.0:
-        lam = nodes ** (1.0 / (q + 1.0))
-        # for q near -1 the power map can underflow lam to 0 at the deepest
-        # nodes (relative weight <= 2^-54); clamp so kernels stay finite
-        return np.maximum(lam, 1e-200), w / (q + 1.0)
-    return nodes, w * nodes**q
+def _graded_rule(q: float, lam0: float, level: int, k: int):
+    """Nodes/weights for the lam^q-weighted integral on [0, lam0]: k dyadic
+    Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with lam^q
+    folded into the weights, then one Gauss-Jacobi panel of weight lam^q on
+    [0, lam0 2^-k], ``level`` points each."""
+    xg, wg = np.polynomial.legendre.leggauss(level)
+    hi = lam0 * 2.0 ** -np.arange(k, dtype=float)[:, None]
+    nodes = (0.75 * hi + 0.25 * hi * xg).ravel()
+    w = (0.25 * hi * wg).ravel() * nodes**q
+    end = lam0 * 2.0**-k
+    u, wu = _jacobi_panel(q, level)
+    return np.concatenate((nodes, end * u)), np.concatenate((w, end ** (q + 1.0) * wu))
 
 
 def _misses(value, err, rtol: float):
@@ -136,31 +141,38 @@ def _misses(value, err, rtol: float):
     return ~(err <= rtol * np.maximum(np.abs(value), 1e-300))
 
 
-def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
+def integrate_lambda_weighted(g, q: float, lam0: float, scale: float, rtol: float = 1e-8):
     """(integral, error estimate) of int_0^{lam0} g(lam) lam^q dlam.
 
     ``g`` must accept a 1-d lambda array and return an array whose last axis
     matches it; the integral is taken over that axis, one row at a time, so
-    a row's value does not depend on the other rows.  ``g`` is called once
-    per Gauss level, at 8, 16, 32, 64 and 128 points per panel.  A row's
-    error estimate is the change under doubling the Gauss order per panel;
-    the row keeps the value and error of the first level at which that
-    falls below rtol in relative terms, and the levels stop when every row
-    has.  A row that meets rtol at 16 points keeps the 16-point value with
-    |Q16 - Q8| as its error; a row that misses there takes the same values,
-    to the bit, as a ladder that starts at 16 points.
+    a row's value does not depend on the other rows.  ``scale`` is the
+    integrand's own scale: g must be smooth on lambda <~ 2/scale (e^{-c lam}
+    needs scale >= |c|), since below lam0 2^-k, k = ``_dyadic_panels(lam0,
+    scale)``, one Gauss-Jacobi panel takes the weight lam^q alone.  ``g`` is
+    called once per Gauss level, at 8, 16, 32, 64 and 128 points per panel.
+    A row's error estimate is the change under doubling the Gauss order per
+    panel; the row keeps the value and error of the first level at which
+    that falls below rtol in relative terms, and the levels stop when every
+    row has.  A row that meets rtol at 16 points keeps the 16-point value
+    with |Q16 - Q8| as its error; a row that misses there takes the same
+    values, to the bit, as a ladder that starts at 16 points.
     """
-    if not lam0 > 0:
-        raise DomainError(f"lambda0 must be > 0, got {lam0}")
+    if not 0 < lam0 < math.inf:
+        raise DomainError(f"lambda0 must be finite and > 0, got {lam0}")
     if not q > -1:
         raise DomainError(f"integral diverges at 0 for q = {q} <= -1")
+    if not 0 < scale < math.inf:
+        raise DomainError(f"scale must be finite and > 0, got {scale}")
     if not rtol > 0:
         raise DomainError(f"rtol must be > 0, got {rtol}")
+    k = _dyadic_panels(lam0, scale)
     value = None
     err = np.inf
     done = False
     for level in (8, 16, 32, 64, 128):
-        lam, w = _memoized(_RULE_MEMO, (q, lam0, level), lambda: _graded_rule(q, lam0, level))
+        lam, w = _memoized(_RULE_MEMO, (q, lam0, level, k),
+                           lambda: _graded_rule(q, lam0, level, k))
         new = np.einsum("...l,l->...", g(lam), w)
         if value is not None:
             err = np.where(done, err, np.abs(new - value))
@@ -177,24 +189,12 @@ def integrate_lambda_weighted(g, q: float, lam0: float, rtol: float = 1e-8):
 # ---------------------------------------------------------------------------
 
 
-# blocks of the four most recent Gauss levels (see module docstring)
-_VPHI_MEMO: dict[tuple, np.ndarray] = {}
-
-
-def _vphi_block(n: int, lam: np.ndarray, xn: np.ndarray) -> np.ndarray:
-    """Read-only varphi_scaled(n, lam |x|) block, shape (X, L), memoized."""
-    return _memoized(_VPHI_MEMO, (n, lam.tobytes(), xn.tobytes()),
-                     lambda: varphi_scaled(n, lam[None, :] * xn[:, None]))
-
-
 def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams):
     """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|) at the 1-d radii
     x_norm, shape (X, L).
 
-    Returns a fresh array; the t-independent varphi factor comes from the memo.
+    Returns a fresh array.
     """
-    # fetched first, so no profile array is alive while a block is built
-    block = _vphi_block(p.n, lam, x_norm)
     phi_s = phi_of_t(p.m, s)
     out = lam[None, :] * (x_norm[:, None] - phi_s - p.R)
     # rounding is monotone and lam > 0, so the largest exponent is this one
@@ -202,7 +202,7 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
     if not (x_norm.size and lam.max() * (x_norm.max() - phi_s - p.R) <= _EXP_CLIP):
         np.minimum(out, _EXP_CLIP, out=out)
     np.exp(out, out=out)
-    out *= block
+    out *= varphi_scaled(p.n, lam[None, :] * x_norm[:, None])
     return out
 
 
@@ -229,7 +229,10 @@ def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 
             out *= kernel(t, s, lam, p.m)
         return out
 
-    val, err = integrate_lambda_weighted(g, p.q, p.lambda0, rtol)
+    # scale and rtol by keyword: bench/spans.py reads a fourth positional
+    # argument as rtol
+    val, err = integrate_lambda_weighted(g, p.q, p.lambda0, scale=phi_of_t(p.m, t) + p.R,
+                                         rtol=rtol)
     if np.ndim(x_norm) == 0:
         return float(val[0]), float(err[0])
     return val, err
@@ -320,24 +323,26 @@ def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
     return out
 
 
-def _value(kernel, x_norm, t: float, s: float, p: TestFnParams):
-    """The test function of ``kernel`` at radii x_norm (scalar or array): the
-    sphere average on the diagonal where ``_on_sphere``, else the
-    lambda-quadrature to rtol 1e-8."""
+def _value(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
+    """(value, error estimate) of the test function of ``kernel`` at radii
+    x_norm (scalar or array): the sphere average on the diagonal where
+    ``_on_sphere``, with error 0, else the lambda-quadrature to rtol."""
     if s != t or not _on_sphere(p):
-        return _test_fn(kernel, x_norm, t, s, p)[0]
+        return _test_fn(kernel, x_norm, t, s, p, rtol)
     val = _sphere_average(_radii(x_norm, t, s), t, p)
-    return float(val[0]) if np.ndim(x_norm) == 0 else val
+    if np.ndim(x_norm) == 0:
+        return float(val[0]), 0.0
+    return val, np.zeros_like(val)
 
 
 def xi_q(x_norm, t: float, s: float, p: TestFnParams):
     """Test function xi_q at radius |x| = x_norm (scalar or array), see ``_value``."""
-    return _value(kernel_phi1_scaled, x_norm, t, s, p)
+    return _value(kernel_phi1_scaled, x_norm, t, s, p)[0]
 
 
 def eta_q(x_norm, t: float, s: float, p: TestFnParams):
     """Test function eta_q at radius |x| = x_norm (scalar or array), see ``_value``."""
-    return _value(kernel_phi2_ratio_scaled, x_norm, t, s, p)
+    return _value(kernel_phi2_ratio_scaled, x_norm, t, s, p)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +447,10 @@ def lemma22_report(
     upper_ok = q > (n - 3.0) / 2.0
 
     def measure(kernel, xs, t, s):
-        """Values at radii xs: the diagonal's sphere average (see ``_value``),
-        else the quadrature, whose points that missed rtol are counted."""
+        """Values at radii xs (see ``_value``); the points that missed rtol
+        are counted."""
         nonlocal unconverged
-        if s == t and _on_sphere(p):
-            return _sphere_average(xs, t, p)
-        vals, err = _test_fn(kernel, xs, t, s, p, rtol)
+        vals, err = _value(kernel, xs, t, s, p, rtol)
         unconverged += np.count_nonzero(_misses(vals, err, rtol))
         return vals
 

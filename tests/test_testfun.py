@@ -44,15 +44,16 @@ def test_bracket():
 def test_params_validation():
     with pytest.raises(DomainError):
         TestFnParams(q=-1.0)
-    with pytest.raises(DomainError):
-        TestFnParams(q=0.0, lambda0=0.0)
+    for lam0 in (0.0, math.inf):
+        with pytest.raises(DomainError):
+            TestFnParams(q=0.0, lambda0=lam0)
     with pytest.raises(DomainError):
         TestFnParams(q=0.0, R=-1.0)
-    # the graded rule of q = 72.9 has 1074 octaves, the most before its
-    # panel edges underflow to 0; q = 73 would need 1076
-    TestFnParams(q=72.9)
-    for q in (73.0, 1e6, 1e300, math.inf):
-        with pytest.raises(DomainError, match="octaves"):
+    # q = 5000 is the largest q the lambda-rule resolves, see
+    # test_rule_resolves_the_largest_q
+    TestFnParams(q=5000.0)
+    for q in (np.nextafter(5000.0, math.inf), 1e6, 1e300, math.inf):
+        with pytest.raises(DomainError, match="resolves"):
             TestFnParams(q=q)
 
 
@@ -180,13 +181,50 @@ def test_quadrature_tolerance_honesty():
 
 def test_integrate_lambda_weighted_polynomial():
     # exact on integrands with known antiderivatives, incl. singular weight
-    val, err = integrate_lambda_weighted(lambda lam: lam**2, 0.5, 1.0)
+    val, err = integrate_lambda_weighted(lambda lam: lam**2, 0.5, 1.0, 1.0)
     assert val == pytest.approx(1.0 / 3.5, rel=1e-12)
-    val, _ = integrate_lambda_weighted(lambda lam: np.exp(-lam), -0.5, 2.0)
+    val, _ = integrate_lambda_weighted(lambda lam: np.exp(-lam), -0.5, 2.0, 1.0)
     oracle, _ = quad(lambda x: math.exp(-x) * x**-0.5, 0.0, 2.0, epsabs=1e-14)
     assert val == pytest.approx(oracle, rel=1e-10)
     with pytest.raises(DomainError):
-        integrate_lambda_weighted(lambda lam: lam, -1.0, 1.0)
+        integrate_lambda_weighted(lambda lam: lam, -1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        integrate_lambda_weighted(lambda lam: lam, 0.0, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("q", [-0.95, -0.5, 0.0, 1.3])
+def test_end_panel_is_exact_on_polynomials(q):
+    # with k = 0 the rule is the one Gauss-Jacobi panel of lam^q on [0, lam0]:
+    # 8 points integrate lam^{q+j} exactly for j <= 15 (q = 0 takes the
+    # limit 0 of the Jacobi matrix's first entry q^2/(q(q+2)))
+    lam0 = 0.7
+    lam, w = testfun._graded_rule(q, lam0, 8, 0)
+    assert lam.size == 8 and np.all((lam > 0) & (lam < lam0))
+    for j in range(16):
+        exact = lam0 ** (q + j + 1.0) / (q + j + 1.0)
+        assert abs(np.sum(w * lam**j) - exact) <= 1e-14 * exact, j
+
+
+def test_dyadic_panels_follow_the_scale():
+    # k dyadic panels down to lam0 2^-k <= 2/scale, the end panel below
+    assert [testfun._dyadic_panels(0.5, a) for a in (0.1, 4.0, 4.01, 8.0, 1e4)] == [0, 0, 1, 1, 12]
+    lam, w = testfun._graded_rule(0.3, 0.5, 16, 3)
+    assert lam.size == w.size == 4 * 16
+    assert np.all(lam[-16:] < 0.5 / 8) and np.all(lam[:-16] > 0.5 / 8)
+
+
+def test_rule_resolves_the_largest_q():
+    # at TestFnParams' bound q = 5000 the 128-point level still matches
+    # mpmath on int_0^1 lam^q e^{-c lam} to 1e-10 (measured: 6e-11; 1e-7 at
+    # q = 7000), with the dyadic panels (|c| > 2) and without them
+    q = 5000.0
+    for c in (-10.0, 0.0, 1.0, 10.0, 100.0, 1e4):
+        lam, w = testfun._graded_rule(q, 1.0, 128, testfun._dyadic_panels(1.0, max(1.0, abs(c))))
+        with mpmath.workdps(40):
+            # the lower incomplete gamma function where the series of M is slow
+            ref = float(mpmath.gammainc(q + 1, 0, c) / mpmath.mpf(c) ** (q + 1) if c > 0
+                        else _kummer_integral(q, 1.0, -c))
+        assert abs(np.exp(-c * lam) @ w - ref) <= 1e-10 * ref, c
 
 
 def test_near_divergent_weight_finite():
@@ -250,7 +288,7 @@ def test_hypothesis_violations_raise_or_exclude():
 
 
 # ---------------------------------------------------------------------------
-# memoized varphi block of the exp profile
+# the exp profile of the quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -263,7 +301,7 @@ def _eta_diag_reference(xn, t, p):
             p.n, lam[None, :] * xn[:, None]
         )
 
-    return integrate_lambda_weighted(g, p.q, p.lambda0)[0]
+    return integrate_lambda_weighted(g, p.q, p.lambda0, phi_of_t(p.m, t) + p.R)[0]
 
 
 def _eta_diag_quad(xn, t, p):
@@ -271,39 +309,32 @@ def _eta_diag_quad(xn, t, p):
     return _test_fn(kernel_phi2_ratio_scaled, xn, t, t, p)[0]
 
 
-def test_memoized_profile_is_bit_identical(monkeypatch):
+def test_profile_is_bit_identical(monkeypatch):
     # the grid and weight of an F-tracked n = 2 run (1,136 radii, q = 0)
     cfg = RunConfig(ModelParams(m=1.0, n=2, p=2.0, eps=1.0), t_max=10.0, track_f=True)
     xn = initialize(cfg).r
     p = cfg.default_testfn()
     assert xn.size == 1136 and p.q == 0.0
-    misses = []
+    blocks = []
 
     def counted(n, r):
-        misses.append(r.shape)
+        blocks.append(r.shape)
         return varphi_scaled(n, r)
 
     monkeypatch.setattr(testfun, "varphi_scaled", counted)
-    testfun._VPHI_MEMO.clear()
     for t in (0.0, 3.7, 10.0):
         ref = _eta_diag_reference(xn, t, p)
-        # t = 0 fills the memo, every later call hits it
+        blocks.clear()
         assert _eta_diag_quad(xn, t, p).tobytes() == ref.tobytes()
-        assert _eta_diag_quad(xn, t, p).tobytes() == ref.tobytes()
-        assert len(testfun._VPHI_MEMO) <= 4
-    # one block per Gauss level visited (8 and 16), all built on the first call
-    assert 2 <= len(misses) == len(testfun._VPHI_MEMO) <= 4
-
-    # a caller that writes into a returned profile cannot reach the memo
-    lam, _ = testfun._graded_rule(p.q, p.lambda0, 16)
-    _exp_profile(lam, xn, 2.0, p)[:] = np.nan
-    ref = _eta_diag_reference(xn, 2.0, p)
-    assert _eta_diag_quad(xn, 2.0, p).tobytes() == ref.tobytes()
-    assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
+        # one varphi block over all radii per Gauss level visited, each
+        # level on the k + 1 panels of this t
+        panels = testfun._dyadic_panels(p.lambda0, phi_of_t(p.m, t) + p.R) + 1
+        ladder = [(xn.size, level * panels) for level in (8, 16, 32, 64, 128)]
+        assert len(blocks) >= 2 and blocks == ladder[:len(blocks)], t
 
 
 def test_memo_holds_at_most_four_blocks():
-    memos = (testfun._VPHI_MEMO, testfun._RULE_MEMO, tricomi_ode._PAIR_MEMO)
+    memos = (testfun._RULE_MEMO, tricomi_ode._PAIR_MEMO)
     for memo in memos:
         memo.clear()
     for k in range(12):
@@ -317,7 +348,6 @@ def test_memo_holds_at_most_four_blocks():
     assert all(len(memo) == 4 for memo in memos)
 
     # the entries are read-only, so no caller can write into a shared block
-    assert all(not b.flags.writeable for b in testfun._VPHI_MEMO.values())
     lam, w = next(iter(testfun._RULE_MEMO.values()))
     i_t, k_t = next(iter(tricomi_ode._PAIR_MEMO.values()))
     for arr in (lam, w, i_t, k_t):
@@ -329,7 +359,7 @@ def test_far_radius_still_clips():
     # the clip of the exponent lam(|x| - phi(s) - R) at 700 acts where it
     # must, and where it cannot act the profile is the unclipped one
     p = TestFnParams(q=0.0, n=3, m=1.0)
-    lam, _ = testfun._graded_rule(p.q, p.lambda0, 16)
+    lam, _ = testfun._graded_rule(p.q, p.lambda0, 16, 0)
     for xn, clips in ((np.array([0.0, 3.0, 5000.0]), True), (np.array([0.0, 3.0]), False)):
         arg = lam[None, :] * (xn[:, None] - phi_of_t(p.m, 1.0) - p.R)
         assert np.any(arg > 700.0) == clips
@@ -358,34 +388,34 @@ def test_values_do_not_depend_on_grouping(n):
         assert fn(subset, t, s, p).tobytes() == batch[::-7].tobytes(), (fn.__name__, s)
 
 
-def _level_sum(g, q, lam0, level):
+def _level_sum(g, q, lam0, scale, level):
     """One Gauss level's row-wise sums, as integrate_lambda_weighted forms them."""
-    lam, w = testfun._graded_rule(q, lam0, level)
+    lam, w = testfun._graded_rule(q, lam0, level, testfun._dyadic_panels(lam0, scale))
     return np.einsum("...l,l->...", g(lam), w)
 
 
 def test_each_row_stops_at_its_own_level():
     # row 0 meets rtol at level 16, cos(80 lam) only at level 64
-    q, lam0 = 0.0, 1.0
+    q, lam0, scale = 0.0, 1.0, 80.0
 
     def g_both(lam):
         return np.stack((np.exp(-lam), np.cos(80.0 * lam)))
 
-    at = {level: _level_sum(g_both, q, lam0, level) for level in (8, 16, 32, 64)}
+    at = {level: _level_sum(g_both, q, lam0, scale, level) for level in (8, 16, 32, 64)}
     assert at[16][0] != at[64][0]  # so keeping level 16 is visible
     assert abs(at[32][1] - at[16][1]) > 1e-8 * abs(at[32][1])
-    val, err = integrate_lambda_weighted(g_both, q, lam0)
-    alone, alone_err = integrate_lambda_weighted(lambda lam: g_both(lam)[:1], q, lam0)
+    val, err = integrate_lambda_weighted(g_both, q, lam0, scale)
+    alone, alone_err = integrate_lambda_weighted(lambda lam: g_both(lam)[:1], q, lam0, scale)
     assert val[0] == alone[0] == at[16][0] and err[0] == alone_err[0] == abs(at[16][0] - at[8][0])
     assert val[1] == at[64][1] and err[1] == abs(at[64][1] - at[32][1])
 
 
-def _whole_array_reference(g, q, lam0, rtol=1e-8):
+def _whole_array_reference(g, q, lam0, scale, rtol=1e-8):
     """The quadrature with one (X, L) @ w product per level, every row
     refined until all rows meet rtol."""
     value = None
     for level in (8, 16, 32, 64, 128):
-        lam, w = testfun._graded_rule(q, lam0, level)
+        lam, w = testfun._graded_rule(q, lam0, level, testfun._dyadic_panels(lam0, scale))
         new = g(lam) @ w
         if value is not None:
             err = np.abs(new - value)
@@ -399,7 +429,7 @@ def _max_rel_to_reference(kernel, xn, t, s, p, reference):
     def g(lam):
         return _exp_profile(lam, xn, s, p) * kernel(t, s, lam, p.m)
 
-    ref = reference(g, p.q, p.lambda0)
+    ref = reference(g, p.q, p.lambda0, phi_of_t(p.m, t) + p.R)
     return np.max(np.abs(_test_fn(kernel, xn, t, s, p)[0] - ref) / np.abs(ref))
 
 
@@ -426,6 +456,19 @@ def test_row_sum_matches_matrix_product():
         assert _max_rel_to_reference(*case, _whole_array_reference) <= 1e-14
 
 
+@pytest.mark.parametrize("q, n, s, ref", [
+    (0.3, 3, 2.0, 295.8791386492094), (-0.5, 3, 2.0, 580.8560480979602),
+    (0.3, 4, 5.0, 91.4962662452196),
+])
+def test_out_of_cone_radius_keeps_its_value(q, n, s, ref):
+    # |x| = 3(phi(t) + R) lies past the scale phi(t) + R the rule is built
+    # for; eta_q there stays within 1e-11 of the value of the former rule,
+    # 54 or more fixed dyadic octaves down to 0 (measured: 1.3e-15)
+    p = TestFnParams(q=q, n=n, m=1.0)
+    t = 5.0
+    assert abs(eta_q(3.0 * (phi_of_t(p.m, t) + p.R), t, s, p) - ref) <= 1e-11 * ref
+
+
 def _kummer_integral(q, lam0, c):
     """int_0^{lam0} e^{c lam} lam^q dlam = lam0^{q+1}/(q+1) M(q+1, q+2; c lam0), in mpmath."""
     q, lam0 = mpmath.mpf(q), mpmath.mpf(lam0)
@@ -442,7 +485,9 @@ def _kummer_integral(q, lam0, c):
 def test_error_estimate_bounds_the_true_error(q, lam0, cs):
     # g = e^{-c lam}, one c per row: each row's estimate covers its true error
     c = np.array(cs)
-    val, err = integrate_lambda_weighted(lambda lam: np.exp(-c[:, None] * lam[None, :]), q, lam0)
+    scale = max(1.0, np.max(np.abs(c)))  # the rule's contract: the integrand's scale
+    val, err = integrate_lambda_weighted(lambda lam: np.exp(-c[:, None] * lam[None, :]), q, lam0,
+                                         scale)
     with mpmath.workdps(40):
         exact = [float(_kummer_integral(q, lam0, -ck)) for ck in cs]
     for v, e, x in zip(val, err, exact):
@@ -577,14 +622,14 @@ def test_n3_small_radius_series():
             assert abs(closed - ref[0]) > 1e-11 * ref[0]
 
 
-def _ladder_from_16(g, q, lam0, rtol=1e-8):
+def _ladder_from_16(g, q, lam0, scale, rtol=1e-8):
     """The quadrature with the Gauss ladder (16, 32, 64, 128): the rule's
     first test compares 32 with 16 points per panel."""
     value = None
     err = np.inf
     done = False
     for level in (16, 32, 64, 128):
-        new = _level_sum(g, q, lam0, level)
+        new = _level_sum(g, q, lam0, scale, level)
         if value is not None:
             err = np.where(done, err, np.abs(new - value))
             new = np.where(done, value, new)
@@ -600,7 +645,7 @@ def test_values_stay_within_1e_14_of_the_ladder_from_16():
     # 16 kept Q32 there.  On these rows they differ by at most 3.8e-15, far
     # below the 12 digits the CLI prints
     for case in _quadrature_cases():
-        rel = _max_rel_to_reference(*case, lambda g, q, lam0: _ladder_from_16(g, q, lam0)[0])
+        rel = _max_rel_to_reference(*case, lambda g, q, lam0, scale: _ladder_from_16(g, q, lam0, scale)[0])
         assert rel <= 1e-14
 
 
@@ -612,10 +657,10 @@ def test_rows_that_miss_at_16_follow_the_ladder_from_16(q):
         return np.stack((np.exp(-lam), np.cos(40.0 * lam), np.cos(80.0 * lam),
                          np.cos(200.0 * lam)))
 
-    at = {level: _level_sum(g, q, 1.0, level) for level in (8, 16)}
+    at = {level: _level_sum(g, q, 1.0, 200.0, level) for level in (8, 16)}
     assert np.all(np.abs(at[16] - at[8])[1:] > 1e-8 * np.abs(at[16][1:]))
-    val, err = integrate_lambda_weighted(g, q, 1.0)
-    ref, ref_err = _ladder_from_16(g, q, 1.0)
+    val, err = integrate_lambda_weighted(g, q, 1.0, 200.0)
+    ref, ref_err = _ladder_from_16(g, q, 1.0, 200.0)
     assert val[1:].tobytes() == ref[1:].tobytes() and err[1:].tobytes() == ref_err[1:].tobytes()
     assert val[0] == at[16][0] and err[0] == abs(at[16][0] - at[8][0])
 

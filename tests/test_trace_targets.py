@@ -61,14 +61,21 @@ def test_traced_scan_books_every_level_under_step(monkeypatch):
     assert spans.layer_metrics(tracer.spans)["pde_solver.step.calls"] == len(levels)
 
 
-def test_traced_testfun_books_the_quadrature(tmp_path):
+def test_traced_testfun_books_the_quadrature(tmp_path, monkeypatch):
     # an envelope run: every quadrature call shows up with the Gauss levels
     # it evaluated (each call's radii all stop at level 16, so 8 and 16
-    # points per panel), the nodes of those levels, and no unconverged call
+    # points per panel), the nodes of those levels on the k + 1 panels its
+    # scale sets, and no unconverged call
     spans = _spans()
     cli = importlib.import_module("tricomilab.cli")
-    exponents = importlib.import_module("tricomilab.exponents")
     testfun = importlib.import_module("tricomilab.testfun")
+    quad, panels = testfun.integrate_lambda_weighted, []
+
+    def recorded(g, q, lam0, scale, rtol=1e-8):
+        panels.append(testfun._dyadic_panels(lam0, scale) + 1)
+        return quad(g, q, lam0, scale, rtol)
+
+    monkeypatch.setattr(testfun, "integrate_lambda_weighted", recorded)
     tracer = spans.Tracer({mod: importlib.import_module(f"tricomilab.{mod}")
                            for mod, _, _ in spans.TARGETS})
     tracer.install()
@@ -84,6 +91,5 @@ def test_traced_testfun_books_the_quadrature(tmp_path):
     calls = metrics["testfun.quad.calls"]
     assert calls > 0 and metrics["testfun.quad.levels"] == 2 * calls
     assert metrics["testfun.quad.unconverged"] == 0
-    q = exponents.q_choice(2, exponents.p_crit(1.0, 2))
-    panels = testfun._octaves(q) + 1  # the dyadic panels and the last one, down to 0
-    assert metrics["testfun.quad.nodes"] == calls * (8 + 16) * panels
+    assert len(panels) == calls and max(panels) > 1  # some calls have dyadic panels
+    assert metrics["testfun.quad.nodes"] == (8 + 16) * sum(panels)
