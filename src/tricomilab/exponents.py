@@ -18,6 +18,7 @@ and the lifespan upper-bound laws
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +26,7 @@ from .errors import DomainError
 
 # |gamma| below this at the requested p routes to the critical lifespan law
 CRITICAL_GAMMA_TOL = 1e-9
+_LOG_MAX = math.log(sys.float_info.max)  # e^x is finite up to here, not past it
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,7 @@ class IterationExponents(NamedTuple):
 
 def exp_or_inf(x: float) -> float:
     """e^x, or inf once it leaves the double range (and for nan x)."""
-    return math.exp(x) if x < 709.0 else math.inf
+    return math.exp(x) if x <= _LOG_MAX else math.inf
 
 
 def pow_or_inf(x: float, y: float) -> float:

@@ -209,7 +209,7 @@ def j_threshold_time(seq: SubcriticalSequences) -> float:
 
     max{T0 + (e^{S_p(inf) + alpha_it log 2 + 1} / D1)^{1/(beta_it - alpha_it)},
         2 T0 + 1}; the exponent equals 2(p-1)/gamma.  Evaluated in log space;
-    inf once the power-law term passes e^709 (near p_crit).
+    inf once the power-law term leaves the double range (near p_crit).
     """
     log_base = seq.sp_infinity + seq.alpha_it * math.log(2.0) + 1.0 - math.log(seq.d1)
     log_power = log_base / (seq.beta_it - seq.alpha_it)

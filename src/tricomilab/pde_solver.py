@@ -43,13 +43,16 @@ grid, and the integrals are the whole grid's trapezoid rule summed in
 another order.  One pass over |u| gives the four per-step scalars, with
 radial trapezoid weights built once per grid, and F takes the diagonal
 eta_q, a sphere average of one Kummer kernel, only at the radii of the
-window.  ``lifespan_scan`` sweeps eps, subcritical only
+window.  The weights and the Laplacian's (n-1)/r are read-only arrays of
+pure builders under a bounded ``functools.lru_cache``, keyed on the grid.
+``lifespan_scan`` sweeps eps, subcritical only
 (the regime and the eps-exponent come from ``exponents.lifespan_law``),
 keeping only each run's record; ``fit_scaling`` fits its slope.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -59,7 +62,7 @@ from .errors import ConfigError, DomainError
 from .exponents import ExponentContext, lifespan_law, pow_or_inf, q_choice
 from .specfun import surface_area
 from .testfun import TestFnParams, eta_q
-from .tricomi_ode import _memoized, phi_of_t
+from .tricomi_ode import phi_of_t
 
 # unused here; re-exported because the benchmark tracer wraps this name in this module
 from .exponents import gamma_mnp  # noqa: F401
@@ -117,6 +120,8 @@ class RunConfig:
             raise ConfigError(f"u1_mode must be 'same' or 'zero', got {self.u1_mode}")
         if not self.blowup_threshold > 1:
             raise ConfigError("blowup_threshold must be > 1")
+        if self.n_f_samples < 1:
+            raise ConfigError(f"n_f_samples must be >= 1, got {self.n_f_samples}")
 
     def domain_radius(self) -> float:
         """R + phi(t_max), the support cone at the horizon, plus a margin.
@@ -293,9 +298,13 @@ def _pick_dt(cfg: RunConfig, t: float) -> float:
                       f"step from t={t:.12g}, m={m:.12g}")
 
 
-# (n-1)/r at r_1, r_2, ..., each repeated for the rows of a flat block;
-# built once per grid and row count
-_COEF_MEMO: dict[tuple, np.ndarray] = {}
+@functools.lru_cache(maxsize=4)
+def _radial_coef(n: int, dx: float, size: int, rows: int) -> np.ndarray:
+    """Read-only (n-1)/r at r_1, ..., r_{size-1} of the grid r_i = i dx, each
+    repeated for the rows of a flat block; built once per grid and row count."""
+    coef = np.repeat((n - 1.0) / (np.arange(1, size) * dx), rows)
+    coef.flags.writeable = False
+    return coef
 
 
 def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: float, work):
@@ -325,8 +334,7 @@ def _next_level(cfg: RunConfig, u, u_prev, r, t: float, dt: float, dt_prev: floa
     np.divide(tmp_in, cfg.dx**2, out=inner)
     if md.n > 1:
         np.subtract(x[2 * k:], x[:-2 * k], out=tmp_in)
-        coef = _memoized(_COEF_MEMO, (md.n, cfg.dx, r.size, k),
-                         lambda: np.repeat((md.n - 1.0) / r[1:], k))
+        coef = _radial_coef(md.n, cfg.dx, r.size, k)
         np.multiply(coef[:tmp_in.size], tmp_in, out=tmp_in)
         np.divide(tmp_in, 2.0 * cfg.dx, out=tmp_in)
         np.add(inner, tmp_in, out=inner)
@@ -398,21 +406,15 @@ def step(state: SolverState, cfg: RunConfig) -> SolverState:
     return state
 
 
-_WEIGHT_MEMO: dict[tuple, np.ndarray] = {}
-
-
-def _weights(state: SolverState, cfg: RunConfig) -> np.ndarray:
-    """Radial trapezoid weights surface_area(n) dx r^{n-1} of the state's
-    grid, halved at both ends: int f dx over R^n is their sum against f.
-    Built once per grid."""
-    n, size = cfg.model.n, state.r.size
-
-    def build():
-        w = surface_area(n) * cfg.dx * state.r ** (n - 1)
-        w[[0, -1]] *= 0.5
-        return w
-
-    return _memoized(_WEIGHT_MEMO, (n, cfg.dx, size), build)
+@functools.lru_cache(maxsize=4)
+def _weights(n: int, dx: float, size: int) -> np.ndarray:
+    """Read-only radial trapezoid weights surface_area(n) dx r^{n-1} of the
+    grid r_i = i dx, i < size, halved at both ends: int f dx over R^n is
+    their sum against f.  Built once per grid."""
+    w = surface_area(n) * dx * (np.arange(size) * dx) ** (n - 1)
+    w[[0, -1]] *= 0.5
+    w.flags.writeable = False
+    return w
 
 
 def _support(r: np.ndarray, a: np.ndarray, amp: float) -> float:
@@ -427,7 +429,7 @@ def _live_scalars(state: SolverState, cfg: RunConfig) -> tuple[float, float, flo
     live = state.rows[0].live
     u = state.u[0, :live]
     a = np.abs(u)
-    w = _weights(state, cfg)[:live]
+    w = _weights(cfg.model.n, cfg.dx, state.r.size)[:live]
     amp = float(a.max())
     return (amp, float(np.einsum("i,i->", u, w)), float(np.einsum("i,i->", a ** cfg.model.p, w)),
             _support(state.r, a, amp))
@@ -453,7 +455,8 @@ def functional_F(state: SolverState, cfg: RunConfig) -> float:
     """
     live = state.rows[0].live
     eta_diag = eta_q(state.r[:live], state.t, state.t, cfg.default_testfn())
-    return float(np.einsum("i,i,i->", state.u[0, :live], eta_diag, _weights(state, cfg)[:live]))
+    w = _weights(cfg.model.n, cfg.dx, state.r.size)[:live]
+    return float(np.einsum("i,i,i->", state.u[0, :live], eta_diag, w))
 
 
 def support_radius(state: SolverState) -> float:
@@ -500,7 +503,7 @@ def run_until_blowup(cfg: RunConfig) -> tuple[LifespanRecord, TimeSeries]:
     ts, amps, gs, lps, supps = [], [], [], [], []
     f_t, f_v = [], []
     f_next = 0.0
-    f_stride = cfg.t_max / max(1, cfg.n_f_samples)
+    f_stride = cfg.t_max / cfg.n_f_samples
 
     def record(state):
         nonlocal f_next

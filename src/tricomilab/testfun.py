@@ -33,13 +33,12 @@ meets rtol; k depends on t alone, so a value at a radius does not depend
 on which other radii share the call.  On the envelope runs every radius
 stops at 16 points.
 
-Two blocks are built once and shared through read-only memos
-(``tricomi_ode._memoized``: at most 4 entries, the four most recent,
-evicted first-in-first-out): the rule per (q, lambda0, level, k), and, in
-``tricomi_ode``, the kernels' time-t Bessel pair per (m, lambda phi(t)).
-Both are keyed on the exact inputs, so results are bit-identical to
-building each block afresh.  The exp factor skips its clip at 700 where
-the largest exponent of the block is within it.
+Two blocks are built once and shared read-only, each from a pure builder
+under a bounded ``functools.lru_cache`` (the four most recent entries): the
+rule per (q, lambda0, level, k) (``_graded_rule``), and, in ``tricomi_ode``,
+the kernels' time-t Bessel pair per (m, lambda phi(t)).  Both are keyed on
+the exact inputs, so results are bit-identical to building each block
+afresh.  The exponent of the exp factor is clipped at 700.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -48,16 +47,19 @@ constant B2) on user grids.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .exponents import pow_or_inf
 from .specfun import hyp1f1, varphi_scaled
-from .tricomi_ode import _memoized, kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
+from .tricomi_ode import kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
 
 _EXP_CLIP = 700.0
+_TINY = np.finfo(float).tiny  # the smallest normal double
 # past this q the 128-point panel [lam0/2, lam0] no longer resolves the
 # weight lam^q to 1e-8 (it misses int_0^1 lam^q e^{-c lam} by 1e-7 at q = 7000)
 _MAX_Q = 5000.0
@@ -98,10 +100,6 @@ def bracket(s):
 # graded Gauss quadrature for int_0^{lam0} g(lam) lam^q dlam
 # ---------------------------------------------------------------------------
 
-# graded rules, see the module docstring
-_RULE_MEMO: dict[tuple, tuple] = {}
-
-
 def _dyadic_panels(lam0: float, scale: float) -> int:
     """k, the number of dyadic panels above the end panel [0, lam0 2^-k]:
     the least k >= 0 with lam0 2^-k <= 2 / scale."""
@@ -122,18 +120,21 @@ def _jacobi_panel(q: float, level: int):
     return 0.5 * (1.0 + x), v[0] ** 2 / (q + 1.0)
 
 
+@functools.lru_cache(maxsize=4)
 def _graded_rule(q: float, lam0: float, level: int, k: int):
-    """Nodes/weights for the lam^q-weighted integral on [0, lam0]: k dyadic
-    Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with lam^q
-    folded into the weights, then one Gauss-Jacobi panel of weight lam^q on
-    [0, lam0 2^-k], ``level`` points each."""
+    """Read-only nodes/weights for the lam^q-weighted integral on [0, lam0]:
+    k dyadic Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with
+    lam^q folded into the weights, then one Gauss-Jacobi panel of weight
+    lam^q on [0, lam0 2^-k], ``level`` points each."""
     xg, wg = np.polynomial.legendre.leggauss(level)
     hi = lam0 * 2.0 ** -np.arange(k, dtype=float)[:, None]
     nodes = (0.75 * hi + 0.25 * hi * xg).ravel()
     w = (0.25 * hi * wg).ravel() * nodes**q
     end = lam0 * 2.0**-k
     u, wu = _jacobi_panel(q, level)
-    return np.concatenate((nodes, end * u)), np.concatenate((w, end ** (q + 1.0) * wu))
+    lam, w = np.concatenate((nodes, end * u)), np.concatenate((w, end ** (q + 1.0) * wu))
+    lam.flags.writeable = w.flags.writeable = False
+    return lam, w
 
 
 def _misses(value, err, rtol: float):
@@ -171,8 +172,7 @@ def integrate_lambda_weighted(g, q: float, lam0: float, scale: float, rtol: floa
     err = np.inf
     done = False
     for level in (8, 16, 32, 64, 128):
-        lam, w = _memoized(_RULE_MEMO, (q, lam0, level, k),
-                           lambda: _graded_rule(q, lam0, level, k))
+        lam, w = _graded_rule(q, lam0, level, k)
         new = np.einsum("...l,l->...", g(lam), w)
         if value is not None:
             err = np.where(done, err, np.abs(new - value))
@@ -197,10 +197,7 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams)
     """
     phi_s = phi_of_t(p.m, s)
     out = lam[None, :] * (x_norm[:, None] - phi_s - p.R)
-    # rounding is monotone and lam > 0, so the largest exponent is this one
-    # formed in the same order; where it is within the clip, the clip is a no-op
-    if not (x_norm.size and lam.max() * (x_norm.max() - phi_s - p.R) <= _EXP_CLIP):
-        np.minimum(out, _EXP_CLIP, out=out)
+    np.minimum(out, _EXP_CLIP, out=out)
     np.exp(out, out=out)
     out *= varphi_scaled(p.n, lam[None, :] * x_norm[:, None])
     return out
@@ -255,8 +252,13 @@ def _on_sphere(p: TestFnParams) -> bool:
 
 
 def _kummer_integral(b, lam0: float, w):
-    """int_0^{lam0} e^{lam w} lam^{b-1} dlam = lam0^b / b M(b, b+1; lam0 w), b > 0."""
-    return lam0**b / b * hyp1f1(b, b + 1.0, lam0 * w)
+    """int_0^{lam0} e^{lam w} lam^{b-1} dlam = lam0^b / b M(b, b+1; lam0 w), b > 0;
+    a DomainError where lam0^b leaves the double range."""
+    with np.errstate(over="ignore"):
+        power = pow_or_inf(lam0, b)
+    if not np.all(power < math.inf):
+        raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{np.max(b):.6g} past the double range")
+    return power / b * hyp1f1(b, b + 1.0, lam0 * w)
 
 
 def _angles(z: np.ndarray) -> np.ndarray:
@@ -435,7 +437,9 @@ def lemma22_report(
     grid; hypothesis-violating grid points are excluded and counted, and so
     are the points whose quadrature missed rtol (``unconverged``).  The
     diagonal s = t (part iii, and part i at t = 0) is the sphere average of
-    ``eta_q`` where it applies, a closed form with no rtol.
+    ``eta_q`` where it applies, a closed form with no rtol.  An envelope
+    that is not a normal double (<.>^{-q} underflows at large q and t) is a
+    DomainError naming q, the part and t.
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
@@ -455,6 +459,9 @@ def lemma22_report(
         return vals
 
     def add(part, t, s, x, v, env):
+        if not env >= _TINY:  # every envelope is <= 1: it can only underflow
+            raise DomainError(f"the part {part} envelope underflows at t={t:.12g} "
+                              f"(q={q:.12g})")
         rows.append(Lemma22Row(part, t, s, float(x), float(v), env, float(v) / env))
 
     for t in sorted({float(v) for v in grid.t_values}):

@@ -30,7 +30,8 @@ arbitrarily large t:
   exactly 1 on the diagonal s = t.  Off it they are Bessel products, with
   a (t-s)-series for Phi2/(t-s) next to the diagonal, where its Bessel
   difference cancels, and the leading small-s terms where lambda phi(s) < 1e-8.
-  The time-t pair ive(nu, x_t), kve(nu, x_t) is memoized (``_bessel_pair``),
+  The time-t pair ive(nu, x_t), kve(nu, x_t) is cached (``_bessel_pair``, a
+  bounded ``functools.lru_cache`` of the four most recent pairs, read-only),
   so one t and Gauss level of a quadrature evaluates it once; at s = 0 it
   gives V1 and V2 with no negative order (see ``_small_s_factors``).
   scipy's ive and kve return nan past x = 2^30 - 0.5, so the kernels and
@@ -46,6 +47,7 @@ that stays below ~e^709.  It imports scipy.integrate on its first call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -157,34 +159,20 @@ def fundamental_pair_scaled(params: OdeParams, t: float) -> FundamentalEval:
     return _pair(params, t, scaled=True)
 
 
-def _memoized(memo: dict, key, build):
-    """memo[key]; on a miss build() makes it (an array or a tuple of arrays),
-    stored read-only.  At most 4 entries (the four most recent levels of
-    testfun.integrate_lambda_weighted, or grids of pde_solver), evicted
-    first-in-first-out."""
-    value = memo.get(key)
-    if value is None:
-        value = build()
-        for arr in value if isinstance(value, tuple) else (value,):
-            arr.flags.writeable = False
-        if len(memo) >= 4:
-            del memo[next(iter(memo))]
-        memo[key] = value
-    return value
-
-
-_PAIR_MEMO: dict[tuple, tuple] = {}
-
-
 def _bessel_pair(nu: float, x: np.ndarray):
-    """Read-only (ive(nu, x), kve(nu, x)), memoized on the exact (nu, x); a
+    """Read-only (ive(nu, x), kve(nu, x)), cached on the exact (nu, x); a
     DomainError past _MAX_BESSEL_X."""
+    return _bessel_pair_of(nu, x.shape, x.tobytes())
 
-    def build():
-        _check_bessel_range(float(np.max(x)))
-        return ive(nu, x), kve(nu, x)
 
-    return _memoized(_PAIR_MEMO, (nu, x.shape, x.tobytes()), build)
+@functools.lru_cache(maxsize=4)
+def _bessel_pair_of(nu: float, shape: tuple, data: bytes):
+    """``_bessel_pair`` of the float array with this shape and data."""
+    x = np.frombuffer(data).reshape(shape)
+    _check_bessel_range(float(np.max(x)))
+    i_nu, k_nu = ive(nu, x), kve(nu, x)
+    i_nu.flags.writeable = k_nu.flags.writeable = False
+    return i_nu, k_nu
 
 
 def _small_s_factors(t: float, lam: np.ndarray, m: float, i_nu, k_nu):
@@ -292,10 +280,7 @@ def _unscaled(kernel, t: float, s: float, params: OdeParams) -> float:
     if growth < 709.0 or not scaled:
         return scaled * exp_or_inf(growth)
     # e^growth alone leaves the double range, the product need not: add the logs
-    try:
-        return math.copysign(math.exp(growth + math.log(abs(scaled))), scaled)
-    except OverflowError:
-        return math.copysign(math.inf, scaled)
+    return math.copysign(exp_or_inf(growth + math.log(abs(scaled))), scaled)
 
 
 def phi1(t: float, s: float, params: OdeParams) -> float:

@@ -711,6 +711,14 @@ _EDGE = [
     # lambda phi(t) = 709.5: the unscaled pair's products pass the double range
     (["odecheck", "--set", "odecheck.m=1", "--set", "odecheck.lambda=1",
       "--set", "odecheck.t=104.238728661", "--set", "odecheck.s=0"], EXIT_OK),
+    # lambda0^(q+1) of the diagonal's Kummer kernel leaves the double range
+    (["testfun", "--set", "testfun.nt=2", "--set", "testfun.ns=2", "--set", "testfun.nx=2",
+      "--set", "testfun.lambda0=1e300"], EXIT_DOMAIN),
+    # part ii's envelope <phi(s)>^{-q-1+(m+4)/(2(m+2))} underflows at t = 1000
+    (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set", "testfun.nx=2",
+      "--set", "testfun.q=100"], EXIT_DOMAIN),
+    (["simulate", "--set", "model.m=1", "--set", "model.n=2", "--set", "model.p=2",
+      "--set", "grid.t_max=1", "--set", "grid.n_f_samples=-5"], EXIT_CONFIG),
 ]
 
 
@@ -726,6 +734,32 @@ def test_edge_config_exit_code(tmp_path, argv, code):
         assert json.loads(out.read_text())["lifespan_bound"] == "inf"
     if argv[0] == "varphi" and code == EXIT_OK:
         assert json.loads(out.read_text())["value"] == "inf"
+
+
+def test_edge_refusals_name_their_cause(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    for argv, words in (
+            (["testfun", "--set", "testfun.nt=2", "--set", "testfun.ns=2", "--set",
+              "testfun.nx=2", "--set", "testfun.lambda0=1e300"], ["lambda0=1e+300"]),
+            (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set",
+              "testfun.nx=2", "--set", "testfun.q=100"], ["part ii", "t=1000", "q=100"]),
+            (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set",
+              "testfun.nx=2", "--set", "testfun.q=4999"], ["part ii", "t=0.05", "q=4999"]),
+            (["simulate", *_SIM, "--set", "grid.n_f_samples=0"], ["n_f_samples"])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv + ["--output", out]) in (EXIT_DOMAIN, EXIT_CONFIG)
+        err = capsys.readouterr().err
+        assert all(w in err for w in words) and len(err.splitlines()) == 1, err
+
+
+def test_lifespan_bound_is_finite_up_to_the_double_range(tmp_path):
+    out = tmp_path / "out"
+    argv = ["exponents", "--set", "exponents.m=1", "--set", "exponents.n=1", "--set",
+            "exponents.p=2", "--set", "exponents.eps=1", "--set", "exponents.constant=1.3e308",
+            "--format", "json", "--output", str(out)]
+    assert run_cli(argv) == EXIT_OK
+    assert json.loads(out.read_text())["lifespan_bound"] == 1.3e308
 
 
 def test_critical_search_warns_nothing(tmp_path):

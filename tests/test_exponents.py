@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -110,8 +111,12 @@ def test_second_identity_off_critical_closed_form():
 
 
 def test_exp_or_inf_cutoff():
-    assert exp_or_inf(708.999) == math.exp(708.999) < math.inf
-    assert exp_or_inf(709.0) == math.inf
+    # the cutoff is the edge of the double range, ln DBL_MAX = 709.78...
+    edge = math.log(sys.float_info.max)
+    assert exp_or_inf(709.0) == math.exp(709.0) < math.inf
+    assert exp_or_inf(edge) == math.exp(edge) < math.inf
+    assert exp_or_inf(math.nextafter(edge, math.inf)) == math.inf
+    assert exp_or_inf(-1e308) == 0.0 and exp_or_inf(math.inf) == math.inf
     assert exp_or_inf(math.nan) == math.inf
 
 

@@ -334,22 +334,25 @@ def test_profile_is_bit_identical(monkeypatch):
 
 
 def test_memo_holds_at_most_four_blocks():
-    memos = (testfun._RULE_MEMO, tricomi_ode._PAIR_MEMO)
-    for memo in memos:
-        memo.clear()
+    caches = (testfun._graded_rule, tricomi_ode._bessel_pair_of)
+    for cache in caches:
+        cache.cache_clear()
     for k in range(12):
-        # new radii, weight and time on every pass: each memo misses
+        # new radii, weight and time on every pass: each cache misses
         p = TestFnParams(q=0.5 + k / 16, n=3, m=1.0)
         xn = np.linspace(0.0, 1.0 + k, 7)
         ref = _eta_diag_reference(xn, 1.5, p)
         assert _eta_diag_quad(xn, 1.5, p).tobytes() == ref.tobytes()
         eta_q(xn, 2.0 + k, 1.0, p)
-        assert all(len(memo) <= 4 for memo in memos)
-    assert all(len(memo) == 4 for memo in memos)
+        assert all(cache.cache_info().currsize <= 4 for cache in caches)
+    assert all(cache.cache_info()[2:] == (4, 4) for cache in caches)  # maxsize, currsize
 
-    # the entries are read-only, so no caller can write into a shared block
-    lam, w = next(iter(testfun._RULE_MEMO.values()))
-    i_t, k_t = next(iter(tricomi_ode._PAIR_MEMO.values()))
+    # the entries are read-only, so no caller can write into a shared block;
+    # a second call returns the cached arrays themselves
+    lam, w = testfun._graded_rule(0.5, 0.5, 8, 0)
+    i_t, k_t = tricomi_ode._bessel_pair(1.0 / 3.0, 2.0 * lam)
+    assert testfun._graded_rule(0.5, 0.5, 8, 0)[0] is lam
+    assert tricomi_ode._bessel_pair(1.0 / 3.0, 2.0 * lam)[0] is i_t
     for arr in (lam, w, i_t, k_t):
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -722,16 +725,20 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
 
         return wrapper
 
+    rules = set()
+    rule = testfun._graded_rule
+
+    def recorded(*key):
+        rules.add(key)
+        return rule(*key)
+
     monkeypatch.setattr(tricomi_ode, "ive", counted("ive", tricomi_ode.ive))
     monkeypatch.setattr(tricomi_ode, "kve", counted("kve", tricomi_ode.kve))
-    tricomi_ode._PAIR_MEMO.clear()
-    testfun._RULE_MEMO.clear()
+    monkeypatch.setattr(testfun, "_graded_rule", recorded)
+    tricomi_ode._bessel_pair_of.cache_clear()
     lemma22_report(p, grid)
-    # the Gauss levels the quadratures reached are the rules built
-    x_t = {
-        (lam * phi_of_t(m, t)).tobytes()
-        for lam, _ in (testfun._RULE_MEMO[key] for key in testfun._RULE_MEMO)
-    }
+    # the Gauss levels the quadratures reached are the rules asked for
+    x_t = {(rule(*key)[0] * phi_of_t(m, t)).tobytes() for key in rules}
     assert len(x_t) >= 2
     nu = 1.0 / (m + 2.0)
     for name in ("ive", "kve"):
@@ -742,7 +749,7 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
     # the s = 0 kernels take I_{-nu} from the pair: no negative order
     lam = np.geomspace(1e-12, 3.0, 50)
     calls.clear()
-    tricomi_ode._PAIR_MEMO.clear()
+    tricomi_ode._bessel_pair_of.cache_clear()
     kernel_phi1_scaled(t, 0.0, lam, m)
     kernel_phi2_ratio_scaled(t, 0.0, lam, m)
     assert sorted((fn, order) for fn, order, _ in calls) == [("ive", nu), ("kve", nu)]

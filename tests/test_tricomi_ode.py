@@ -428,10 +428,14 @@ def test_shared_time_pair_keeps_kernels_bit_identical():
             return [kernel_phi1_scaled(t, s, lam, m).tobytes(),
                     kernel_phi2_ratio_scaled(t, s, lam, m).tobytes()]
 
-        tricomi_ode._PAIR_MEMO.clear()
-        assert kernels() == ref  # empty memo: the pair is built here
-        assert kernels() == ref  # the pair comes from the memo
+        cache = tricomi_ode._bessel_pair_of
+        cache.cache_clear()
+        assert kernels() == ref  # empty cache: the pair is built here
+        assert kernels() == ref  # the pair comes from the cache
+        assert cache.cache_info().misses == 1
         for other in (0.7, 1.5, 2.2, 9.0, 41.0):
             kernel_phi1_scaled(other, 0.0, lam, m)  # other times evict it
-        assert len(tricomi_ode._PAIR_MEMO) == 4
-        assert kernels() == ref
+        assert cache.cache_info().currsize == 4
+        misses = cache.cache_info().misses
+        assert kernels() == ref  # evicted: built afresh
+        assert cache.cache_info().misses == misses + 1
