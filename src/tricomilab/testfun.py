@@ -28,10 +28,13 @@ the weights, down to lam0 2^-k <= 2/a, and below them one Gauss-Jacobi
 panel of weight lam^q (Golub-Welsch), on which e^{-lam a} changes by at
 most a factor e^2.  Every panel doubles its order from 8 to
 16, 32, 64, 128 points.  Each level is a row-wise sum over the lambda
-nodes, one sum per radius, and each radius keeps the first level that
-meets rtol; k depends on t alone, so a value at a radius does not depend
-on which other radii share the call.  On the envelope runs every radius
-stops at 16 points.
+nodes, one sum per (s, radius) row, and each row keeps the first level
+that meets rtol.  k depends on t alone, so every time s of one t shares
+the rule: ``_test_fn`` takes an array of times s, with one row of radii
+per s, and makes one quadrature per t and kernel, with one profile block
+and one kernel call per Gauss level.  A row's value does not depend on
+which other radii or times share the call.  On the envelope runs every
+row stops at 16 points.
 
 Two blocks are built once and shared read-only, each from a pure builder
 under a bounded ``functools.lru_cache`` (the four most recent entries): the
@@ -125,14 +128,20 @@ def _graded_rule(q: float, lam0: float, level: int, k: int):
     """Read-only nodes/weights for the lam^q-weighted integral on [0, lam0]:
     k dyadic Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with
     lam^q folded into the weights, then one Gauss-Jacobi panel of weight
-    lam^q on [0, lam0 2^-k], ``level`` points each."""
+    lam^q on [0, lam0 2^-k], ``level`` points each.  A DomainError where a
+    weight leaves the double range (lam0^q past it)."""
     xg, wg = np.polynomial.legendre.leggauss(level)
     hi = lam0 * 2.0 ** -np.arange(k, dtype=float)[:, None]
     nodes = (0.75 * hi + 0.25 * hi * xg).ravel()
-    w = (0.25 * hi * wg).ravel() * nodes**q
     end = lam0 * 2.0**-k
     u, wu = _jacobi_panel(q, level)
-    lam, w = np.concatenate((nodes, end * u)), np.concatenate((w, end ** (q + 1.0) * wu))
+    with np.errstate(over="ignore"):
+        w = (0.25 * hi * wg).ravel() * nodes**q
+        w = np.concatenate((w, pow_or_inf(end, q + 1.0) * wu))
+    if not np.all(w < math.inf):
+        raise DomainError(f"lambda0={lam0:.12g} puts the weights lambda^q of the "
+                          f"lambda-rule past the double range (q={q:.12g})")
+    lam = np.concatenate((nodes, end * u))
     lam.flags.writeable = w.flags.writeable = False
     return lam, w
 
@@ -189,50 +198,71 @@ def integrate_lambda_weighted(g, q: float, lam0: float, scale: float, rtol: floa
 # ---------------------------------------------------------------------------
 
 
-def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, s: float, p: TestFnParams):
-    """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|) at the 1-d radii
-    x_norm, shape (X, L).
+def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, phi_s, p: TestFnParams):
+    """exp(lam(|x| - phi(s) - R)) vphi_scaled(n, lam |x|) at the radii
+    x_norm, shape x_norm.shape + (L,).  ``phi_s`` holds phi(s) per row of
+    x_norm: one value for 1-d radii, shape (S,) for radii of shape (S, X).
 
     Returns a fresh array.
     """
-    phi_s = phi_of_t(p.m, s)
-    out = lam[None, :] * (x_norm[:, None] - phi_s - p.R)
+    out = lam * (x_norm[..., None] - np.asarray(phi_s)[..., None, None] - p.R)
     np.minimum(out, _EXP_CLIP, out=out)
     np.exp(out, out=out)
-    out *= varphi_scaled(p.n, lam[None, :] * x_norm[:, None])
+    out *= varphi_scaled(p.n, lam * x_norm[..., None])
     return out
 
 
-def _radii(x_norm, t: float, s: float) -> np.ndarray:
-    """The radii x_norm as a 1-d array; a DomainError unless they are finite
-    and >= 0 and t >= s >= 0."""
-    xn = np.atleast_1d(np.asarray(x_norm, dtype=float))
+def _radii(x_norm, t: float, s):
+    """The times s as a 1-d array and the radii as one row per time, shape
+    (S, X): one time takes scalar or 1-d radii, an array of times one row of
+    radii each.  A DomainError unless the radii are finite and >= 0 and
+    t >= s >= 0."""
+    ss = np.atleast_1d(np.asarray(s, dtype=float))
+    xn = np.asarray(x_norm, dtype=float)
+    if np.ndim(s) == 0:
+        xn = xn.reshape(1, -1)
     if not np.all((xn >= 0) & (xn < math.inf)):
         raise DomainError("x_norm must be finite and >= 0")
-    if s < 0 or t < s:
+    if not np.all((ss >= 0) & (ss <= t)):
         raise DomainError(f"need t >= s >= 0, got t={t}, s={s}")
-    return xn
+    return ss, xn
 
 
-def _test_fn(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
+def _unrows(val, err, x_norm, s):
+    """(val, err) of shape (S, X) in the shape of the call: the row for one
+    time s, and floats for one radius too."""
+    if np.ndim(s):
+        return val, err
+    if np.ndim(x_norm):
+        return val[0], err[0]
+    return float(val[0, 0]), float(err[0, 0])
+
+
+def _test_fn(kernel, x_norm, t: float, s, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the lambda-integral of the profile times
-    kernel(t, s, lam, m) at radii x_norm.  On the diagonal s = t the kernel
-    is not called: both propagator kernels are exactly 1 there."""
-    xn = _radii(x_norm, t, s)
+    kernel(t, s, lam, m), at radii x_norm for one time s, or for a 1-d array
+    of times s with one row of radii per time (see ``_radii``).
+
+    All rows share one quadrature: each Gauss level makes one profile block
+    and one kernel call over every s.  A row's value does not depend on
+    which other radii or times share the call.  The kernel is not called
+    when every s = t: both propagator kernels are exactly 1 there.
+    """
+    ss, xn = _radii(x_norm, t, s)
+    phi_s = [phi_of_t(p.m, sj) for sj in ss.tolist()]
+    off_diagonal = bool(np.any(ss != t))
 
     def g(lam):
-        out = _exp_profile(lam, xn, s, p)  # fresh, so the kernel multiplies in place
-        if s != t:
-            out *= kernel(t, s, lam, p.m)
+        out = _exp_profile(lam, xn, phi_s, p)  # fresh, so the kernel multiplies in place
+        if off_diagonal:
+            out *= kernel(t, ss, lam, p.m)[:, None, :]
         return out
 
     # scale and rtol by keyword: bench/spans.py reads a fourth positional
     # argument as rtol
     val, err = integrate_lambda_weighted(g, p.q, p.lambda0, scale=phi_of_t(p.m, t) + p.R,
                                          rtol=rtol)
-    if np.ndim(x_norm) == 0:
-        return float(val[0]), float(err[0])
-    return val, err
+    return _unrows(val, err, x_norm, s)
 
 
 # ---------------------------------------------------------------------------
@@ -325,16 +355,19 @@ def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
     return out
 
 
-def _value(kernel, x_norm, t: float, s: float, p: TestFnParams, rtol: float = 1e-8):
+def _value(kernel, x_norm, t: float, s, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the test function of ``kernel`` at radii
-    x_norm (scalar or array): the sphere average on the diagonal where
-    ``_on_sphere``, with error 0, else the lambda-quadrature to rtol."""
-    if s != t or not _on_sphere(p):
-        return _test_fn(kernel, x_norm, t, s, p, rtol)
-    val = _sphere_average(_radii(x_norm, t, s), t, p)
-    if np.ndim(x_norm) == 0:
-        return float(val[0]), 0.0
-    return val, np.zeros_like(val)
+    x_norm for one time s or an array of times (see ``_radii``): the sphere
+    average on the diagonal rows s = t where ``_on_sphere``, with error 0,
+    and one lambda-quadrature to rtol for all other rows."""
+    ss, xn = _radii(x_norm, t, s)
+    val, err = np.empty_like(xn), np.zeros_like(xn)
+    sphere = (ss == t) & _on_sphere(p)
+    if sphere.any():
+        val[sphere] = _sphere_average(xn[sphere].ravel(), t, p).reshape(xn[sphere].shape)
+    if not sphere.all():
+        val[~sphere], err[~sphere] = _test_fn(kernel, xn[~sphere], t, ss[~sphere], p, rtol)
+    return _unrows(val, err, x_norm, s)
 
 
 def xi_q(x_norm, t: float, s: float, p: TestFnParams):
@@ -439,7 +472,14 @@ def lemma22_report(
     diagonal s = t (part iii, and part i at t = 0) is the sphere average of
     ``eta_q`` where it applies, a closed form with no rtol.  An envelope
     that is not a normal double (<.>^{-q} underflows at large q and t) is a
-    DomainError naming q, the part and t.
+    DomainError naming q, the part and t; every envelope of a t is checked
+    before its values are computed.
+
+    Each t makes at most two lambda-quadratures: xi_q at s = 0 (part
+    i-xi), and eta_q over the times (0, s_1, ..., s_k) of parts i-eta and
+    ii, plus part iii's diagonal where the sphere average does not apply.
+    A row's value does not depend on which other radii or times share its
+    quadrature, so the rows equal one ``xi_q``/``eta_q`` call per (part, t, s).
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
@@ -458,24 +498,28 @@ def lemma22_report(
         unconverged += np.count_nonzero(_misses(vals, err, rtol))
         return vals
 
-    def add(part, t, s, x, v, env):
+    def envelope(part, t, env):
         if not env >= _TINY:  # every envelope is <= 1: it can only underflow
             raise DomainError(f"the part {part} envelope underflows at t={t:.12g} "
                               f"(q={q:.12g})")
+        return env
+
+    def add(part, t, s, x, v, env):
         rows.append(Lemma22Row(part, t, s, float(x), float(v), env, float(v) / env))
 
+    xf = np.asarray(grid.x_fractions)
     for t in sorted({float(v) for v in grid.t_values}):
         phi_t = phi_of_t(m, t)
+        # the radii of each eta_q row of this t, by s: part i at s = 0, part
+        # ii's s and part iii's diagonal share one quadrature
+        radii = {}
+        part_ii = []
         # parts i-xi / i-eta: s = 0, |x| <= R
-        xs = np.asarray(grid.x_fractions) * p.R
+        xs = xf * p.R
         if lower_ok:
-            env_xi = bracket(phi_t) ** (-alpha)
-            env_eta = bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0)))
-            vals_xi = measure(kernel_phi1_scaled, xs, t, 0.0)
-            vals_eta = measure(kernel_phi2_ratio_scaled, xs, t, 0.0)
-            for x, vx, ve in zip(xs, vals_xi, vals_eta):
-                add("i-xi", t, 0.0, x, vx, env_xi)
-                add("i-eta", t, 0.0, x, ve, env_eta)
+            env_xi = envelope("i-xi", t, bracket(phi_t) ** (-alpha))
+            env_eta = envelope("i-eta", t, bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0))))
+            radii[0.0] = xs
         else:
             excluded += 2 * len(xs)
 
@@ -483,29 +527,40 @@ def lemma22_report(
         for frac in grid.s_fractions:
             s = frac * t
             if not (lower_ok and 0.0 <= s < t):
-                excluded += len(grid.x_fractions)
+                excluded += len(xf)
                 continue
             phi_s = phi_of_t(m, s)
-            env = bracket(t) ** (-1.0 - m / 4.0) * bracket(phi_s) ** (
+            env = envelope("ii", t, bracket(t) ** (-1.0 - m / 4.0) * bracket(phi_s) ** (
                 -q - 1.0 + (m + 4.0) / (2.0 * (m + 2.0))
-            )
-            xs2 = np.asarray(grid.x_fractions) * (phi_s + p.R)
-            # phi(0) = 0, so at s = 0 xs2 == xs and this is part i's eta_q call
-            vals = vals_eta if s == 0.0 else measure(kernel_phi2_ratio_scaled, xs2, t, s)
-            for x, v in zip(xs2, vals):
-                add("ii", t, s, x, v, env)
+            ))
+            # phi(0) = 0, so at s = 0 these are part i's radii and its row
+            part_ii.append((s, env))
+            radii.setdefault(s, xf * (phi_s + p.R))
 
         # part iii: diagonal, t > 0
-        if t <= 0.0 or not upper_ok:
-            excluded += len(grid.x_fractions)
-            continue
-        xs3 = np.asarray(grid.x_fractions) * (phi_t + p.R)
-        vals = measure(kernel_phi2_ratio_scaled, xs3, t, t)
-        for x, v in zip(xs3, vals):
-            env = bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(phi_t - x) ** (
-                (n - 3.0) / 2.0 - q
-            )
-            add("iii", t, t, x, v, env)
+        diagonal = t > 0.0 and upper_ok
+        if diagonal:
+            radii[t] = xs3 = xf * (phi_t + p.R)
+            envs3 = [envelope("iii", t, bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(
+                phi_t - x) ** ((n - 3.0) / 2.0 - q)) for x in xs3]
+        else:
+            excluded += len(xf)
+
+        if lower_ok:
+            vals_xi = measure(kernel_phi1_scaled, xs, t, 0.0)
+        if radii:
+            eta = dict(zip(radii, measure(kernel_phi2_ratio_scaled, np.array(list(radii.values())),
+                                          t, np.array(list(radii)))))
+        if lower_ok:
+            for x, vx, ve in zip(xs, vals_xi, eta[0.0]):
+                add("i-xi", t, 0.0, x, vx, env_xi)
+                add("i-eta", t, 0.0, x, ve, env_eta)
+        for s, env in part_ii:
+            for x, v in zip(radii[s], eta[s]):
+                add("ii", t, s, x, v, env)
+        if diagonal:
+            for x, v, env in zip(xs3, eta[t], envs3):
+                add("iii", t, t, x, v, env)
 
     constants = {}
     # numpy's reductions, unlike min and max, return nan if any ratio is nan

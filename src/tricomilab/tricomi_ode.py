@@ -26,7 +26,8 @@ arbitrarily large t:
   evaluates the same formula with the unscaled ``iv``);
 * ``kernel_phi1_scaled`` / ``kernel_phi2_ratio_scaled`` -- the two-point
   propagators Phi1, Phi2/(t-s) (unit data at time s) times e^{-(x_t - x_s)},
-  vectorized over lambda for the test-function quadratures.  Both are
+  vectorized over lambda and over an array of times s (one row per s, each
+  with the bits of its scalar call) for the test-function quadratures.  Both are
   exactly 1 on the diagonal s = t.  Off it they are Bessel products, with
   a (t-s)-series for Phi2/(t-s) next to the diagonal, where its Bessel
   difference cancels, and the leading small-s terms where lambda phi(s) < 1e-8.
@@ -194,7 +195,30 @@ def _small_s_factors(t: float, lam: np.ndarray, m: float, i_nu, k_nu):
     return np.where(tiny, np.exp(-x_t), v1), np.where(tiny, np.exp(-x_t), v2_ratio)
 
 
-def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndarray:
+def _rows(t: float, s, lam: np.ndarray):
+    """Both kernels' frame for one time s or a 1-d array of times: a block of
+    ones with one row per time (the value on the diagonal s = t), the rows at
+    s = 0, and {row: s} of the rows at 0 < s < t, s a Python float."""
+    times = np.atleast_1d(np.asarray(s, dtype=float)).tolist()
+    zero = [j for j, sj in enumerate(times) if sj == 0.0 != t]
+    inner = {j: sj for j, sj in enumerate(times) if 0.0 != sj != t}
+    return np.ones((len(times), lam.size)), zero, inner
+
+
+def _entries(lam: np.ndarray, m: float, rows: dict):
+    """The entries of the block x_s = lam phi(s) over ``rows`` ({row: s}),
+    split at _SMALL_X: per side, each entry's out row, column, x_s and
+    position among ``rows`` (to gather per-row scalars)."""
+    x_s = np.array([phi_of_t(m, sj) for sj in rows.values()])[:, None] * lam
+    out_row = np.array(list(rows), dtype=int)
+    sides = []
+    for side in (x_s < _SMALL_X, x_s >= _SMALL_X):
+        pos, col = np.nonzero(side)
+        sides.append((out_row[pos], col, x_s[pos, col], pos))
+    return sides
+
+
+def kernel_phi1_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarray:
     """e^{-lam (phi(t)-phi(s))} Phi1(t,s;lam) for t >= s >= 0, elementwise in lam.
 
     Exactly 1 at s = t.  For t > s > 0 this is the sum of two positive Bessel
@@ -202,30 +226,37 @@ def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndar
     those products lose digits and finally underflow to 0 * inf, so Phi1 =
     V1(t) V2'(s) - V2(t) V1'(s) is taken with V2'(s) = 1 and V1'(s) =
     lam^2 s^{m+1}/(m+1), whose relative corrections are O(x_s^2).
+
+    ``s`` is one time, giving shape (L,), or a 1-d array of times, giving
+    one row per time, shape (S, L).  The time-t pair is evaluated once for
+    all rows; the per-row scalars (phi(s), the powers of s, t - s) are
+    Python floats, so every row has the bits of the call at its own s.
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
-    if s == t:
-        return np.ones_like(lam)
-    x_t = lam * phi_of_t(m, t)
-    i_t, k_t = _bessel_pair(nu, x_t)
-    if s == 0.0:
-        return _small_s_factors(t, lam, m, i_t, k_t)[0]
-    x_s = lam * phi_of_t(m, s)
-    small = x_s < _SMALL_X
-    out = np.empty_like(lam)
-    lo = lam[small]
-    v1, v2_ratio = _small_s_factors(t, lo, m, i_t[small], k_t[small])
-    out[small] = np.exp(x_s[small]) * (
-        v1 - lo * lo * s ** (m + 1.0) / (m + 1.0) * t * v2_ratio
-    )
-    lam, x_t, x_s, i_t, k_t = (a[~small] for a in (lam, x_t, x_s, i_t, k_t))
-    delta = x_t - x_s
-    pref = 2.0 * nu * (2.0 * nu * lam) ** (-nu) * lam * s ** (m / 2.0) * math.sqrt(t)
-    grow = i_t * x_s**nu * kve(nu - 1.0, x_s)
-    decay = np.exp(-2.0 * delta) * k_t * x_s**nu * ive(nu - 1.0, x_s)
-    out[~small] = pref * (grow + decay)
-    return out
+    out, zero, inner = _rows(t, s, lam)
+    if zero or inner:
+        x_t = lam * phi_of_t(m, t)
+        i_t, k_t = _bessel_pair(nu, x_t)
+        (row, col, x_s, pos), (row_b, col_b, x_b, pos_b) = _entries(lam, m, inner)
+        if zero or row.size:
+            v1, v2_ratio = _small_s_factors(t, lam, m, i_t, k_t)
+            out[zero] = v1
+        if row.size:
+            lo = lam[col]
+            s_pow = np.array([sj ** (m + 1.0) for sj in inner.values()])[pos]
+            out[row, col] = np.exp(x_s) * (
+                v1[col] - lo * lo * s_pow / (m + 1.0) * t * v2_ratio[col]
+            )
+        if row_b.size:
+            lb = lam[col_b]
+            delta = x_t[col_b] - x_b
+            s_pow = np.array([sj ** (m / 2.0) for sj in inner.values()])[pos_b]
+            pref = 2.0 * nu * (2.0 * nu * lb) ** (-nu) * lb * s_pow * math.sqrt(t)
+            grow = i_t[col_b] * x_b**nu * kve(nu - 1.0, x_b)
+            decay = np.exp(-2.0 * delta) * k_t[col_b] * x_b**nu * ive(nu - 1.0, x_b)
+            out[row_b, col_b] = pref * (grow + decay)
+    return out if np.ndim(s) else out[0]
 
 
 # below this separation the Bessel difference cancels more than the local
@@ -233,41 +264,49 @@ def kernel_phi1_scaled(t: float, s: float, lam: np.ndarray, m: float) -> np.ndar
 _RATIO_SWITCH = 1e-6
 
 
-def kernel_phi2_ratio_scaled(
-    t: float, s: float, lam: np.ndarray, m: float
-) -> np.ndarray:
+def kernel_phi2_ratio_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarray:
     """e^{-lam (phi(t)-phi(s))} Phi2(t,s;lam)/(t-s) for t >= s >= 0.
 
-    Exactly 1 at s = t, and continuous there (a (t-s)-series).  Where
-    x_s < _SMALL_X, Phi2 = V2(t) V1(s) - V1(t) V2(s) is taken with V1(s) = 1
-    and V2(s) = s, as in ``kernel_phi1_scaled``.
+    Exactly 1 at s = t, and continuous there (a (t-s)-series on the rows
+    with t - s < _RATIO_SWITCH max(1, t)).  Where x_s < _SMALL_X, Phi2 =
+    V2(t) V1(s) - V1(t) V2(s) is taken with V1(s) = 1 and V2(s) = s, as in
+    ``kernel_phi1_scaled``, whose contract for an array of times s this
+    kernel shares.
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
-    if s == t:
-        return np.ones_like(lam)
+    out, zero, inner = _rows(t, s, lam)
+    near = {j: sj for j, sj in inner.items() if t - sj < _RATIO_SWITCH * max(1.0, t)}
+    far = {j: sj for j, sj in inner.items() if j not in near}
     x_t = lam * phi_of_t(m, t)
-    if s == 0.0:
-        return _small_s_factors(t, lam, m, *_bessel_pair(nu, x_t))[1]
-    x_s = lam * phi_of_t(m, s)
-    dt = t - s
-    if dt < _RATIO_SWITCH * max(1.0, t):
+    if near:
         # Phi2(t,s) = (t-s) + lam^2 s^m (t-s)^3/6 + lam^2 m s^{m-1} (t-s)^4/24 + ...
+        s_near = near.values()
+        x_s = np.array([[phi_of_t(m, sj)] for sj in s_near]) * lam
+        dt = np.array([[t - sj] for sj in s_near])
+        s_m = np.array([[sj**m] for sj in s_near])
+        s_m1 = np.array([[sj ** (m - 1.0)] for sj in s_near])
+        dt3 = np.array([[(t - sj) ** 3] for sj in s_near])
         lam2 = lam * lam
-        corr = lam2 * s**m * dt * dt / 6.0 + lam2 * m * s ** (m - 1.0) * dt**3 / 24.0
-        return np.exp(-(x_t - x_s)) * (1.0 + corr)
-    i_t, k_t = _bessel_pair(nu, x_t)
-    small = x_s < _SMALL_X
-    out = np.empty_like(lam)
-    v1, v2_ratio = _small_s_factors(t, lam[small], m, i_t[small], k_t[small])
-    out[small] = np.exp(x_s[small]) * (t * v2_ratio - s * v1) / dt
-    x_t, x_s, i_t, k_t = (a[~small] for a in (x_t, x_s, i_t, k_t))
-    delta = x_t - x_s
-    pref = 2.0 * nu * math.sqrt(s * t) / dt
-    main = kve(nu, x_s) * i_t
-    sub = np.exp(-2.0 * delta) * ive(nu, x_s) * k_t
-    out[~small] = pref * (main - sub)
-    return out
+        corr = lam2 * s_m * dt * dt / 6.0 + lam2 * m * s_m1 * dt3 / 24.0
+        out[list(near)] = np.exp(-(x_t - x_s)) * (1.0 + corr)
+    if zero or far:
+        i_t, k_t = _bessel_pair(nu, x_t)
+        (row, col, x_s, pos), (row_b, col_b, x_b, pos_b) = _entries(lam, m, far)
+        if zero or row.size:
+            v1, v2_ratio = _small_s_factors(t, lam, m, i_t, k_t)
+            out[zero] = v2_ratio
+        if row.size:
+            s_small = np.array(list(far.values()))[pos]
+            dt = np.array([t - sj for sj in far.values()])[pos]
+            out[row, col] = np.exp(x_s) * (t * v2_ratio[col] - s_small * v1[col]) / dt
+        if row_b.size:
+            delta = x_t[col_b] - x_b
+            pref = np.array([2.0 * nu * math.sqrt(sj * t) / (t - sj) for sj in far.values()])
+            main = kve(nu, x_b) * i_t[col_b]
+            sub = np.exp(-2.0 * delta) * ive(nu, x_b) * k_t[col_b]
+            out[row_b, col_b] = pref[pos_b] * (main - sub)
+    return out if np.ndim(s) else out[0]
 
 
 def _unscaled(kernel, t: float, s: float, params: OdeParams) -> float:

@@ -714,6 +714,13 @@ _EDGE = [
     # lambda0^(q+1) of the diagonal's Kummer kernel leaves the double range
     (["testfun", "--set", "testfun.nt=2", "--set", "testfun.ns=2", "--set", "testfun.nx=2",
       "--set", "testfun.lambda0=1e300"], EXIT_DOMAIN),
+    # the lambda-rule's weights lambda^q leave the double range: in the dyadic
+    # panels, and (at a tiny R) in the end panel
+    (["testfun", "--set", "testfun.n=4", "--set", "testfun.lambda0=1e300", "--set", "testfun.nt=1",
+      "--set", "testfun.ns=1", "--set", "testfun.nx=2", "--set", "testfun.q=2"], EXIT_DOMAIN),
+    (["testfun", "--set", "testfun.n=4", "--set", "testfun.q=2", "--set", "testfun.lambda0=1e300",
+      "--set", "testfun.nt=1", "--set", "testfun.ns=1", "--set", "testfun.nx=2",
+      "--set", "testfun.big_r=1e-300"], EXIT_DOMAIN),
     # part ii's envelope <phi(s)>^{-q-1+(m+4)/(2(m+2))} underflows at t = 1000
     (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set", "testfun.nx=2",
       "--set", "testfun.q=100"], EXIT_DOMAIN),
@@ -741,6 +748,9 @@ def test_edge_refusals_name_their_cause(tmp_path, capsys):
     for argv, words in (
             (["testfun", "--set", "testfun.nt=2", "--set", "testfun.ns=2", "--set",
               "testfun.nx=2", "--set", "testfun.lambda0=1e300"], ["lambda0=1e+300"]),
+            (["testfun", "--set", "testfun.n=4", "--set", "testfun.q=2", "--set",
+              "testfun.lambda0=1e300", "--set", "testfun.nt=1", "--set", "testfun.ns=1",
+              "--set", "testfun.nx=2"], ["lambda0=1e+300", "q=2"]),
             (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set",
               "testfun.nx=2", "--set", "testfun.q=100"], ["part ii", "t=1000", "q=100"]),
             (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set",

@@ -228,8 +228,9 @@ def test_rule_resolves_the_largest_q():
 
 
 def test_near_divergent_weight_finite():
-    # q close to -1: the substitution underflows lambda at the deepest
-    # nodes; results must stay finite and match an independent quadrature
+    # q close to -1: the end panel's Gauss-Jacobi weights carry lambda^q,
+    # nearly singular at 0; results must stay finite and match an
+    # independent quadrature
     p = TestFnParams(q=-0.95, lambda0=0.5, R=1.0, n=3, m=1.0)
     val = eta_q(0.5, 3.0, 1.0, p)
 
@@ -326,10 +327,10 @@ def test_profile_is_bit_identical(monkeypatch):
         ref = _eta_diag_reference(xn, t, p)
         blocks.clear()
         assert _eta_diag_quad(xn, t, p).tobytes() == ref.tobytes()
-        # one varphi block over all radii per Gauss level visited, each
-        # level on the k + 1 panels of this t
+        # one varphi block over all radii (one row, for the one time s) per
+        # Gauss level visited, each level on the k + 1 panels of this t
         panels = testfun._dyadic_panels(p.lambda0, phi_of_t(p.m, t) + p.R) + 1
-        ladder = [(xn.size, level * panels) for level in (8, 16, 32, 64, 128)]
+        ladder = [(1, xn.size, level * panels) for level in (8, 16, 32, 64, 128)]
         assert len(blocks) >= 2 and blocks == ladder[:len(blocks)], t
 
 
@@ -368,7 +369,7 @@ def test_far_radius_still_clips():
         assert np.any(arg > 700.0) == clips
         block = varphi_scaled(p.n, lam[None, :] * xn[:, None])
         ref = np.exp(np.minimum(arg, 700.0)) * block
-        got = _exp_profile(lam, xn, 1.0, p)
+        got = _exp_profile(lam, xn, phi_of_t(p.m, 1.0), p)
         assert got.tobytes() == ref.tobytes() and np.all(np.isfinite(got))
 
 
@@ -430,7 +431,7 @@ def _whole_array_reference(g, q, lam0, scale, rtol=1e-8):
 
 def _max_rel_to_reference(kernel, xn, t, s, p, reference):
     def g(lam):
-        return _exp_profile(lam, xn, s, p) * kernel(t, s, lam, p.m)
+        return _exp_profile(lam, xn, phi_of_t(p.m, s), p) * kernel(t, s, lam, p.m)
 
     ref = reference(g, p.q, p.lambda0, phi_of_t(p.m, t) + p.R)
     return np.max(np.abs(_test_fn(kernel, xn, t, s, p)[0] - ref) / np.abs(ref))
@@ -702,14 +703,45 @@ def _lemma22_reference_rows(p, grid):
     return rows
 
 
-def test_lemma22_rows_match_reference_loop():
-    q = q_choice(3, p_crit(1, 3))
-    p = TestFnParams(q=q, lambda0=0.5, R=1.0, n=3, m=1.0)
-    grid = Lemma22Grid(t_values=(0.0, 0.7, 40.0, 900.0), s_fractions=(0.0, 0.3, 0.7),
+# n = 4 is off the sphere average: its part iii diagonal joins eta_q's quadrature
+@pytest.mark.parametrize("m, n", [(1.0, 2), (1.0, 3), (0.0, 3), (1.0, 4)])
+def test_lemma22_rows_match_reference_loop(m, n):
+    p = TestFnParams(q=q_choice(n, p_crit(m, n)), lambda0=0.5, R=1.0, n=n, m=m)
+    # s = (1 - 1e-7) t is within _RATIO_SWITCH of t (the (t-s)-series); at
+    # t = 2e-6 some lambda-nodes have x_s below _SMALL_X while t - s is not
+    fracs = (0.0, 0.3, 0.7, 1.0 - 1e-7)
+    grid = Lemma22Grid(t_values=(0.0, 2e-6, 0.7, 40.0, 900.0), s_fractions=fracs,
                        x_fractions=(0.0, 0.5, 0.95))
+    t, s = 2e-6, 0.3 * 2e-6
+    lam = testfun._graded_rule(p.q, p.lambda0, 16, 0)[0]  # every quadrature reaches 16
+    assert t - s >= tricomi_ode._RATIO_SWITCH and t - fracs[-1] * t < tricomi_ode._RATIO_SWITCH
+    assert np.any(lam * phi_of_t(m, s) < tricomi_ode._SMALL_X)
     rep = lemma22_report(p, grid)
-    assert rep.excluded == 12 and rep.unconverged == 0  # t = 0: no part ii or iii
+    # t = 0: no part ii or iii
+    assert rep.excluded == 3 * (len(fracs) + 1) and rep.unconverged == 0
     assert list(rep.rows) == _lemma22_reference_rows(p, grid)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_lemma22_takes_at_most_two_quadratures_per_time(monkeypatch, n):
+    # xi_q at s = 0, and eta_q over every s of part i and ii (and, off the
+    # sphere average at n = 4, part iii's diagonal): one lambda-quadrature each
+    m = 1.0
+    p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
+    assert p.q > (n - 3.0) / 2.0  # part iii is measured
+    grid = Lemma22Grid.log_default(t_max=500.0, nt=5, ns=7, nx=7)
+    scales = []
+    quad = testfun.integrate_lambda_weighted
+
+    def counted(g, q, lam0, scale, rtol):
+        scales.append(scale)
+        return quad(g, q, lam0, scale=scale, rtol=rtol)
+
+    monkeypatch.setattr(testfun, "integrate_lambda_weighted", counted)
+    lemma22_report(p, grid)
+    for t in grid.t_values:
+        calls = scales.count(phi_of_t(m, t) + p.R)
+        assert calls == (2 if t > 0.0 or not testfun._on_sphere(p) else 0), (t, calls)
 
 
 def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):

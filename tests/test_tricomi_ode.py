@@ -439,3 +439,24 @@ def test_shared_time_pair_keeps_kernels_bit_identical():
         misses = cache.cache_info().misses
         assert kernels() == ref  # evicted: built afresh
         assert cache.cache_info().misses == misses + 1
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 2.5])
+def test_kernel_rows_of_an_s_array_match_scalar_calls(m):
+    # every row of an s array has the bits of the scalar call at its s: the
+    # diagonal, s = 0, the (t-s)-series next to t, the small-s terms where
+    # x_s < _SMALL_X, the Bessel products, and rows that mix the last two
+    lam = np.geomspace(1e-15, 5.0, 301)
+    for t in (2e-6, 0.4, 3.0, 700.0):
+        near = t - 0.5 * tricomi_ode._RATIO_SWITCH * max(1.0, t)
+        # phi(mixed) = _SMALL_X: x_s crosses _SMALL_X at lam = 1
+        mixed = (tricomi_ode._SMALL_X * (m + 2.0) / 2.0) ** (2.0 / (m + 2.0))
+        ss = np.array([t, 0.0, near, 1e-300, 0.3 * t, 0.0, 0.7 * t, t]
+                      + ([mixed] if mixed < 0.5 * t else []))
+        for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
+            rows = kernel(t, ss, lam, m)
+            assert rows.shape == (ss.size, lam.size)
+            for s, row in zip(ss.tolist(), rows):
+                assert row.tobytes() == kernel(t, s, lam, m).tobytes(), (kernel.__name__, t, s)
+            # one time alone in an array gives the same row
+            assert kernel(t, ss[4:5], lam, m).tobytes() == rows[4].tobytes()
