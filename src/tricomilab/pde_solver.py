@@ -252,10 +252,20 @@ def _bump(r: np.ndarray, radius: float) -> np.ndarray:
     return prof
 
 
+# the most grid points a run's domain may take: 32 MiB per float64 row
+_MAX_CELLS = 2**22
+
+
 def _grid_size(cfg: RunConfig) -> int:
     """Number of grid points r_i = i dx of the run's domain, boundary included
-    (more than 11, as dx < R and the margin spans 10 cells)."""
-    return int(math.ceil(cfg.domain_radius() / cfg.dx)) + 1
+    (more than 11, as dx < R and the margin spans 10 cells); a ConfigError
+    past _MAX_CELLS, before any array is allocated."""
+    radius = cfg.domain_radius()
+    edge = radius / cfg.dx
+    if not edge <= _MAX_CELLS - 1:
+        raise ConfigError(f"the grid takes {edge + 1.0:.6g} cells (domain radius {radius:.6g}, "
+                          f"dx={cfg.dx:.6g}), past the cap of {_MAX_CELLS}")
+    return int(math.ceil(edge)) + 1
 
 
 def initialize(cfg: RunConfig, *runs: tuple[float, float]) -> SolverState:

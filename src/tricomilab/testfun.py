@@ -11,8 +11,7 @@ propagator kernels of ``tricomi_ode`` (modified-Bessel basis, scaled by
 e^{-lam(phi(t)-phi(s))}) times the scaled eigenfunction ``varphi_scaled``
 and the remaining exponent e^{lam(|x|-phi(s)-R)}, so every integrand stays
 bounded for arbitrarily large t, s.  Both kernels are exactly 1 on the
-diagonal s = t, where the quadrature evaluates no kernel; next to it
-Phi2/(t-s) comes from a (t-s)-series.
+diagonal s = t; next to it Phi2/(t-s) comes from a (t-s)-series.
 
 On the diagonal, xi_q = eta_q (the weight of the solver's F(t) and of
 ``lemma22_report``'s part iii) is, for n <= 2 and for n = 3 with q > 0, the
@@ -36,12 +35,13 @@ and one kernel call per Gauss level.  A row's value does not depend on
 which other radii or times share the call.  On the envelope runs every
 row stops at 16 points.
 
-Two blocks are built once and shared read-only, each from a pure builder
+Three blocks are built once and shared read-only, each from a pure builder
 under a bounded ``functools.lru_cache`` (the four most recent entries): the
-rule per (q, lambda0, level, k) (``_graded_rule``), and, in ``tricomi_ode``,
-the kernels' time-t Bessel pair per (m, lambda phi(t)).  Both are keyed on
-the exact inputs, so results are bit-identical to building each block
-afresh.  The exponent of the exp factor is clipped at 700.
+reference Gauss-Legendre and Gauss-Jacobi panels per (q, level)
+(``_panels``), the rule per (q, lambda0, level, k) (``_graded_rule``), and,
+in ``tricomi_ode``, the kernels' time-t block per (t, m, lambda nodes).  All
+are keyed on the exact inputs, so results are bit-identical to building
+each block afresh.  The exponent of the exp factor is clipped at 700.
 
 ``lemma22_report`` measures the empirical constants of the three power-law
 envelopes (lower bounds with constants A0, B0, B1 and the upper bound with
@@ -109,18 +109,24 @@ def _dyadic_panels(lam0: float, scale: float) -> int:
     return max(0, math.ceil(math.log2(lam0) + math.log2(scale) - 1.0))
 
 
-def _jacobi_panel(q: float, level: int):
-    """Gauss-Jacobi nodes/weights of int_0^1 f(u) u^q du, by Golub-Welsch:
-    the eigenvalues of the Jacobi matrix of P^(0,q) on [-1, 1], mapped by
-    u = (1 + x)/2, and the squared first eigenvector components over q + 1.
-    The matrix's first entry, q^2/(q(q+2)) in the textbook form, is written
-    q/(q+2), so q = 0 gives its limit 0 instead of 0/0."""
+@functools.lru_cache(maxsize=4)
+def _panels(q: float, level: int):
+    """Read-only reference panels of ``level`` points: the Gauss-Legendre
+    nodes/weights on [-1, 1], then the Gauss-Jacobi nodes/weights of
+    int_0^1 f(u) u^q du, by Golub-Welsch: the eigenvalues of the Jacobi
+    matrix of P^(0,q) on [-1, 1], mapped by u = (1 + x)/2, and the squared
+    first eigenvector components over q + 1.  The matrix's first entry,
+    q^2/(q(q+2)) in the textbook form, is written q/(q+2), so q = 0 gives
+    its limit 0 instead of 0/0."""
     j = np.arange(1.0, level)
     d = 2.0 * j + q
     diag = np.concatenate(([q / (q + 2.0)], q * q / (d * (d + 2.0))))
     off = 2.0 * j * (j + q) / (d * np.sqrt(d * d - 1.0))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (1.0 + x), v[0] ** 2 / (q + 1.0)
+    panels = (*np.polynomial.legendre.leggauss(level), 0.5 * (1.0 + x), v[0] ** 2 / (q + 1.0))
+    for arr in panels:
+        arr.flags.writeable = False
+    return panels
 
 
 @functools.lru_cache(maxsize=4)
@@ -130,11 +136,10 @@ def _graded_rule(q: float, lam0: float, level: int, k: int):
     lam^q folded into the weights, then one Gauss-Jacobi panel of weight
     lam^q on [0, lam0 2^-k], ``level`` points each.  A DomainError where a
     weight leaves the double range (lam0^q past it)."""
-    xg, wg = np.polynomial.legendre.leggauss(level)
+    xg, wg, u, wu = _panels(q, level)
     hi = lam0 * 2.0 ** -np.arange(k, dtype=float)[:, None]
     nodes = (0.75 * hi + 0.25 * hi * xg).ravel()
     end = lam0 * 2.0**-k
-    u, wu = _jacobi_panel(q, level)
     with np.errstate(over="ignore"):
         w = (0.25 * hi * wg).ravel() * nodes**q
         w = np.concatenate((w, pow_or_inf(end, q + 1.0) * wu))
@@ -245,17 +250,15 @@ def _test_fn(kernel, x_norm, t: float, s, p: TestFnParams, rtol: float = 1e-8):
 
     All rows share one quadrature: each Gauss level makes one profile block
     and one kernel call over every s.  A row's value does not depend on
-    which other radii or times share the call.  The kernel is not called
-    when every s = t: both propagator kernels are exactly 1 there.
+    which other radii or times share the call.  The kernels are exactly 1
+    on the diagonal s = t, so a diagonal row is the profile's integral.
     """
     ss, xn = _radii(x_norm, t, s)
     phi_s = [phi_of_t(p.m, sj) for sj in ss.tolist()]
-    off_diagonal = bool(np.any(ss != t))
 
     def g(lam):
         out = _exp_profile(lam, xn, phi_s, p)  # fresh, so the kernel multiplies in place
-        if off_diagonal:
-            out *= kernel(t, ss, lam, p.m)[:, None, :]
+        out *= kernel(t, ss, lam, p.m)[:, None, :]
         return out
 
     # scale and rtol by keyword: bench/spans.py reads a fourth positional

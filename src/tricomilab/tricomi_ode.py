@@ -31,11 +31,12 @@ arbitrarily large t:
   exactly 1 on the diagonal s = t.  Off it they are Bessel products, with
   a (t-s)-series for Phi2/(t-s) next to the diagonal, where its Bessel
   difference cancels, and the leading small-s terms where lambda phi(s) < 1e-8.
-  The time-t pair ive(nu, x_t), kve(nu, x_t) is cached (``_bessel_pair``, a
-  bounded ``functools.lru_cache`` of the four most recent pairs, read-only),
-  so one t and Gauss level of a quadrature evaluates it once; at s = 0 it
-  gives V1 and V2 with no negative order (see ``_small_s_factors``).
-  scipy's ive and kve return nan past x = 2^30 - 0.5, so the kernels and
+  What they take from t alone is one read-only block, ``_time_block``:
+  x_t, ive(nu, x_t), kve(nu, x_t) and the scaled V1(t), V2(t)/t of the
+  s = 0 rows (with no negative order), cached for the four most recent
+  (t, lambda nodes), so one t and Gauss level of a quadrature builds it
+  once.  Only rows with 0 < s < t form per-s entries.  scipy's ive and kve
+  return nan past x = 2^30 - 0.5, so the kernels and
   ``fundamental_pair_scaled`` raise a DomainError where x_t passes it.
 
 ``fundamental_pair``, ``phi1``, ``phi2`` and ``phi2_ratio`` are the unscaled
@@ -160,39 +161,37 @@ def fundamental_pair_scaled(params: OdeParams, t: float) -> FundamentalEval:
     return _pair(params, t, scaled=True)
 
 
-def _bessel_pair(nu: float, x: np.ndarray):
-    """Read-only (ive(nu, x), kve(nu, x)), cached on the exact (nu, x); a
-    DomainError past _MAX_BESSEL_X."""
-    return _bessel_pair_of(nu, x.shape, x.tobytes())
+def _time_block(t: float, lam: np.ndarray, m: float):
+    """Read-only (x_t, ive(nu, x_t), kve(nu, x_t), e^{-x_t} V1(t), e^{-x_t}
+    V2(t)/t) at x_t = lam phi(t), elementwise in lam: everything the kernels
+    take from t alone.  Cached on the exact (t, m, lam); a DomainError past
+    _MAX_BESSEL_X."""
+    return _time_block_of(t, m, lam.shape, lam.tobytes())
 
 
 @functools.lru_cache(maxsize=4)
-def _bessel_pair_of(nu: float, shape: tuple, data: bytes):
-    """``_bessel_pair`` of the float array with this shape and data."""
-    x = np.frombuffer(data).reshape(shape)
-    _check_bessel_range(float(np.max(x)))
-    i_nu, k_nu = ive(nu, x), kve(nu, x)
-    i_nu.flags.writeable = k_nu.flags.writeable = False
-    return i_nu, k_nu
-
-
-def _small_s_factors(t: float, lam: np.ndarray, m: float, i_nu, k_nu):
-    """(e^{-x_t} V1(t), e^{-x_t} V2(t)/t), elementwise in lam, from the time
-    pair i_nu = ive(nu, x_t), k_nu = kve(nu, x_t) at the same lam.
+def _time_block_of(t: float, m: float, shape: tuple, data: bytes):
+    """``_time_block`` at the float array lam with this shape and data.
 
     V1 uses I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu (DLMF 10.27.2), so only the
     orders +nu are evaluated (the negative order costs ~3x in scipy); both
     terms are positive.  Below _SMALL_X both values are e^{-x_t}, as in ``_pair``.
     """
     nu = _nu(m)
+    lam = np.frombuffer(data).reshape(shape)
     x_t = lam * phi_of_t(m, t)
-    k_nu = np.exp(-2.0 * x_t) * k_nu
+    _check_bessel_range(float(np.max(x_t)))
+    i_nu, k_nu = ive(nu, x_t), kve(nu, x_t)
     v1 = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t) * (
-        i_nu + 2.0 / math.pi * math.sin(nu * math.pi) * k_nu
+        i_nu + 2.0 / math.pi * math.sin(nu * math.pi) * (np.exp(-2.0 * x_t) * k_nu)
     )
     v2_ratio = math.gamma(1.0 + nu) * (nu * lam) ** (-nu) * math.sqrt(t) / t * i_nu
     tiny = x_t < _SMALL_X
-    return np.where(tiny, np.exp(-x_t), v1), np.where(tiny, np.exp(-x_t), v2_ratio)
+    block = (x_t, i_nu, k_nu, np.where(tiny, np.exp(-x_t), v1),
+             np.where(tiny, np.exp(-x_t), v2_ratio))
+    for arr in block:
+        arr.flags.writeable = False
+    return block
 
 
 def _rows(t: float, s, lam: np.ndarray):
@@ -228,20 +227,19 @@ def kernel_phi1_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarray:
     lam^2 s^{m+1}/(m+1), whose relative corrections are O(x_s^2).
 
     ``s`` is one time, giving shape (L,), or a 1-d array of times, giving
-    one row per time, shape (S, L).  The time-t pair is evaluated once for
-    all rows; the per-row scalars (phi(s), the powers of s, t - s) are
-    Python floats, so every row has the bits of the call at its own s.
+    one row per time, shape (S, L).  The time-t block (``_time_block``) is
+    read once for all rows; the per-row scalars (phi(s), the powers of s,
+    t - s) are Python floats, so every row has the bits of the call at its
+    own s.
     """
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
     out, zero, inner = _rows(t, s, lam)
     if zero or inner:
-        x_t = lam * phi_of_t(m, t)
-        i_t, k_t = _bessel_pair(nu, x_t)
+        x_t, i_t, k_t, v1, v2_ratio = _time_block(t, lam, m)
+        out[zero] = v1
+    if inner:
         (row, col, x_s, pos), (row_b, col_b, x_b, pos_b) = _entries(lam, m, inner)
-        if zero or row.size:
-            v1, v2_ratio = _small_s_factors(t, lam, m, i_t, k_t)
-            out[zero] = v1
         if row.size:
             lo = lam[col]
             s_pow = np.array([sj ** (m + 1.0) for sj in inner.values()])[pos]
@@ -276,9 +274,11 @@ def kernel_phi2_ratio_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarr
     nu = _nu(m)
     lam = np.asarray(lam, dtype=float)
     out, zero, inner = _rows(t, s, lam)
+    if zero or inner:
+        x_t, i_t, k_t, v1, v2_ratio = _time_block(t, lam, m)
+        out[zero] = v2_ratio
     near = {j: sj for j, sj in inner.items() if t - sj < _RATIO_SWITCH * max(1.0, t)}
     far = {j: sj for j, sj in inner.items() if j not in near}
-    x_t = lam * phi_of_t(m, t)
     if near:
         # Phi2(t,s) = (t-s) + lam^2 s^m (t-s)^3/6 + lam^2 m s^{m-1} (t-s)^4/24 + ...
         s_near = near.values()
@@ -290,12 +290,8 @@ def kernel_phi2_ratio_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarr
         lam2 = lam * lam
         corr = lam2 * s_m * dt * dt / 6.0 + lam2 * m * s_m1 * dt3 / 24.0
         out[list(near)] = np.exp(-(x_t - x_s)) * (1.0 + corr)
-    if zero or far:
-        i_t, k_t = _bessel_pair(nu, x_t)
+    if far:
         (row, col, x_s, pos), (row_b, col_b, x_b, pos_b) = _entries(lam, m, far)
-        if zero or row.size:
-            v1, v2_ratio = _small_s_factors(t, lam, m, i_t, k_t)
-            out[zero] = v2_ratio
         if row.size:
             s_small = np.array(list(far.values()))[pos]
             dt = np.array([t - sj for sj in far.values()])[pos]

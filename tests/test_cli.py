@@ -673,6 +673,11 @@ _EDGE = [
       "--set", "grid.t_max=1"], EXIT_OK),
     # the domain is derived from R, m, t_max and dx, not set
     (["simulate", *_SIM, "--set", "grid.domain_radius=1e6"], EXIT_CONFIG),
+    # grids past the cell cap are refused before any array is allocated
+    (["simulate", *_SIM, "--set", "grid.t_max=1e6"], EXIT_CONFIG),
+    (["simulate", *_SIM, "--set", "grid.dx=1e-300"], EXIT_CONFIG),
+    (["simulate", *_SIM, "--set", "model.big_r=1e300"], EXIT_CONFIG),
+    (["simulate", *_SIM, "--set", "model.big_r=1e6"], EXIT_CONFIG),
     # one command per special function: the op switch is gone, and each
     # command knows only its own keys
     (["specfun"], EXIT_CONFIG),
@@ -755,7 +760,11 @@ def test_edge_refusals_name_their_cause(tmp_path, capsys):
               "testfun.nx=2", "--set", "testfun.q=100"], ["part ii", "t=1000", "q=100"]),
             (["testfun", "--set", "testfun.nt=4", "--set", "testfun.ns=3", "--set",
               "testfun.nx=2", "--set", "testfun.q=4999"], ["part ii", "t=0.05", "q=4999"]),
-            (["simulate", *_SIM, "--set", "grid.n_f_samples=0"], ["n_f_samples"])):
+            (["simulate", *_SIM, "--set", "grid.n_f_samples=0"], ["n_f_samples"]),
+            (["simulate", *_SIM, "--set", "grid.t_max=1e6"], ["3.33333e+10 cells", "4194304"]),
+            (["simulate", *_SIM, "--set", "grid.dx=1e-300"], ["2.25819e+301 cells", "4194304"]),
+            (["simulate", *_SIM, "--set", "model.big_r=1e300"], ["5e+301 cells", "4194304"]),
+            (["simulate", *_SIM, "--set", "model.big_r=1e6"], ["5.00011e+07 cells", "4194304"])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(argv + ["--output", out]) in (EXIT_DOMAIN, EXIT_CONFIG)

@@ -142,20 +142,19 @@ def test_positivity():
         assert eta_q(x, t, t, p) > 0
 
 
-def test_diagonal_skips_the_kernel():
-    # both kernels are exactly 1 at s = t, so _test_fn never calls one there
-    def refuse(*args):
-        raise AssertionError("kernel evaluated on the diagonal")
+def test_diagonal_kernel_rows_keep_the_profile_bits():
+    # both kernels are exactly 1 at s = t, so a diagonal row is the profile's
+    # integral to the bit, as with a kernel of ones
+    def unit(t, s, lam, m):
+        return np.ones((np.size(s), lam.size))
 
     p = TestFnParams(q=0.4, lambda0=0.5, R=1.0, n=3, m=1.0)
     for t in (0.0, 3.0):
-        val, err = _test_fn(refuse, [0.0, 0.5], t, t, p)
+        val, err = _test_fn(unit, [0.0, 0.5], t, t, p)
         eta_quad = _test_fn(kernel_phi2_ratio_scaled, np.array([0.0, 0.5]), t, t, p)[0]
         assert val.tobytes() == eta_quad.tobytes()
         assert _test_fn(kernel_phi1_scaled, 0.5, t, t, p)[0] == val[1]
         assert xi_q(0.5, t, t, p) == eta_q(0.5, t, t, p)
-    with pytest.raises(AssertionError, match="diagonal"):
-        _test_fn(refuse, 0.5, 3.0, 2.0, p)
 
 
 def test_diagonal_continuity():
@@ -335,7 +334,7 @@ def test_profile_is_bit_identical(monkeypatch):
 
 
 def test_memo_holds_at_most_four_blocks():
-    caches = (testfun._graded_rule, tricomi_ode._bessel_pair_of)
+    caches = (testfun._panels, testfun._graded_rule, tricomi_ode._time_block_of)
     for cache in caches:
         cache.cache_clear()
     for k in range(12):
@@ -350,11 +349,14 @@ def test_memo_holds_at_most_four_blocks():
 
     # the entries are read-only, so no caller can write into a shared block;
     # a second call returns the cached arrays themselves
+    panels = testfun._panels(0.5, 8)
     lam, w = testfun._graded_rule(0.5, 0.5, 8, 0)
-    i_t, k_t = tricomi_ode._bessel_pair(1.0 / 3.0, 2.0 * lam)
+    block = tricomi_ode._time_block(2.0, lam, 1.0)
+    assert len(panels) == 4 and len(block) == 5
+    assert testfun._panels(0.5, 8)[0] is panels[0]
     assert testfun._graded_rule(0.5, 0.5, 8, 0)[0] is lam
-    assert tricomi_ode._bessel_pair(1.0 / 3.0, 2.0 * lam)[0] is i_t
-    for arr in (lam, w, i_t, k_t):
+    assert tricomi_ode._time_block(2.0, lam, 1.0)[0] is block[0]
+    for arr in (*panels, lam, w, *block):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -670,7 +672,7 @@ def test_rows_that_miss_at_16_follow_the_ladder_from_16(q):
 
 
 # ---------------------------------------------------------------------------
-# lemma22_report: shared time pair, reused s = 0 row, convergence count
+# lemma22_report: shared time block, reused s = 0 row, convergence count
 # ---------------------------------------------------------------------------
 
 
@@ -744,6 +746,32 @@ def test_lemma22_takes_at_most_two_quadratures_per_time(monkeypatch, n):
         assert calls == (2 if t > 0.0 or not testfun._on_sphere(p) else 0), (t, calls)
 
 
+def test_reference_panels_built_once_per_weight_and_level(monkeypatch):
+    # the lambda-rule of every (t, level) maps the same Gauss-Legendre and
+    # Gauss-Jacobi panels: a report builds each (q, level) pair once
+    p = TestFnParams(q=q_choice(3, p_crit(1, 3)), n=3, m=1.0)
+    grid = Lemma22Grid.log_default(t_max=1e3, nt=6, ns=3, nx=3)
+    legendre, eigh = [], []
+    leggauss, eigh_of = np.polynomial.legendre.leggauss, np.linalg.eigh
+
+    def counted_leggauss(level):
+        legendre.append(level)
+        return leggauss(level)
+
+    def counted_eigh(matrix):
+        eigh.append(len(matrix))
+        return eigh_of(matrix)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted_leggauss)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    testfun._panels.cache_clear()
+    testfun._graded_rule.cache_clear()
+    lemma22_report(p, grid)
+    # the times take several depths k, so the rule is built more than once per level
+    assert testfun._graded_rule.cache_info().misses > len(set(legendre)) >= 2
+    assert sorted(legendre) == sorted(set(legendre)) == sorted(eigh)
+
+
 def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
     m, t = 1.0, 40.0
     p = TestFnParams(q=q_choice(3, p_crit(1, 3)), n=3, m=m)
@@ -767,7 +795,7 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
     monkeypatch.setattr(tricomi_ode, "ive", counted("ive", tricomi_ode.ive))
     monkeypatch.setattr(tricomi_ode, "kve", counted("kve", tricomi_ode.kve))
     monkeypatch.setattr(testfun, "_graded_rule", recorded)
-    tricomi_ode._bessel_pair_of.cache_clear()
+    tricomi_ode._time_block_of.cache_clear()
     lemma22_report(p, grid)
     # the Gauss levels the quadratures reached are the rules asked for
     x_t = {(rule(*key)[0] * phi_of_t(m, t)).tobytes() for key in rules}
@@ -778,10 +806,10 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
         assert sorted(x for _, x in at_t) == sorted(x_t)  # once per level
         assert all(order == nu for order, _ in at_t)
 
-    # the s = 0 kernels take I_{-nu} from the pair: no negative order
+    # the s = 0 kernels take I_{-nu} from the block: no negative order
     lam = np.geomspace(1e-12, 3.0, 50)
     calls.clear()
-    tricomi_ode._bessel_pair_of.cache_clear()
+    tricomi_ode._time_block_of.cache_clear()
     kernel_phi1_scaled(t, 0.0, lam, m)
     kernel_phi2_ratio_scaled(t, 0.0, lam, m)
     assert sorted((fn, order) for fn, order, _ in calls) == [("ive", nu), ("kve", nu)]

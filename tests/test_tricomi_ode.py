@@ -428,10 +428,10 @@ def test_shared_time_pair_keeps_kernels_bit_identical():
             return [kernel_phi1_scaled(t, s, lam, m).tobytes(),
                     kernel_phi2_ratio_scaled(t, s, lam, m).tobytes()]
 
-        cache = tricomi_ode._bessel_pair_of
+        cache = tricomi_ode._time_block_of
         cache.cache_clear()
-        assert kernels() == ref  # empty cache: the pair is built here
-        assert kernels() == ref  # the pair comes from the cache
+        assert kernels() == ref  # empty cache: the block is built here
+        assert kernels() == ref  # the block comes from the cache
         assert cache.cache_info().misses == 1
         for other in (0.7, 1.5, 2.2, 9.0, 41.0):
             kernel_phi1_scaled(other, 0.0, lam, m)  # other times evict it
@@ -439,6 +439,28 @@ def test_shared_time_pair_keeps_kernels_bit_identical():
         misses = cache.cache_info().misses
         assert kernels() == ref  # evicted: built afresh
         assert cache.cache_info().misses == misses + 1
+
+
+def test_rows_at_zero_and_diagonal_build_no_entries(monkeypatch):
+    # s = 0 rows come from the time-t block and s = t rows are ones: neither
+    # forms the per-s entries, which only rows with 0 < s < t need
+    entries = tricomi_ode._entries
+    built = []
+
+    def counted(*args):
+        built.append(args[2])
+        return entries(*args)
+
+    monkeypatch.setattr(tricomi_ode, "_entries", counted)
+    lam = np.geomspace(1e-15, 5.0, 31)
+    t = 3.0
+    for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
+        for s in (0.0, t, np.array([0.0, t, 0.0]), np.array([t, t])):
+            kernel(t, s, lam, 1.0)
+        assert built == []
+        kernel(t, np.array([0.0, 1.2, t]), lam, 1.0)
+        assert built == [{1: 1.2}]
+        built.clear()
 
 
 @pytest.mark.parametrize("m", [0.0, 1.0, 2.5])
