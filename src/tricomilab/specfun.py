@@ -5,18 +5,21 @@ Two special functions:
 * ``kummer_m`` -- Kummer's confluent hypergeometric function M(a,b;z) for
   real arguments, evaluated by a regime split between the Taylor series,
   the Kummer transformation M(a,b;z) = e^z M(b-a,b;-z), and the large-|z|
-  asymptotic expansion, with an error estimate.  It is the closed form
-  that the Bessel-basis fundamental system of ``tricomi_ode`` rewrites,
-  and the tests pin that rewriting to it.
+  asymptotic expansion, with an error estimate.  Where a or b - a is a
+  non-positive integer the series terminates: M is a polynomial, or e^z
+  times one.  It is the closed form that the Bessel-basis fundamental
+  system of ``tricomi_ode`` rewrites, and the tests pin that rewriting to
+  it.  ``kummer_m_gap1`` is the same function on the family M(b, b+1; z),
+  b > 0 (the kernel of the diagonal test functions), vectorised over
+  arrays from the regimes of ``kummer_m`` as they read there.
 * ``varphi`` -- the sphere average of e^{x.w}, the radial eigenfunction of
   the Laplacian with eigenvalue one (Lap(phi) = phi).
 
 This module holds the package's only reference to ``scipy.special``: the
-modified Bessel functions ``iv``, ``ive``, ``kve`` and ``i0e`` and the
-vectorised Kummer function ``hyp1f1`` (the kernel of the diagonal test
-functions) forward to it and import it on the first call (~0.3 s), so a
-command that evaluates neither never loads it.  ``kummer_m`` and
-``varphi`` for n = 1, 3 need none.
+modified Bessel functions ``iv``, ``ive``, ``kve`` and ``i0e`` forward to
+it and import it on the first call (~0.25 s), so a command that evaluates
+none of them never loads it.  Both Kummer functions and ``varphi`` for
+n = 1, 3 need none.
 
 All functions are pure; the one lazily built value (the Gauss rule of
 ``varphi_sphere_quadrature``) is cached, and the same on every call.
@@ -25,6 +28,7 @@ All functions are pure; the one lazily built value (the Gauss rule of
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from typing import NamedTuple
@@ -35,6 +39,7 @@ from .errors import DomainError
 
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min  # the smallest normal double
 
 # Direct Taylor summation at negative z loses ~e^{|z|} * eps to alternating
 # cancellation; |z| <= 6 keeps the absolute loss below ~1e-13, which leaves
@@ -73,11 +78,6 @@ def kve(v, z):
 def i0e(z):
     """Exponentially scaled I_0(z) e^{-|z|} (``scipy.special.i0e``)."""
     return _special().i0e(z)
-
-
-def hyp1f1(a, b, z):
-    """Kummer's M(a, b; z), elementwise over arrays (``scipy.special.hyp1f1``)."""
-    return _special().hyp1f1(a, b, z)
 
 
 class KummerEval(NamedTuple):
@@ -121,7 +121,7 @@ def _taylor_series(a: float, b: float, z: float, max_terms: int = 2000):
             peak = size
         k += 1.0
         drift += k * size
-        if size <= _EPS * mag and k > z_hump:
+        if size <= _EPS * mag and (k > z_hump or size == 0.0):
             break
     err = _EPS * (4.0 * peak + drift) + 2.0 * abs(term)
     return total, err
@@ -229,6 +229,15 @@ def kummer_m_detail(a: float, b: float, z: float) -> KummerEval:
         ev = KummerEval(_exp_times(z, 1.0)[0], "exp", 0.0)
     elif z == 0.0:
         return KummerEval(1.0, "series", 0.0)
+    elif a <= 0 and float(a).is_integer():
+        # a polynomial: the series terminates at degree -a, at any z
+        val, err = _taylor_series(a, b, z)
+        ev = KummerEval(val, "series", err)
+    elif b - a <= 0 and float(b - a).is_integer():
+        # e^z times a polynomial, by the Kummer transformation
+        poly, poly_err = _taylor_series(b - a, b, -z)
+        val, round_err = _exp_times(z, poly)
+        ev = KummerEval(val, "series-kummer", _exp_times(z, poly_err)[0] + round_err)
     elif z < 0:
         ev = _eval_negative(a, b, z)
     else:
@@ -249,6 +258,169 @@ def kummer_m_deriv(a: float, b: float, z: float) -> float:
     if a == 0.0:
         return 0.0
     return (a / b) * kummer_m(a + 1.0, b + 1.0, z)
+
+
+# ---------------------------------------------------------------------------
+# M(b, b+1; z), vectorised: the kernel of the diagonal test functions
+# ---------------------------------------------------------------------------
+
+# the positive series is summed at this exact power of two, so no term
+# overflows before the value does
+_SERIES_SCALE = 2.0**-64
+_CLOSED_MAX = 700.0  # expm1(z)/z up to here; past it expm1 nears overflow
+# terms per block of the series, one numpy pass per block for every entry:
+# few blocks for a small array (most stop after one), little waste for a
+# large one
+_BLOCKS = [32, 64, 128]
+_ROW_LOOP = 192  # from this many entries a block's products go row by row
+
+
+def _gamma_b1(b: float) -> float:
+    """Gamma(b+1), nan past its range (b >= 170), where the logs take over."""
+    return math.gamma(b + 1.0) if b < 170.0 else math.nan
+
+
+def _per_b(fn, b: np.ndarray) -> np.ndarray:
+    """A math function of one float over the values of b (a few at most)."""
+    return np.array([fn(v) for v in b.ravel().tolist()]).reshape(b.shape)
+
+
+def _positive_terms(x: np.ndarray, b, start: float, series: bool) -> np.ndarray:
+    """sum_k t_k, t_0 = start, elementwise: with t_k = t_{k-1} x (b+k-1)/((b+k) k)
+    (``series``) the series of M(b, b+1; x), else with t_k = t_{k-1} x/(b+k)
+    the Kummer side sum_k x^k/(b+1)_k; x > 0, so every term is positive.
+
+    b is one float for all entries or an array like x.  The terms come in
+    the fixed blocks of ``_BLOCKS`` (k = 1-32, 33-96, then 128 at a time),
+    one numpy pass per block for all entries.  Both ratios r decrease in k
+    from k = 2 on, so an entry stops after the first block whose last term
+    t_k has t_k r/(1 - r) below eps/4 of the sum, a bound on the rest.  The
+    products and sums run in order of k, so an entry's value does not
+    depend on the other entries.
+    """
+    out = idx = None
+    term = total = start
+    k0 = 1.0
+    per_entry = np.ndim(b) > 0
+    for j in itertools.count():
+        k = np.arange(k0, k0 + _BLOCKS[min(j, len(_BLOCKS) - 1)])[:, None]
+        terms = x * ((b + (k - 1.0)) / ((b + k) * k) if series else 1.0 / (b + k))
+        r = terms[-1].copy()
+        terms[0] *= term
+        # products and sums in order of k, so each entry's bits are those of a
+        # term-by-term loop; cumprod and cumsum are ~4x slower per element
+        # than row-by-row ufuncs, which cost a call per row
+        if x.size < _ROW_LOOP:
+            np.cumprod(terms, axis=0, out=terms)
+            term = terms[-1].copy()
+            terms[0] += total
+            total = np.cumsum(terms, axis=0)[-1]
+        else:
+            total = total + terms[0]
+            for row in range(1, len(terms)):
+                terms[row] *= terms[row - 1]
+                total += terms[row]
+            term = terms[-1]
+        live = term * r > 0.25 * _EPS * (1.0 - r) * total
+        if not np.count_nonzero(live):
+            if out is None:
+                return total
+            out[idx] = total
+            return out
+        if out is None:
+            out, idx = np.empty(x.shape), np.arange(x.size)
+        out[idx[~live]] = total[~live]
+        idx, x, term, total = idx[live], x[live], term[live], total[live]
+        if per_entry:
+            b = b[live]
+        k0 = k[-1, 0] + 1.0
+
+
+def _exp_ratio(z: np.ndarray) -> np.ndarray:
+    """M(1, 2; z) = expm1(z)/z, 1 at z = 0."""
+    out = np.ones(z.shape)
+    np.divide(np.expm1(z), z, out=out, where=z != 0.0)
+    return out
+
+
+def kummer_m_gap1(b, z):
+    """M(b, b+1; z) for b > 0, elementwise over the broadcast arrays b and z.
+
+    The regimes of ``kummer_m`` as they read for this family, vectorised:
+
+    * b = 1, z <= 700: the closed form expm1(z)/z (1 at z = 0);
+    * z = -x < -b where the e^{-x} branch dropped by the asymptotic series
+      is below eps/4 relative (from x = 35 at b = 1/2, 82 at b = 20): that
+      series terminates (a - b + 1 = 0), so M = Gamma(b+1) x^{-b}.  The
+      dropped branch is b x^{-b} Gamma(b, x), and Gamma(b, x) <= x^{b-1}
+      e^{-x} max(1, x/(x-b+1)) for x > b - 1;
+    * other z < 0: the Kummer side e^z sum_k (-z)^k/(b+1)_k, all terms
+      positive;
+    * z > 0: the series sum_k b/(b+k) z^k/k!, all terms positive, summed at
+      scale 2^-64, so it is inf only where the value leaves the double
+      range; where b e^z/(z+b) passes it by a factor e, it is inf unsummed.
+
+    Every entry is computed alone, so its value does not depend on the
+    others.  Measured against mpmath: within 4e-15 relative wherever the
+    value is a normal double, for b up to ~20 and |z| <= 1e4.  A
+    DomainError unless b > 0 and z is finite.
+    """
+    b, z = np.asarray(b, dtype=float), np.asarray(z, dtype=float)
+    if not (b > 0.0).all():
+        raise DomainError("M(b, b+1; z) needs b > 0")
+    shape = np.broadcast(b, z).shape
+    if (b == 1.0).all() and z.min(initial=0.0) > -np.inf and z.max(initial=0.0) <= _CLOSED_MAX:
+        return _exp_ratio(np.broadcast_to(z, shape))[()]
+    if not np.isfinite(z).all():
+        raise DomainError("M(b, b+1; z) needs a finite z")
+    if not shape:  # one value: the regime masks need an axis
+        return kummer_m_gap1(b, z.reshape(1))[0]
+    x = np.negative(z, out=np.empty(shape))
+    one_b = b.ndim == 0
+    if one_b:
+        b = float(b)
+        gamma_b1, lgamma_b = _gamma_b1(b), math.lgamma(b)
+    else:
+        gamma_b1, lgamma_b = _per_b(_gamma_b1, b), _per_b(math.lgamma, b)
+
+    def at(values, mask):
+        """values (one float or one per b) at the entries of mask."""
+        return values if one_b else np.broadcast_to(values, shape)[mask]
+
+    out = np.ones(shape)
+    asym, kummer, pos = x > b, x > 0.0, x < 0.0
+    if b == 1.0 if one_b else (b == 1.0).any():  # the closed form, entry by entry
+        closed = (b == 1.0) & (x >= -_CLOSED_MAX)
+        out[closed] = _exp_ratio(-x[closed])
+        for regime in (asym, kummer, pos):
+            regime &= ~closed
+    if np.count_nonzero(asym):
+        xa, ba, lg_b = x[asym], at(b, asym), at(lgamma_b, asym)
+        # the bound on the dropped branch, relative to the value, in logs
+        keep = (ba - 1.0) * np.log(xa) - xa - lg_b + np.log(
+            np.maximum(1.0, xa / (xa - ba + 1.0))) < math.log(0.25 * _EPS)
+        asym[asym] = keep
+        xa = xa[keep]
+        if not one_b:
+            ba, lg_b = ba[keep], lg_b[keep]
+        val = at(gamma_b1, asym) * xa**-ba
+        logs = ~(val >= _TINY)  # past Gamma's range, or not a normal double: in logs
+        if np.count_nonzero(logs):
+            val[logs] = np.exp(lg_b + np.log(ba) - ba * np.log(xa))[logs]
+        out[asym] = val
+    kummer ^= asym  # the asymptotic entries have x > b > 0
+    if np.count_nonzero(kummer):
+        xk = x[kummer]
+        out[kummer] = np.exp(-xk) * _positive_terms(xk, at(b, kummer), 1.0, series=False)
+    if np.count_nonzero(pos):
+        zp, bp = -x[pos], at(b, pos)
+        val = np.full(zp.shape, math.inf)
+        fin = zp + np.log(bp / (zp + bp)) <= _LOG_MAX + 1.0
+        with np.errstate(over="ignore"):
+            val[fin] = _positive_terms(zp[fin], bp if one_b else bp[fin], _SERIES_SCALE,
+                                       series=True) / _SERIES_SCALE
+        out[pos] = val
+    return out[()]
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,11 @@ On the diagonal, xi_q = eta_q (the weight of the solver's F(t) and of
 ``lemma22_report``'s part iii) is, for n <= 2 and for n = 3 with q > 0, the
 sphere average int_{S^{n-1}} K(|x| w_1 - phi(t) - R) dw of one Kummer
 kernel K(w) = int_0^{lam0} e^{lam w} lam^q dlam = lam0^{q+1}/(q+1)
-M(q+1, q+2; lam0 w) (``specfun.hyp1f1``), see ``_sphere_average``; it
-needs no lambda-quadrature.  n >= 4, and n = 3 with q <= 0, take the
-quadrature, whose diagonal ``_test_fn`` also stays the tests' oracle.
+M(q+1, q+2; lam0 w) (``specfun.kummer_m_gap1``, the lab's own M; at q = 0
+the closed form expm1(z)/z), see ``_sphere_average``; it needs no
+lambda-quadrature and no Bessel function, so it loads no scipy.  n >= 4,
+and n = 3 with q <= 0, take the quadrature, whose diagonal ``_test_fn``
+also stays the tests' oracle.
 
 The lambda-integral takes the integrand's scale a = phi(t) + R: k dyadic
 Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with lam^q in
@@ -58,7 +60,7 @@ import numpy as np
 
 from .errors import DomainError
 from .exponents import pow_or_inf
-from .specfun import hyp1f1, varphi_scaled
+from .specfun import kummer_m_gap1, varphi_scaled
 from .tricomi_ode import kernel_phi1_scaled, kernel_phi2_ratio_scaled, phi_of_t
 
 _EXP_CLIP = 700.0
@@ -291,7 +293,7 @@ def _kummer_integral(b, lam0: float, w):
         power = pow_or_inf(lam0, b)
     if not np.all(power < math.inf):
         raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{np.max(b):.6g} past the double range")
-    return power / b * hyp1f1(b, b + 1.0, lam0 * w)
+    return power / b * kummer_m_gap1(b, lam0 * w)
 
 
 def _angles(z: np.ndarray) -> np.ndarray:
@@ -318,10 +320,11 @@ def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
       accurate), one count per radius;
     * n = 3: (2 pi / x) [L(x - a) - L(-x - a)] with L(w) = int e^{lam w}
       lam^{q-1} dlam = (lam0^q e^{lam0 w} - w K(w)) / q (by parts, so K is
-      the only kernel; scipy's M(q, q+1; .) itself loses up to 2e-13 at
-      small q).  Where the difference cancels, the odd part of L is summed
-      instead: 4 pi sum_{j even} x^j / (j+1)! K_j(-a), K_j the integral of
-      lam^{q+j}, all terms positive.  The series is taken for
+      the only kernel; L = lam0^q/q M(q, q+1; lam0 w) directly would now
+      serve too: ``kummer_m_gap1`` is within 1.7e-15 of mpmath there at
+      q = 0.05, 0.375 and 0.9).  Where the difference cancels, the odd
+      part of L is summed instead: 4 pi sum_{j even} x^j / (j+1)! K_j(-a),
+      K_j the integral of lam^{q+j}, all terms positive.  The series is taken for
       x <= max(1/lam0, a / (10 sqrt C)), C = max(1, (q+1)(q+2)/6): there
       K_{j+2}/K_j <= min(lam0^2, (q+j+1)(q+j+2)/a^2) makes its 10 terms
       (j <= 18) exact to ~1e-17, and past it the difference keeps 1e-12
@@ -347,14 +350,18 @@ def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
         return out
     out = np.empty_like(xn)
     series = xn <= max(1.0 / lam0, a / (10.0 * math.sqrt(max(1.0, (q + 1.0) * (q + 2.0) / 6.0))))
-    coef = _kummer_integral(q + 1.0 + _SERIES_J, lam0, -a) / _SERIES_FACT
-    out[series] = 4.0 * math.pi * np.polyval(coef[::-1], xn[series] ** 2)
+    if series.any():
+        coef = _kummer_integral(q + 1.0 + _SERIES_J, lam0, -a) / _SERIES_FACT
+        out[series] = 4.0 * math.pi * np.polyval(coef[::-1], xn[series] ** 2)
     x = xn[~series]
-    with np.errstate(over="ignore", invalid="ignore"):  # inf past the double range
-        ends = lam0**q * (np.exp(lam0 * (x - a)) - np.exp(-lam0 * (x + a)))
-        k_in, k_out = (_kummer_integral(q + 1.0, lam0, w) for w in (x - a, -x - a))
-        diff = np.where(ends < np.inf, ends - (x - a) * k_in - (x + a) * k_out, np.inf)
-    out[~series] = (2.0 * math.pi / (q * x)) * diff
+    if x.size:
+        with np.errstate(over="ignore", invalid="ignore"):  # inf past the double range
+            ends = lam0**q * (np.exp(lam0 * (x - a)) - np.exp(-lam0 * (x + a)))
+            # one kernel call for both ends
+            k_in, k_out = np.split(_kummer_integral(q + 1.0, lam0, np.concatenate((x - a, -x - a))),
+                                   2)
+            diff = np.where(ends < np.inf, ends - (x - a) * k_in - (x + a) * k_out, np.inf)
+        out[~series] = (2.0 * math.pi / (q * x)) * diff
     return out
 
 

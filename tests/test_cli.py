@@ -213,9 +213,17 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+def _lazy_probe(cmds, tmp_path, tag):
+    cmds = [argv + ["--output", str(tmp_path / f"{tag}{i}.out")] for i, argv in enumerate(cmds)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE, json.dumps(cmds)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def test_bessel_free_commands_never_load_scipy_special(tmp_path):
-    sim = ["--set", "model.m=1", "--set", "model.p=2", "--set", "grid.dx=0.1",
-           "--set", "grid.track_f=true"]
+    sim = ["--set", "model.m=1", "--set", "grid.dx=0.1", "--set", "grid.track_f=true"]
     cmds = [
         ["scan", "--set", "model.m=1", "--set", "model.n=1", "--set", "model.p=2",
          "--set", "grid.dx=0.1", "--set", "scan.eps_list=1.0,1.2",
@@ -226,19 +234,26 @@ def test_bessel_free_commands_never_load_scipy_special(tmp_path):
         ["kummer", "--set", "specfun.a=0.25", "--set", "specfun.b=0.5", "--set", "specfun.z=-60"],
         ["log_gamma", "--set", "specfun.x=7"],
         ["varphi", "--set", "specfun.n=3", "--set", "specfun.r=1"],
-        ["simulate", "--set", "model.n=1", *sim, "--set", "grid.track_f=false"],
-        # the first Kummer kernel value, hyp1f1 in F's sphere average, loads it
-        ["simulate", "--set", "model.n=1", *sim],
+        ["simulate", "--set", "model.n=1", "--set", "model.p=2", *sim,
+         "--set", "grid.track_f=false"],
+        # F's sphere average at n = 1, 2 (q = 0 and q < 0) and 3 (q > 0)
+        ["simulate", "--set", "model.n=1", "--set", "model.p=2", *sim],
+        ["simulate", "--set", "model.n=2", "--set", "model.p=2", *sim],
+        ["simulate", "--set", "model.n=2", "--set", "model.p=1.8", *sim],
+        ["simulate", "--set", "model.n=3", "--set", "model.p=1.6", *sim],
     ]
-    cmds = [argv + ["--output", str(tmp_path / f"{i}.out")] for i, argv in enumerate(cmds)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", _LAZY_PROBE, json.dumps(cmds)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    steps = [json.loads(line) for line in proc.stdout.splitlines()]
+    steps = _lazy_probe(cmds, tmp_path, "free")
     assert steps[0] == ["import", 0, False, []]
-    assert [step[:3] for step in steps[1:-1]] == [[a[0], EXIT_OK, False] for a in cmds[:-1]]
-    assert steps[-1][:3] == ["simulate", EXIT_OK, True]
+    assert [step[:3] for step in steps[1:]] == [[a[0], EXIT_OK, False] for a in cmds]
+    # each Bessel command, in a fresh interpreter, loads it at its first value
+    loads = [
+        ["varphi", "--set", "specfun.n=2", "--set", "specfun.r=1"],
+        ["testfun", "--set", "testfun.m=1", "--set", "testfun.n=2", "--set", "testfun.nt=2"],
+        ["odecheck", "--set", "odecheck.m=1", "--set", "odecheck.lambda=1",
+         "--set", "odecheck.t=2", "--set", "odecheck.s=1"],
+    ]
+    for i, argv in enumerate(loads):
+        assert _lazy_probe([argv], tmp_path, f"bessel{i}")[1][:3] == [argv[0], EXIT_OK, True]
 
 
 def test_scan_writes_records_and_fit(tmp_path):

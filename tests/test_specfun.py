@@ -15,6 +15,7 @@ from tricomilab.specfun import (
     kummer_m,
     kummer_m_detail,
     kummer_m_deriv,
+    kummer_m_gap1,
     log_gamma,
     surface_area,
     varphi,
@@ -202,6 +203,74 @@ def test_kummer_against_mpmath():
                 err = abs(mpmath.mpf(detail.value) - ref)
                 assert err <= detail.error_estimate, (a, b, z, detail)
                 assert err <= 1e-8 * abs(ref), (a, b, z, detail)
+
+
+@pytest.mark.parametrize("a, b, z, ref", [
+    (0.0, 1.5, 100.0, 1.0),  # a = 0: M = 1
+    (-1.0, 0.94070482075, 108.024253791, None),  # a = -1: M = 1 - z/b
+    (2.5, 0.5, -45.0, None),  # b - a = -2: e^z times a quadratic
+])
+def test_polynomial_cases_against_mpmath(a, b, z, ref):
+    # where a or b - a is a non-positive integer M is a polynomial (or e^z
+    # times one); the asymptotic side's Gamma prefactor has a pole there
+    with mpmath.workdps(50):
+        exact = mpmath.hyp1f1(a, b, z)
+    if ref is not None:
+        assert exact == ref
+    detail = kummer_m_detail(a, b, z)
+    err = abs(mpmath.mpf(detail.value) - exact)
+    assert err <= detail.error_estimate and err <= 1e-14 * abs(exact), detail
+
+
+# the kernel of the diagonal test functions: b = q + 1 at the q of the lab's
+# runs, and the n = 3 series' b = q + 1 + j, j = 0, 2, ..., 18, at q = 0.375
+GAP1_B = sorted({0.5, 0.944, 1.0, 1.05, 1.375, *(1.375 + np.arange(0.0, 19.0, 2.0)).tolist()})
+GAP1_Z = np.concatenate((-np.geomspace(1e-4, 1e4, 41), [0.0], np.linspace(0.5, 40.0, 12),
+                         [1e-9, 1e-3]))
+
+
+def test_gap1_kernel_against_mpmath():
+    # relative error <= 4e-15 against 50 digits wherever M(b, b+1; z) is a
+    # normal double (measured: 2.2e-15), inf only past the double range
+    with mpmath.workdps(50):
+        for b in GAP1_B:
+            got = kummer_m_gap1(b, GAP1_Z)
+            assert got.shape == GAP1_Z.shape
+            for z, value in zip(GAP1_Z.tolist(), got.tolist()):
+                ref = mpmath.hyp1f1(b, b + 1, z)
+                if abs(ref) >= np.finfo(float).tiny:
+                    assert abs(value - ref) <= 4e-15 * abs(ref), (b, z, value)
+            big = kummer_m_gap1(b, np.array([700.0, 740.0, 1e4]))
+            assert np.isfinite(big[0]) and np.all(big[1:] == np.inf), b
+    # past e^709.78 by the factor z/b: b = 1 is finite at 716 and inf at 717
+    assert np.isfinite(kummer_m_gap1(1.0, 716.0)) and kummer_m_gap1(1.0, 717.0) == np.inf
+    assert kummer_m_gap1(1.5, 0.0) == 1.0
+
+
+def test_gap1_kernel_agrees_with_scalar_kummer():
+    # pointwise against kummer_m within kummer_m's own error estimate.  The
+    # exceptions are kummer_m's: at b >= 15, z = -63.1 its asymptotic side
+    # drops the e^z branch with an estimate 1.2-1.4x too small (ROADMAP
+    # item 2), while the kernel stays within 6e-16 of mpmath there
+    misses = []
+    for b in GAP1_B:
+        got = kummer_m_gap1(b, GAP1_Z)
+        for z, value in zip(GAP1_Z.tolist(), got.tolist()):
+            detail = kummer_m_detail(b, b + 1.0, z)
+            if abs(value - detail.value) > detail.error_estimate:
+                misses.append((b, round(z, 1), detail.regime))
+                with mpmath.workdps(50):
+                    ref = mpmath.hyp1f1(b, b + 1, z)
+                assert abs(detail.value - ref) > detail.error_estimate
+                assert abs(value - ref) <= 4e-15 * abs(ref)
+    assert misses == [(b, -63.1, "asymptotic") for b in (15.375, 17.375, 19.375)]
+    # an array of b (the n = 3 series) gives each entry its scalar call's bits
+    bs = np.array(GAP1_B)
+    assert kummer_m_gap1(bs, -3.0).tolist() == [kummer_m_gap1(b, -3.0) for b in GAP1_B]
+    with pytest.raises(DomainError):
+        kummer_m_gap1(0.0, 1.0)
+    with pytest.raises(DomainError):
+        kummer_m_gap1(0.5, np.nan)
 
 
 def test_derivative_ratio_form():

@@ -334,7 +334,8 @@ def test_profile_is_bit_identical(monkeypatch):
 
 
 def test_memo_holds_at_most_four_blocks():
-    caches = (testfun._panels, testfun._graded_rule, tricomi_ode._time_block_of)
+    caches = (testfun._panels, testfun._graded_rule, tricomi_ode._time_block_of,
+              tricomi_ode._small_s_block_of)
     for cache in caches:
         cache.cache_clear()
     for k in range(12):
@@ -344,6 +345,7 @@ def test_memo_holds_at_most_four_blocks():
         ref = _eta_diag_reference(xn, 1.5, p)
         assert _eta_diag_quad(xn, 1.5, p).tobytes() == ref.tobytes()
         eta_q(xn, 2.0 + k, 1.0, p)
+        xi_q(xn, 2.0 + k, 0.0, p)  # s = 0 rows take the V pair
         assert all(cache.cache_info().currsize <= 4 for cache in caches)
     assert all(cache.cache_info()[2:] == (4, 4) for cache in caches)  # maxsize, currsize
 
@@ -352,11 +354,13 @@ def test_memo_holds_at_most_four_blocks():
     panels = testfun._panels(0.5, 8)
     lam, w = testfun._graded_rule(0.5, 0.5, 8, 0)
     block = tricomi_ode._time_block(2.0, lam, 1.0)
-    assert len(panels) == 4 and len(block) == 5
+    small_s = tricomi_ode._small_s_block(2.0, lam, 1.0)
+    assert len(panels) == 4 and len(block) == 3 and len(small_s) == 2
     assert testfun._panels(0.5, 8)[0] is panels[0]
     assert testfun._graded_rule(0.5, 0.5, 8, 0)[0] is lam
     assert tricomi_ode._time_block(2.0, lam, 1.0)[0] is block[0]
-    for arr in (*panels, lam, w, *block):
+    assert tricomi_ode._small_s_block(2.0, lam, 1.0)[0] is small_s[0]
+    for arr in (*panels, lam, w, *block, *small_s):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -810,6 +814,7 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
     lam = np.geomspace(1e-12, 3.0, 50)
     calls.clear()
     tricomi_ode._time_block_of.cache_clear()
+    tricomi_ode._small_s_block_of.cache_clear()
     kernel_phi1_scaled(t, 0.0, lam, m)
     kernel_phi2_ratio_scaled(t, 0.0, lam, m)
     assert sorted((fn, order) for fn, order, _ in calls) == [("ive", nu), ("kve", nu)]
