@@ -279,6 +279,7 @@ _SERIES_J = np.arange(0.0, 19.0, 2.0)
 _SERIES_FACT = np.array([math.factorial(int(j) + 1) for j in _SERIES_J], dtype=float)
 # past this many angles the n = 2 rule is refused (lambda0 |x| > ~6.9e10)
 _MAX_ANGLES = 2**20
+_BATCH = 2**13  # values per n = 2 kernel call: few calls, and small arrays in each
 
 
 def _on_sphere(p: TestFnParams) -> bool:
@@ -308,8 +309,28 @@ def _angles(z: np.ndarray) -> np.ndarray:
     return n.astype(int)
 
 
-def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
-    """eta_q(x, t, t) = xi_q(x, t, t) at the 1-d radii xn, for ``_on_sphere(p)``.
+def _angle_batches(xn: np.ndarray, a: np.ndarray, counts: np.ndarray):
+    """The n = 2 kernel arguments x cos th - a at the radii xn (a and the
+    angle counts per radius), as (rows, block) pairs: per count, runs of
+    rows of at most _BATCH values (or one row), yielded in lists of at most
+    _BATCH values (or one block), one kernel call each."""
+    batch, size = [], 0
+    for n_th in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == n_th)
+        cos_th = np.cos((np.arange(n_th) + 0.5) * (math.pi / n_th))
+        for chunk in np.array_split(rows, -(-rows.size * n_th // _BATCH)):
+            if batch and size + chunk.size * n_th > _BATCH:
+                yield batch
+                batch, size = [], 0
+            batch.append((chunk, xn[chunk, None] * cos_th - a[chunk, None]))
+            size += chunk.size * n_th
+    if batch:
+        yield batch
+
+
+def _sphere_average(xn: np.ndarray, t, p: TestFnParams) -> np.ndarray:
+    """eta_q(x, t, t) = xi_q(x, t, t) at the 1-d radii xn, each at the time t
+    (one float, or an array like xn), for ``_on_sphere(p)``.
 
     With a = phi(t) + R and K(w) = int_0^{lam0} e^{lam w} lam^q dlam, the
     diagonal is int_{S^{n-1}} K(|x| w_1 - a) dw:
@@ -317,7 +338,7 @@ def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
     * n = 1: K(x - a) + K(-x - a);
     * n = 2: 2 int_0^pi K(x cos th - a) dth, by the midpoint rule with
       ``_angles(lam0 x)`` points (even and periodic, so spectrally
-      accurate), one count per radius;
+      accurate), one count per radius; one kernel call per _BATCH values;
     * n = 3: (2 pi / x) [L(x - a) - L(-x - a)] with L(w) = int e^{lam w}
       lam^{q-1} dlam = (lam0^q e^{lam0 w} - w K(w)) / q (by parts, so K is
       the only kernel; L = lam0^q/q M(q, q+1; lam0 w) directly would now
@@ -328,40 +349,48 @@ def _sphere_average(xn: np.ndarray, t: float, p: TestFnParams) -> np.ndarray:
       x <= max(1/lam0, a / (10 sqrt C)), C = max(1, (q+1)(q+2)/6): there
       K_{j+2}/K_j <= min(lam0^2, (q+j+1)(q+j+2)/a^2) makes its 10 terms
       (j <= 18) exact to ~1e-17, and past it the difference keeps 1e-12
-      (pinned against mpmath).
+      (pinned against mpmath).  The K_j of every time are one kernel call,
+      and K at both ends of every radius another.
 
     Every radius is computed alone, so its value does not depend on which
-    other radii share the call.
+    other radii or times share the call.
     """
-    a = phi_of_t(p.m, t) + p.R
+    times, at = np.unique(np.broadcast_to(t, xn.shape), return_inverse=True)
+    a_of = np.array([phi_of_t(p.m, tj) + p.R for tj in times.tolist()])
+    a = a_of[at]
     q, lam0 = p.q, p.lambda0
     if p.n == 1:
-        return _kummer_integral(q + 1.0, lam0, xn - a) + _kummer_integral(q + 1.0, lam0, -xn - a)
-    if p.n == 2:
-        out = np.empty_like(xn)
-        counts = _angles(lam0 * xn)
-        for n_th in np.unique(counts).tolist():
-            rows = np.flatnonzero(counts == n_th)
-            cos_th = np.cos((np.arange(n_th) + 0.5) * (math.pi / n_th))
-            # row chunks of at most 2^16 values, so a wide count stays small
-            for chunk in np.array_split(rows, -(-rows.size * n_th // 2**16)):
-                k = _kummer_integral(q + 1.0, lam0, xn[chunk, None] * cos_th - a)
-                out[chunk] = (2.0 * math.pi / n_th) * k.sum(axis=1)
-        return out
+        k_in, k_out = np.split(_kummer_integral(q + 1.0, lam0, np.concatenate((xn - a, -xn - a))),
+                               2)
+        return k_in + k_out
     out = np.empty_like(xn)
-    series = xn <= max(1.0 / lam0, a / (10.0 * math.sqrt(max(1.0, (q + 1.0) * (q + 2.0) / 6.0))))
+    if p.n == 2:
+        for blocks in _angle_batches(xn, a, _angles(lam0 * xn)):
+            k = _kummer_integral(q + 1.0, lam0, np.concatenate([w.ravel() for _, w in blocks]))
+            bounds = np.cumsum([w.size for _, w in blocks])
+            for (rows, w), k_rows in zip(blocks, np.split(k, bounds)):
+                out[rows] = (2.0 * math.pi / w.shape[1]) * k_rows.reshape(w.shape).sum(axis=1)
+        return out
+    c = max(1.0, (q + 1.0) * (q + 2.0) / 6.0)
+    series = xn <= np.maximum(1.0 / lam0, a / (10.0 * math.sqrt(c)))
     if series.any():
-        coef = _kummer_integral(q + 1.0 + _SERIES_J, lam0, -a) / _SERIES_FACT
-        out[series] = 4.0 * math.pi * np.polyval(coef[::-1], xn[series] ** 2)
-    x = xn[~series]
+        # K_j(-a), one column per time of a series radius
+        col_times, col = np.unique(at[series], return_inverse=True)
+        coef = _kummer_integral((q + 1.0 + _SERIES_J)[:, None], lam0,
+                                -a_of[col_times]) / _SERIES_FACT[:, None]
+        x2, poly = xn[series] ** 2, np.zeros(col.size)
+        for c_j in coef[::-1, col]:  # Horner, as np.polyval
+            poly = poly * x2 + c_j
+        out[series] = 4.0 * math.pi * poly
+    x, ax = xn[~series], a[~series]
     if x.size:
         with np.errstate(over="ignore", invalid="ignore"):  # inf past the double range
-            ends = lam0**q * (np.exp(lam0 * (x - a)) - np.exp(-lam0 * (x + a)))
+            ends = lam0**q * (np.exp(lam0 * (x - ax)) - np.exp(-lam0 * (x + ax)))
             # one kernel call for both ends
-            k_in, k_out = np.split(_kummer_integral(q + 1.0, lam0, np.concatenate((x - a, -x - a))),
-                                   2)
-            diff = np.where(ends < np.inf, ends - (x - a) * k_in - (x + a) * k_out, np.inf)
-        out[~series] = (2.0 * math.pi / (q * x)) * diff
+            k = _kummer_integral(q + 1.0, lam0, np.concatenate((x - ax, -x - ax)))
+            k_in, k_out = np.split(k, 2)
+            diff = np.where(ends < np.inf, ends - (x - ax) * k_in - (x + ax) * k_out, np.inf)
+            out[~series] = (2.0 * math.pi / (q * x)) * diff
     return out
 
 
@@ -480,16 +509,17 @@ def lemma22_report(
     grid; hypothesis-violating grid points are excluded and counted, and so
     are the points whose quadrature missed rtol (``unconverged``).  The
     diagonal s = t (part iii, and part i at t = 0) is the sphere average of
-    ``eta_q`` where it applies, a closed form with no rtol.  An envelope
-    that is not a normal double (<.>^{-q} underflows at large q and t) is a
-    DomainError naming q, the part and t; every envelope of a t is checked
-    before its values are computed.
+    ``eta_q`` where it applies, a closed form with no rtol, taken for
+    every t in one call.  An envelope that is not a normal double (<.>^{-q}
+    underflows at large q and t) is a DomainError naming q, the part and
+    t; every envelope of the grid is checked before any value is computed.
 
     Each t makes at most two lambda-quadratures: xi_q at s = 0 (part
     i-xi), and eta_q over the times (0, s_1, ..., s_k) of parts i-eta and
     ii, plus part iii's diagonal where the sphere average does not apply.
     A row's value does not depend on which other radii or times share its
-    quadrature, so the rows equal one ``xi_q``/``eta_q`` call per (part, t, s).
+    quadrature or sphere average, so the rows equal one ``xi_q``/``eta_q``
+    call per (part, t, s).
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
@@ -518,19 +548,23 @@ def lemma22_report(
         rows.append(Lemma22Row(part, t, s, float(x), float(v), env, float(v) / env))
 
     xf = np.asarray(grid.x_fractions)
+    sphere = _on_sphere(p)
+    plans = []
     for t in sorted({float(v) for v in grid.t_values}):
         phi_t = phi_of_t(m, t)
         # the radii of each eta_q row of this t, by s: part i at s = 0, part
-        # ii's s and part iii's diagonal share one quadrature
+        # ii's s and (off the sphere average) part iii's diagonal share one
+        # quadrature
         radii = {}
         part_ii = []
         # parts i-xi / i-eta: s = 0, |x| <= R
         xs = xf * p.R
         if lower_ok:
-            env_xi = envelope("i-xi", t, bracket(phi_t) ** (-alpha))
-            env_eta = envelope("i-eta", t, bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0))))
+            env_i = (envelope("i-xi", t, bracket(phi_t) ** (-alpha)),
+                     envelope("i-eta", t, bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0)))))
             radii[0.0] = xs
         else:
+            env_i = None
             excluded += 2 * len(xs)
 
         # part ii: 0 <= s < t
@@ -548,28 +582,42 @@ def lemma22_report(
             radii.setdefault(s, xf * (phi_s + p.R))
 
         # part iii: diagonal, t > 0
-        diagonal = t > 0.0 and upper_ok
-        if diagonal:
-            radii[t] = xs3 = xf * (phi_t + p.R)
-            envs3 = [envelope("iii", t, bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(
-                phi_t - x) ** ((n - 3.0) / 2.0 - q)) for x in xs3]
+        if t > 0.0 and upper_ok:
+            xs3 = xf * (phi_t + p.R)
+            diag = (xs3, [envelope("iii", t, bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(
+                phi_t - x) ** ((n - 3.0) / 2.0 - q)) for x in xs3])
+            if not sphere:
+                radii[t] = xs3
         else:
+            diag = None
             excluded += len(xf)
+        plans.append((t, xs, env_i, part_ii, diag, radii))
 
-        if lower_ok:
+    # part iii on the sphere average: one call for every t
+    diags = [(t, diag[0]) for t, _, _, _, diag, _ in plans if diag]
+    on_sphere = {}
+    if sphere and diags:
+        ts = [t for t, _ in diags]
+        vals = _sphere_average(np.concatenate([xs3 for _, xs3 in diags]), np.repeat(ts, len(xf)), p)
+        unconverged += np.count_nonzero(_misses(vals, 0.0, rtol))
+        on_sphere = dict(zip(ts, np.split(vals, len(ts))))
+
+    for t, xs, env_i, part_ii, diag, radii in plans:
+        if env_i:
             vals_xi = measure(kernel_phi1_scaled, xs, t, 0.0)
+        eta = {t: on_sphere[t]} if t in on_sphere else {}
         if radii:
-            eta = dict(zip(radii, measure(kernel_phi2_ratio_scaled, np.array(list(radii.values())),
+            eta.update(zip(radii, measure(kernel_phi2_ratio_scaled, np.array(list(radii.values())),
                                           t, np.array(list(radii)))))
-        if lower_ok:
+        if env_i:
             for x, vx, ve in zip(xs, vals_xi, eta[0.0]):
-                add("i-xi", t, 0.0, x, vx, env_xi)
-                add("i-eta", t, 0.0, x, ve, env_eta)
+                add("i-xi", t, 0.0, x, vx, env_i[0])
+                add("i-eta", t, 0.0, x, ve, env_i[1])
         for s, env in part_ii:
             for x, v in zip(radii[s], eta[s]):
                 add("ii", t, s, x, v, env)
-        if diagonal:
-            for x, v, env in zip(xs3, eta[t], envs3):
+        if diag:
+            for x, env, v in zip(*diag, eta[t]):
                 add("iii", t, t, x, v, env)
 
     constants = {}

@@ -31,14 +31,15 @@ arbitrarily large t:
   exactly 1 on the diagonal s = t.  Off it they are Bessel products, with
   a (t-s)-series for Phi2/(t-s) next to the diagonal, where its Bessel
   difference cancels, and the leading small-s terms where lambda phi(s) < 1e-8.
-  What they take from t alone is read-only and cached for the four most
-  recent (t, lambda nodes), so one t and Gauss level of a quadrature builds
-  it once: ``_time_block`` holds x_t, ive(nu, x_t) and kve(nu, x_t), and
-  ``_small_s_block`` the scaled V1(t), V2(t)/t (with no negative order),
-  formed only for rows at s = 0 or entries with x_s < 1e-8.  Only rows with
-  0 < s < t form per-s entries.  scipy's ive and kve return nan past
-  x = 2^30 - 0.5, so the kernels and ``fundamental_pair_scaled`` raise a
-  DomainError where x_t passes it.
+  What they take from t alone, x_t, ive(nu, x_t) and kve(nu, x_t), is one
+  read-only block, ``_time_block``, cached for the four most recent
+  (t, lambda nodes), so one t and Gauss level of a quadrature builds it
+  once.  The scaled V1(t) and V2(t)/t (with no negative order) are formed
+  from it only where a row at s = 0 or an entry with x_s < 1e-8 needs
+  them, each kernel the one it needs.  Only rows with 0 < s < t form per-s
+  entries.  scipy's ive and kve return nan past x = 2^30 - 0.5, so the
+  kernels and ``fundamental_pair_scaled`` raise a DomainError where x_t
+  passes it.
 
 ``fundamental_pair``, ``phi1``, ``phi2`` and ``phi2_ratio`` are the unscaled
 scalar forms.  ``ode_oracle_scaled`` is an independent check: adaptive
@@ -181,34 +182,28 @@ def _time_block_of(t: float, m: float, shape: tuple, data: bytes):
     return block
 
 
-def _small_s_block(t: float, lam: np.ndarray, m: float):
-    """Read-only (e^{-x_t} V1(t), e^{-x_t} V2(t)/t), elementwise in lam: the
-    rows at s = 0 and the entries with x_s < _SMALL_X.  Built from
-    ``_time_block`` and cached like it, so a kernel call that has neither
-    forms no V."""
-    return _small_s_block_of(t, m, lam.shape, lam.tobytes())
-
-
-@functools.lru_cache(maxsize=4)
-def _small_s_block_of(t: float, m: float, shape: tuple, data: bytes):
-    """``_small_s_block`` at the float array lam with this shape and data.
+def _v1_scaled(t: float, lam: np.ndarray, m: float) -> np.ndarray:
+    """e^{-x_t} V1(t), elementwise in lam: the rows at s = 0 and the entries
+    with x_s < _SMALL_X.
 
     V1 uses I_{-nu} = I_nu + (2/pi) sin(nu pi) K_nu (DLMF 10.27.2), so only the
     orders +nu are evaluated (the negative order costs ~3x in scipy); both
-    terms are positive.  Below _SMALL_X both values are e^{-x_t}, as in ``_pair``.
+    terms are positive.  Below _SMALL_X it is e^{-x_t}, as in ``_pair``.
     """
     nu = _nu(m)
-    lam = np.frombuffer(data).reshape(shape)
-    x_t, i_nu, k_nu = _time_block_of(t, m, shape, data)
+    x_t, i_nu, k_nu = _time_block(t, lam, m)
     v1 = math.gamma(1.0 - nu) * (nu * lam) ** nu * math.sqrt(t) * (
         i_nu + 2.0 / math.pi * math.sin(nu * math.pi) * (np.exp(-2.0 * x_t) * k_nu)
     )
+    return np.where(x_t < _SMALL_X, np.exp(-x_t), v1)
+
+
+def _v2_ratio_scaled(t: float, lam: np.ndarray, m: float) -> np.ndarray:
+    """e^{-x_t} V2(t)/t, elementwise in lam, like ``_v1_scaled``."""
+    nu = _nu(m)
+    x_t, i_nu, _ = _time_block(t, lam, m)
     v2_ratio = math.gamma(1.0 + nu) * (nu * lam) ** (-nu) * math.sqrt(t) / t * i_nu
-    tiny = x_t < _SMALL_X
-    block = (np.where(tiny, np.exp(-x_t), v1), np.where(tiny, np.exp(-x_t), v2_ratio))
-    for arr in block:
-        arr.flags.writeable = False
-    return block
+    return np.where(x_t < _SMALL_X, np.exp(-x_t), v2_ratio)
 
 
 def _rows(t: float, s, lam: np.ndarray):
@@ -244,8 +239,8 @@ def kernel_phi1_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarray:
     lam^2 s^{m+1}/(m+1), whose relative corrections are O(x_s^2).
 
     ``s`` is one time, giving shape (L,), or a 1-d array of times, giving
-    one row per time, shape (S, L).  The time-t blocks (``_time_block``,
-    ``_small_s_block``) are read once for all rows; the per-row scalars (phi(s), the powers of s,
+    one row per time, shape (S, L).  The time-t block (``_time_block``) is
+    read once for all rows; the per-row scalars (phi(s), the powers of s,
     t - s) are Python floats, so every row has the bits of the call at its
     own s.
     """
@@ -253,12 +248,12 @@ def kernel_phi1_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     out, zero, inner = _rows(t, s, lam)
     if zero:
-        out[zero] = _small_s_block(t, lam, m)[0]
+        out[zero] = _v1_scaled(t, lam, m)
     if inner:
         x_t, i_t, k_t = _time_block(t, lam, m)
         (row, col, x_s, pos), (row_b, col_b, x_b, pos_b) = _entries(lam, m, inner)
         if row.size:
-            v1, v2_ratio = _small_s_block(t, lam, m)
+            v1, v2_ratio = _v1_scaled(t, lam, m), _v2_ratio_scaled(t, lam, m)
             lo = lam[col]
             s_pow = np.array([sj ** (m + 1.0) for sj in inner.values()])[pos]
             out[row, col] = np.exp(x_s) * (
@@ -293,7 +288,7 @@ def kernel_phi2_ratio_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarr
     lam = np.asarray(lam, dtype=float)
     out, zero, inner = _rows(t, s, lam)
     if zero:
-        out[zero] = _small_s_block(t, lam, m)[1]
+        out[zero] = _v2_ratio_scaled(t, lam, m)
     if inner:
         x_t, i_t, k_t = _time_block(t, lam, m)
     near = {j: sj for j, sj in inner.items() if t - sj < _RATIO_SWITCH * max(1.0, t)}
@@ -312,7 +307,7 @@ def kernel_phi2_ratio_scaled(t: float, s, lam: np.ndarray, m: float) -> np.ndarr
     if far:
         (row, col, x_s, pos), (row_b, col_b, x_b, pos_b) = _entries(lam, m, far)
         if row.size:
-            v1, v2_ratio = _small_s_block(t, lam, m)
+            v1, v2_ratio = _v1_scaled(t, lam, m), _v2_ratio_scaled(t, lam, m)
             s_small = np.array(list(far.values()))[pos]
             dt = np.array([t - sj for sj in far.values()])[pos]
             out[row, col] = np.exp(x_s) * (t * v2_ratio[col] - s_small * v1[col]) / dt

@@ -334,8 +334,7 @@ def test_profile_is_bit_identical(monkeypatch):
 
 
 def test_memo_holds_at_most_four_blocks():
-    caches = (testfun._panels, testfun._graded_rule, tricomi_ode._time_block_of,
-              tricomi_ode._small_s_block_of)
+    caches = (testfun._panels, testfun._graded_rule, tricomi_ode._time_block_of)
     for cache in caches:
         cache.cache_clear()
     for k in range(12):
@@ -345,7 +344,6 @@ def test_memo_holds_at_most_four_blocks():
         ref = _eta_diag_reference(xn, 1.5, p)
         assert _eta_diag_quad(xn, 1.5, p).tobytes() == ref.tobytes()
         eta_q(xn, 2.0 + k, 1.0, p)
-        xi_q(xn, 2.0 + k, 0.0, p)  # s = 0 rows take the V pair
         assert all(cache.cache_info().currsize <= 4 for cache in caches)
     assert all(cache.cache_info()[2:] == (4, 4) for cache in caches)  # maxsize, currsize
 
@@ -354,13 +352,11 @@ def test_memo_holds_at_most_four_blocks():
     panels = testfun._panels(0.5, 8)
     lam, w = testfun._graded_rule(0.5, 0.5, 8, 0)
     block = tricomi_ode._time_block(2.0, lam, 1.0)
-    small_s = tricomi_ode._small_s_block(2.0, lam, 1.0)
-    assert len(panels) == 4 and len(block) == 3 and len(small_s) == 2
+    assert len(panels) == 4 and len(block) == 3
     assert testfun._panels(0.5, 8)[0] is panels[0]
     assert testfun._graded_rule(0.5, 0.5, 8, 0)[0] is lam
     assert tricomi_ode._time_block(2.0, lam, 1.0)[0] is block[0]
-    assert tricomi_ode._small_s_block(2.0, lam, 1.0)[0] is small_s[0]
-    for arr in (*panels, lam, w, *block, *small_s):
+    for arr in (*panels, lam, w, *block):
         with pytest.raises(ValueError):
             arr[0] = 1.0
 
@@ -728,6 +724,40 @@ def test_lemma22_rows_match_reference_loop(m, n):
     assert list(rep.rows) == _lemma22_reference_rows(p, grid)
 
 
+@pytest.mark.parametrize("m, n", [(1.0, 2), (1.0, 3), (0.0, 3)])
+def test_lemma22_diagonal_is_one_sphere_average(monkeypatch, m, n):
+    # part iii of every t > 0 is one sphere average: at n = 3 one kernel call
+    # for the series coefficients of every t and one for the ends of every
+    # radius, at n = 2 one per batch of at most _BATCH values, filled
+    # greedily (two neighbours pass _BATCH); part i at t = 0 (s = t = 0)
+    # adds one call each for xi_q and eta_q
+    p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
+    grid = Lemma22Grid.log_default(t_max=1000.0, nt=24, ns=7, nx=7)
+    calls = []
+    kernel = testfun.kummer_m_gap1
+
+    def counted(b, z):
+        calls.append(np.size(z))
+        return kernel(b, z)
+
+    monkeypatch.setattr(testfun, "kummer_m_gap1", counted)
+    rep = lemma22_report(p, grid)
+    diagonal = calls[:-2]  # the two t = 0 calls come last
+    assert max(calls) <= testfun._BATCH and len(rep.rows_for("iii")) == 24 * 7
+    assert len(diagonal) == 2 if n == 3 else len(diagonal) <= 2 * -(-sum(diagonal) // testfun._BATCH)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_average_of_many_times_matches_one_call_per_time(n):
+    # radii at different times in one call get the bits of one call per time
+    p = TestFnParams(q=0.3, n=n, m=1.0)
+    ts = np.array([0.5, 2.0, 40.0, 900.0])
+    xs = [np.linspace(0.0, phi_of_t(p.m, t) + p.R, 9) for t in ts]
+    batch = testfun._sphere_average(np.concatenate(xs), np.repeat(ts, 9), p)
+    single = np.concatenate([testfun._sphere_average(x, float(t), p) for x, t in zip(xs, ts)])
+    assert batch.tobytes() == single.tobytes()
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_lemma22_takes_at_most_two_quadratures_per_time(monkeypatch, n):
     # xi_q at s = 0, and eta_q over every s of part i and ii (and, off the
@@ -814,7 +844,6 @@ def test_time_pair_evaluated_once_per_time_and_level(monkeypatch):
     lam = np.geomspace(1e-12, 3.0, 50)
     calls.clear()
     tricomi_ode._time_block_of.cache_clear()
-    tricomi_ode._small_s_block_of.cache_clear()
     kernel_phi1_scaled(t, 0.0, lam, m)
     kernel_phi2_ratio_scaled(t, 0.0, lam, m)
     assert sorted((fn, order) for fn, order, _ in calls) == [("ive", nu), ("kve", nu)]
