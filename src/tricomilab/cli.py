@@ -88,21 +88,16 @@ REQUIRED = object()
 
 # the PDE model and grid keys shared by simulate and scan (scan overrides
 # the t_max default); scan sets eps per run and tracks no F, so those keys
-# are simulate's only
+# are simulate's only.  The grid keys take type and default from RunConfig's
+# fields, so the library and the CLI share one default
 _MODEL = {
     "m": (float, REQUIRED),
     "n": (int, REQUIRED),
     "p": (float, REQUIRED),
     "big_r": (float, 1.0),
 }
-_GRID = {
-    "dx": (float, 0.02),
-    "t_max": (float, 10.0),
-    "cfl_safety": (float, 0.4),
-    "blowup_threshold": (float, 1e8),
-    "u1_mode": (str, "same"),
-    "linear_only": (bool, False),
-}
+_GRID = {f.name: (type(f.default), f.default) for f in dataclasses.fields(pde.RunConfig)
+         if f.name in ("dx", "t_max", "cfl_safety", "blowup_threshold", "u1_mode", "linear_only")}
 
 # the keys both iteration engines read, in the [iterate] section of the
 # subcritical and critical commands; each engine resolves a nan p its own way

@@ -15,6 +15,18 @@ formula (it reduces to plain leapfrog for constant dt):
     u^{k+1} = u^k + (dt_k/dt_{k-1}) (u^k - u^{k-1})
               + dt_k (dt_k + dt_{k-1})/2 * (t_k^m Lap_h(u^k) + |u^k|^p).
 
+The limit on cfl_safety comes from the scheme.  Without |u|^p and at a
+fixed dt, a level is u^{k+1} - 2 u^k + u^{k-1} = dt^2 t^m L_h u^k, with
+L_h the 3-point radial operator of ``_next_level``: its centre row
+2n(u_1 - u_0)/dx^2 and its held last row (zero) included.  The eigenvalues
+of L_h are real and <= 0 (it is symmetric in the weight r^{n-1}), so the
+recursion stays bounded while dt^2 t^m rho < 4, rho the spectral radius of
+L_h: the Courant number dt t^{m/2}/dx must stay below 2/sqrt(rho dx^2).
+rho dx^2 is 4, 4.842 and 6 at n = 1, 2, 3 (to 1e-3) on every grid of 50 to
+800 cells, so the limits are 1, 0.909 and sqrt(2/3) = 0.816.  The rule takes
+the speed at t_{k+1} >= t_k, so its Courant number is at most cfl_safety;
+the default 0.6 is 27% below the smallest limit, n = 3's.
+
 Each step updates only the live window: the cells below the live extent
 (past it u and u_prev are exactly 0.0), the frontier cell at the extent and
 one zero ghost cell.  The extent starts at the support of the data and
@@ -23,7 +35,10 @@ moves on one cell only when the frontier cell just computed is not exactly
 3-point scheme moves information by at most one cell per step, and a cell
 whose inputs are all exactly zero stays exactly zero, so the update is
 bit-identical to the full-grid one.  The scheme's precursor ahead of the
-front underflows to 0.0, so the extent trails the step count.
+front underflows to 0.0, so the extent need not gain a cell every step.  On
+criterion 8's grid (m = 1, n = 1, dx 0.02, eps 1.2, u1 = 0) it gains one in
+826 of the 1136 steps to blow-up at cfl_safety 0.4, and it stays below the
+step count up to 0.55; at 0.6 it gains one in 751 of 759 steps.
 
 dt depends only on (t, dx, m, cfl_safety), so the runs of one ``RunConfig``
 at several (eps, t_max) step as the rows of one ``SolverState``, each with
@@ -102,7 +117,7 @@ class RunConfig:
     model: ModelParams
     dx: float = 0.02
     t_max: float = 10.0
-    cfl_safety: float = 0.4
+    cfl_safety: float = 0.6
     blowup_threshold: float = 1e8
     u1_mode: str = "same"  # "same" -> u1 = u0, "zero" -> u1 = 0
     linear_only: bool = False
@@ -296,7 +311,9 @@ def _pick_dt(cfg: RunConfig, t: float) -> float:
         if speed == math.inf:
             break
         trial, dt = dt, cfg.cfl_safety * cfg.dx / max(speed, floor)
-    else:
+        if dt == trial:  # every later pass would repeat it
+            break
+    if speed < math.inf:
         if t + dt > t:
             return dt
         dt = trial

@@ -289,12 +289,17 @@ def _on_sphere(p: TestFnParams) -> bool:
 
 def _kummer_integral(b, lam0: float, w):
     """int_0^{lam0} e^{lam w} lam^{b-1} dlam = lam0^b / b M(b, b+1; lam0 w), b > 0;
-    a DomainError where lam0^b leaves the double range."""
+    a DomainError where lam0^b leaves the double range, or underflows to 0
+    where M is inf (the product would be 0 * inf)."""
     with np.errstate(over="ignore"):
         power = pow_or_inf(lam0, b)
     if not np.all(power < math.inf):
         raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{np.max(b):.6g} past the double range")
-    return power / b * kummer_m_gap1(b, lam0 * w)
+    kummer = kummer_m_gap1(b, lam0 * w)
+    if np.any((power == 0.0) & (kummer == math.inf)):
+        raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{np.max(b):.6g} below and "
+                          f"M(b, b+1; lambda0 w) above the double range")
+    return power / b * kummer
 
 
 def _angles(z: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from tricomilab.cli import (
 )
 from tricomilab.errors import ConfigError
 from tricomilab.exponents import p_crit
+from tricomilab.pde_solver import ModelParams, RunConfig
 from tricomilab.tricomi_ode import OdeParams, fundamental_pair_scaled, ode_oracle_scaled
 
 
@@ -973,3 +974,13 @@ def test_other_engine_keys_are_unknown(command, key, capsys):
 def test_iterate_command_is_gone(capsys):
     assert run_cli(["iterate", "--set", "iterate.mode=critical"]) == EXIT_CONFIG
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "scan"])
+def test_grid_defaults_are_the_run_config_defaults(command):
+    # one default per grid key, RunConfig's; scan alone sets its own horizon
+    run = RunConfig(ModelParams(1.0, 1, 2.0))
+    grid = _SCHEMA[command]["grid"]
+    for key in ("dx", "cfl_safety", "blowup_threshold", "u1_mode", "linear_only"):
+        assert grid[key] == (type(getattr(run, key)), getattr(run, key)), key
+    assert grid["t_max"] == (float, run.t_max if command == "simulate" else 40.0)

@@ -7,7 +7,7 @@ import pytest
 
 import tricomilab.pde_solver as pde
 from tricomilab.errors import ConfigError, DomainError
-from tricomilab.exponents import ExponentContext, lifespan_law
+from tricomilab.exponents import ExponentContext, lifespan_law, pow_or_inf
 from tricomilab.specfun import surface_area
 from tricomilab.testfun import eta_q
 from tricomilab.pde_solver import (
@@ -199,7 +199,8 @@ def test_step_matches_full_grid_scheme_through_blowup(monkeypatch):
 def test_step_matches_full_grid_scheme_at_outer_boundary(monkeypatch):
     # long linear runs: every row's window reaches its outer boundary cell
     # and keeps stepping there, on the domain its horizon sizes
-    cfg = RunConfig(model=ModelParams(0.0, 2, 2.0, R=1.0), dx=0.05, linear_only=True)
+    cfg = RunConfig(model=ModelParams(0.0, 2, 2.0, R=1.0), dx=0.05, cfl_safety=0.4,
+                    linear_only=True)
     seen = _assert_steps_match_full_grid(monkeypatch, cfg, [(1.0, 1.0), (0.5, 4.0), (2.0, 2.0)])
     assert [row["edge"] for row in seen] == [55, 115, 75]
     assert [row["live"] for row in seen] == [row["edge"] for row in seen]  # windows span the grids
@@ -344,11 +345,71 @@ def test_pick_dt_unchanged_where_the_fixed_point_is_finite():
         assert pde._pick_dt(cfg, t) == dt
 
 
+def _pick_dt_four_passes(cfg, t):
+    """``_pick_dt`` with all four fixed-point passes always taken."""
+    m, floor = cfg.model.m, math.sqrt(cfg.dx)
+    dt = trial = 0.0
+    for _ in range(4):
+        speed = pow_or_inf(t + dt, m / 2.0)
+        if speed == math.inf:
+            break
+        trial, dt = dt, cfg.cfl_safety * cfg.dx / max(speed, floor)
+    else:
+        if t + dt > t:
+            return dt
+        dt = trial
+    while t + dt > t:
+        dt *= 0.5
+        if dt * max(pow_or_inf(t + dt, m / 2.0), floor) <= cfg.cfl_safety * cfg.dx:
+            return dt
+    raise DomainError("no step")
+
+
+def test_pick_dt_stops_at_a_repeated_dt_with_the_four_pass_value():
+    # a repeated dt gives the same next pass, so stopping there keeps every
+    # bit: seeded (m, t, dx, cfl_safety), in the floor phase t^{m/2} < sqrt(dx)
+    # and past it, plus the halving steps of test_pick_dt_shrinks_where_the_speed_overflows
+    rng = np.random.default_rng(31)
+    cases = [(float(rng.uniform(0.0, 8.0)), float(10.0 ** rng.uniform(-8.0, 3.0)),
+              float(rng.choice([0.005, 0.02, 0.1])), float(rng.uniform(0.1, 0.9)))
+             for _ in range(200)]
+    cases += [(1e6, t, 0.02, 0.6) for t in (0.97, 0.999, 0.99999, 1.0, 1.0000036)]
+    floored = 0
+    for m, t, dx, cfl in cases + [(m, 0.0, dx, cfl) for m, _, dx, cfl in cases[:5]]:
+        cfg = RunConfig(ModelParams(m, 1, 2.0), dx=dx, cfl_safety=cfl)
+        assert pde._pick_dt(cfg, t) == _pick_dt_four_passes(cfg, t), (m, t, dx, cfl)
+        floored += pow_or_inf(t, m / 2.0) < math.sqrt(dx)
+    assert 40 <= floored <= len(cases) - 40
+
+
+def test_default_courant_number_is_below_the_derived_stability_limit():
+    # the module docstring's limit: rho dx^2 of the operator _next_level
+    # applies, one basis vector per row (linear, m = 0, u_prev = u and
+    # dt = dt_prev = dx, so the new level is u + dx^2 L_h u)
+    size = 200
+    for n, rho_dx2 in ((1, 4.0), (2, 4.842), (3, 6.0)):
+        cfg = RunConfig(ModelParams(0.0, n, 2.0), linear_only=True)
+        u = np.asfortranarray(np.eye(size))
+        new = u.copy(order="F")
+        pde._next_level(cfg, u, new, np.arange(size) * cfg.dx, 1.0, cfg.dx, cfg.dx,
+                        np.empty((2, u.size)))
+        rho = np.max(np.abs(np.linalg.eigvals(new - u)))
+        assert abs(rho - rho_dx2) <= 1e-3, n
+        assert RunConfig.cfl_safety < 0.75 * 2.0 / math.sqrt(rho)
+        # at the default, long linear runs stay bounded
+        (rec,) = pde._run(replace(cfg, t_max=25.0))
+        assert rec.censored and rec.peak < 1.1, n
+    # past n = 3's limit of 0.816 the scheme blows up
+    (rec,) = pde._run(replace(cfg, t_max=25.0, cfl_safety=0.85))
+    assert not rec.censored
+
+
 def test_zero_front_trails_the_step_count():
-    # criterion 8's grid and largest eps: the precursor ahead of the front
-    # underflows to 0.0, so the extent stops gaining a cell every step
+    # criterion 8's grid and largest eps at cfl_safety 0.4: the precursor
+    # ahead of the front underflows to 0.0, so the extent stops gaining a
+    # cell every step (at the default 0.6 it passes the step count)
     cfg = RunConfig(model=ModelParams(1.0, 1, 2.0, eps=1.2), dx=0.02, t_max=60.0,
-                    u1_mode="zero")
+                    cfl_safety=0.4, u1_mode="zero")
     state, steps = initialize(cfg), 0
     while not state.rows[0].blown_up:
         step(state, cfg)
@@ -653,7 +714,8 @@ def test_row_batch_equals_one_run_per_eps(mnp, eps, u1_mode):
     ((1.0, 1, 2.0), dict(t_max=5.0, blowup_threshold=1.5), [0.9, 1.0, 1.2, 2.0], {"retry"}),
     # long m = 0 runs on a coarse grid: windows reach the outer boundary
     # of the smaller domains while the smallest eps runs on
-    ((0.0, 1, 3.0), dict(t_max=20.0, u1_mode="zero"), [0.7, 1.0, 3.0], {"edge"}),
+    ((0.0, 1, 3.0), dict(t_max=20.0, cfl_safety=0.4, u1_mode="zero"), [0.7, 1.0, 3.0],
+     {"edge"}),
     # nothing blows up, so every run is one of the prefix; no batch
     ((1.0, 1, 2.0), dict(t_max=1.0), [0.5, 0.7, 1.0], {"prefix"}),
     # the first run is censored and its retry calibrates the horizons

@@ -598,6 +598,20 @@ def test_sphere_average_is_inf_only_past_the_double_range(n):
     assert np.all(np.isfinite(vals[:2])) and np.all(vals[:2] > 0) and np.all(vals[2:] == np.inf)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sphere_average_refuses_an_underflowed_power_times_an_inf_kernel(n):
+    # lambda0^{q+1} = 0.5^4001 underflows to 0: at x = 1000 the kernel
+    # M(q+1, q+2; lam0 (x - a)) is finite and so is the value (0, as the
+    # true one underflows); at x = 1500 (lam0 (x - a) ~ 749) it is inf, and
+    # the product would be 0 * inf: a domain error, with no numpy warning
+    p = TestFnParams(q=4000.0, n=n, lambda0=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eta_q(1000.0, 2.0, 2.0, p) == 0.0
+        with pytest.raises(DomainError, match="below and .* above the double range"):
+            eta_q(1500.0, 2.0, 2.0, p)
+
+
 def test_n3_small_radius_series():
     # below max(1/lam0, a/(10 sqrt C)) the n = 3 diagonal is the series of the
     # odd part of L, whose terms are all positive: at x = 0 it is 4 pi K(-a)
