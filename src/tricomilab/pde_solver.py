@@ -476,7 +476,8 @@ def functional_F(state: SolverState, cfg: RunConfig) -> float:
     """F(t) = int u(x,t) eta_q(x,t,t) dx (diagonal weight, ``default_testfn``).
 
     The diagonal eta_q is the sphere average of one Kummer kernel (see
-    ``testfun._sphere_average``; no lambda-quadrature at n <= 3), taken only
+    ``testfun._sphere_average``; no lambda-quadrature at n <= 2, nor at
+    n = 3 with q >= 0.01), taken only
     at the radii of row 0's live window, where u can be nonzero; the
     trapezoid weights are those of G.
     """

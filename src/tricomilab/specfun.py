@@ -10,8 +10,9 @@ Two special functions:
   times one.  It is the closed form that the Bessel-basis fundamental
   system of ``tricomi_ode`` rewrites, and the tests pin that rewriting to
   it.  ``kummer_m_gap1`` is the same function on the family M(b, b+1; z),
-  b > 0 (the kernel of the diagonal test functions), vectorised over
-  arrays from the regimes of ``kummer_m`` as they read there.
+  b > 0 (the kernel of the diagonal test functions), for one b per call,
+  vectorised over arrays of z from the regimes of ``kummer_m`` as they
+  read there.
 * ``varphi`` -- the sphere average of e^{x.w}, the radial eigenfunction of
   the Laplacian with eigenvalue one (Lap(phi) = phi).
 
@@ -170,7 +171,9 @@ def _asymptotic_negative(a: float, b: float, x: float, max_terms: int = 200):
 
 
 def _eval_negative(a: float, b: float, z: float) -> KummerEval:
-    """Dispatch for z < 0 between direct series, reflected series, asymptotic."""
+    """Dispatch for z < 0 between direct series, reflected series, asymptotic;
+    past _BLEND_HI the reflected series too where the asymptotic estimate is
+    not below |M| (its series grows from the first terms, |a(a-b+1)| >~ |z|)."""
     x = -z
     if x <= _DIRECT_NEG_CUT:
         val, err = _taylor_series(a, b, z)
@@ -183,11 +186,15 @@ def _eval_negative(a: float, b: float, z: float) -> KummerEval:
     if x > _BLEND_LO:
         asy, asy_err = _asymptotic_negative(a, b, x)
         candidates.append(KummerEval(asy, "asymptotic", asy_err))
+        if x >= _BLEND_HI and not asy_err < abs(asy):
+            candidates.append(_reflected_series(a, b, z))
     return min(candidates, key=lambda c: c.error_estimate)
 
 
 def _eval_positive(a: float, b: float, z: float) -> KummerEval:
-    """Dispatch for z > 0: series, or Kummer reflection onto the asymptotic side."""
+    """Dispatch for z > 0: series, or Kummer reflection onto the asymptotic
+    side; past _BLEND_HI the series too where the latter's estimate is not
+    below |M|."""
     candidates = []
     if z < _BLEND_HI:
         val, err = _taylor_series(a, b, z)
@@ -198,7 +205,17 @@ def _eval_positive(a: float, b: float, z: float) -> KummerEval:
         val, round_err = _exp_times(z, asy)
         err = _exp_times(z, asy_err)[0] + round_err
         candidates.append(KummerEval(val, "asymptotic-kummer", err))
+        if z >= _BLEND_HI and not err < abs(val):
+            val, err = _taylor_series(a, b, z)
+            candidates.append(KummerEval(val, "series", err))
     return min(candidates, key=lambda c: c.error_estimate)
+
+
+def _reflected_series(a: float, b: float, z: float) -> KummerEval:
+    """M(a,b;z) = e^z M(b-a,b;-z), the reflected series summed, e^z in logs."""
+    ref, ref_err = _taylor_series(b - a, b, -z)
+    val, round_err = _exp_times(z, ref)
+    return KummerEval(val, "series-kummer", _exp_times(z, ref_err)[0] + round_err)
 
 
 def _exp_times(z: float, x: float) -> tuple[float, float]:
@@ -233,10 +250,7 @@ def kummer_m_detail(a: float, b: float, z: float) -> KummerEval:
         val, err = _taylor_series(a, b, z)
         ev = KummerEval(val, "series", err)
     elif b - a <= 0 and float(b - a).is_integer():
-        # e^z times a polynomial, by the Kummer transformation
-        poly, poly_err = _taylor_series(b - a, b, -z)
-        val, round_err = _exp_times(z, poly)
-        ev = KummerEval(val, "series-kummer", _exp_times(z, poly_err)[0] + round_err)
+        ev = _reflected_series(a, b, z)  # e^z times a polynomial
     elif z < 0:
         ev = _eval_negative(a, b, z)
     else:
@@ -270,33 +284,20 @@ _CLOSED_MAX = 700.0  # expm1(z)/z up to here; past it expm1 nears overflow
 _BLOCK = 64  # terms of the series between two tests of its stopping rule
 
 
-def _gamma_b1(b: float) -> float:
-    """Gamma(b+1), nan past its range (b >= 170), where the logs take over."""
-    return math.gamma(b + 1.0) if b < 170.0 else math.nan
-
-
-def _per_b(fn, b: np.ndarray) -> np.ndarray:
-    """A math function of one float over the values of b, once per distinct value."""
-    values, at = np.unique(b, return_inverse=True)
-    return np.array([fn(v) for v in values.tolist()])[at].reshape(b.shape)
-
-
-def _positive_terms(x: np.ndarray, b, start: float, series: bool) -> np.ndarray:
+def _positive_terms(x: np.ndarray, b: float, start: float, series: bool) -> np.ndarray:
     """sum_k t_k, t_0 = start, elementwise: with t_k = t_{k-1} x (b+k-1)/((b+k) k)
     (``series``) the series of M(b, b+1; x), else with t_k = t_{k-1} x/(b+k)
     the Kummer side sum_k x^k/(b+1)_k; x > 0, so every term is positive.
 
-    b is one float for all entries or an array like x.  Each k is one
-    numpy pass over all live entries, so the memory is a few arrays like
-    x.  Both ratios r decrease in k from k = 2 on, so every _BLOCK terms
-    an entry stops once its last term t_k has t_k r/(1 - r) below eps/4 of
-    the sum, a bound on the rest.  The products and sums run in order of
-    k, so an entry's value does not depend on the other entries.
+    Each k is one numpy pass over all live entries, so the memory is a few
+    arrays like x.  Both ratios r decrease in k from k = 2 on, so every
+    _BLOCK terms an entry stops once its last term t_k has t_k r/(1 - r)
+    below eps/4 of the sum, a bound on the rest.  The products and sums run
+    in order of k, so an entry's value does not depend on the other entries.
     """
     out = idx = None
     term = total = start
     k = 0.0
-    per_entry = np.ndim(b) > 0
     while True:
         for _ in range(_BLOCK):
             k += 1.0
@@ -313,8 +314,6 @@ def _positive_terms(x: np.ndarray, b, start: float, series: bool) -> np.ndarray:
             out, idx = np.empty(x.shape), np.arange(x.size)
         out[idx[~live]] = total[~live]
         idx, x, term, total = idx[live], x[live], term[live], total[live]
-        if per_entry:
-            b = b[live]
 
 
 def _exp_ratio(z: np.ndarray) -> np.ndarray:
@@ -324,8 +323,8 @@ def _exp_ratio(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def kummer_m_gap1(b, z):
-    """M(b, b+1; z) for b > 0, elementwise over the broadcast arrays b and z.
+def kummer_m_gap1(b: float, z):
+    """M(b, b+1; z) for one float b > 0, elementwise over the array z.
 
     The regimes of ``kummer_m`` as they read for this family, vectorised:
 
@@ -347,62 +346,46 @@ def kummer_m_gap1(b, z):
     within 4e-15 relative wherever the value is a normal double, for b up
     to ~20 and |z| <= 1e4.  A DomainError unless b > 0 and z is finite.
     """
-    b, z = np.asarray(b, dtype=float), np.asarray(z, dtype=float)
-    if not (b > 0.0).all():
+    b, z = float(b), np.asarray(z, dtype=float)
+    if not b > 0.0:
         raise DomainError("M(b, b+1; z) needs b > 0")
-    shape = np.broadcast(b, z).shape
-    if (b == 1.0).all() and z.min(initial=0.0) > -np.inf and z.max(initial=0.0) <= _CLOSED_MAX:
-        return _exp_ratio(np.broadcast_to(z, shape))[()]
+    if b == 1.0 and z.min(initial=0.0) > -np.inf and z.max(initial=0.0) <= _CLOSED_MAX:
+        return _exp_ratio(z)[()]
     if not np.isfinite(z).all():
         raise DomainError("M(b, b+1; z) needs a finite z")
-    if not shape:  # one value: the regime masks need an axis
-        return kummer_m_gap1(b, z.reshape(1))[0]
-    x = np.negative(z, out=np.empty(shape))
-    one_b = b.ndim == 0
-    if one_b:
-        b = float(b)
-        gamma_b1, lgamma_b = _gamma_b1(b), math.lgamma(b)
-    else:
-        gamma_b1, lgamma_b = _per_b(_gamma_b1, b), _per_b(math.lgamma, b)
-
-    def at(values, mask):
-        """values (one float or one per b) at the entries of mask."""
-        return values if one_b else np.broadcast_to(values, shape)[mask]
-
-    out = np.ones(shape)
+    x = -z.ravel()
+    out = np.ones(x.shape)
     asym, kummer, pos = x > b, x > 0.0, x < 0.0
-    if b == 1.0 if one_b else (b == 1.0).any():  # the closed form, entry by entry
-        closed = (b == 1.0) & (x >= -_CLOSED_MAX)
+    if b == 1.0:  # the closed form, entry by entry
+        closed = x >= -_CLOSED_MAX
         out[closed] = _exp_ratio(-x[closed])
         for regime in (asym, kummer, pos):
             regime &= ~closed
     if np.count_nonzero(asym):
-        xa, ba, lg_b = x[asym], at(b, asym), at(lgamma_b, asym)
+        xa, lgamma_b = x[asym], math.lgamma(b)
         # the bound on the dropped branch, relative to the value, in logs
-        keep = (ba - 1.0) * np.log(xa) - xa - lg_b + np.log(
-            np.maximum(1.0, xa / (xa - ba + 1.0))) < math.log(0.25 * _EPS)
+        keep = (b - 1.0) * np.log(xa) - xa - lgamma_b + np.log(
+            np.maximum(1.0, xa / (xa - b + 1.0))) < math.log(0.25 * _EPS)
         asym[asym] = keep
         xa = xa[keep]
-        if not one_b:
-            ba, lg_b = ba[keep], lg_b[keep]
-        val = at(gamma_b1, asym) * xa**-ba
+        # Gamma(b+1) is nan past its range (b >= 170), where the logs take over
+        val = (math.gamma(b + 1.0) if b < 170.0 else math.nan) * xa**-b
         logs = ~(val >= _TINY)  # past Gamma's range, or not a normal double: in logs
         if np.count_nonzero(logs):
-            val[logs] = np.exp(lg_b + np.log(ba) - ba * np.log(xa))[logs]
+            val[logs] = np.exp(lgamma_b + np.log(b) - b * np.log(xa))[logs]
         out[asym] = val
     kummer ^= asym  # the asymptotic entries have x > b > 0
     if np.count_nonzero(kummer):
         xk = x[kummer]
-        out[kummer] = np.exp(-xk) * _positive_terms(xk, at(b, kummer), 1.0, series=False)
+        out[kummer] = np.exp(-xk) * _positive_terms(xk, b, 1.0, series=False)
     if np.count_nonzero(pos):
-        zp, bp = -x[pos], at(b, pos)
+        zp = -x[pos]
         val = np.full(zp.shape, math.inf)
-        fin = zp + np.log(bp / (zp + bp)) <= _LOG_MAX + 1.0
+        fin = zp + np.log(b / (zp + b)) <= _LOG_MAX + 1.0
         with np.errstate(over="ignore"):
-            val[fin] = _positive_terms(zp[fin], bp if one_b else bp[fin], _SERIES_SCALE,
-                                       series=True) / _SERIES_SCALE
+            val[fin] = _positive_terms(zp[fin], b, _SERIES_SCALE, series=True) / _SERIES_SCALE
         out[pos] = val
-    return out[()]
+    return out.reshape(z.shape)[()]
 
 
 # ---------------------------------------------------------------------------

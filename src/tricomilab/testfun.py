@@ -14,14 +14,14 @@ bounded for arbitrarily large t, s.  Both kernels are exactly 1 on the
 diagonal s = t; next to it Phi2/(t-s) comes from a (t-s)-series.
 
 On the diagonal, xi_q = eta_q (the weight of the solver's F(t) and of
-``lemma22_report``'s part iii) is, for n <= 2 and for n = 3 with q > 0, the
-sphere average int_{S^{n-1}} K(|x| w_1 - phi(t) - R) dw of one Kummer
-kernel K(w) = int_0^{lam0} e^{lam w} lam^q dlam = lam0^{q+1}/(q+1)
-M(q+1, q+2; lam0 w) (``specfun.kummer_m_gap1``, the lab's own M; at q = 0
-the closed form expm1(z)/z), see ``_sphere_average``; it needs no
-lambda-quadrature and no Bessel function, so it loads no scipy.  n >= 4,
-and n = 3 with q <= 0, take the quadrature, whose diagonal ``_test_fn``
-also stays the tests' oracle.
+``lemma22_report``'s part iii) is, for n <= 2 and for n = 3 with
+q >= 0.01, the sphere average int_{S^{n-1}} K(|x| w_1 - phi(t) - R) dw of
+one Kummer kernel K(w) = int_0^{lam0} e^{lam w} lam^q dlam =
+lam0^{q+1}/(q+1) M(q+1, q+2; lam0 w) (``specfun.kummer_m_gap1``, the lab's
+own M, one b per call; at q = 0 the closed form expm1(z)/z), see
+``_sphere_average``; it needs no lambda-quadrature and no Bessel function,
+so it loads no scipy.  n >= 4, and n = 3 with q < 0.01, take the
+quadrature, whose diagonal ``_test_fn`` also stays the tests' oracle.
 
 The lambda-integral takes the integrand's scale a = phi(t) + R: k dyadic
 Gauss-Legendre panels [lam0 2^{-j-1}, lam0 2^{-j}], j < k, with lam^q in
@@ -274,30 +274,37 @@ def _test_fn(kernel, x_norm, t: float, s, p: TestFnParams, rtol: float = 1e-8):
 # the diagonal s = t as a sphere average of one Kummer kernel
 # ---------------------------------------------------------------------------
 
-# even powers of the n = 3 small-radius series, 0..18 (see _sphere_average)
-_SERIES_J = np.arange(0.0, 19.0, 2.0)
-_SERIES_FACT = np.array([math.factorial(int(j) + 1) for j in _SERIES_J], dtype=float)
+# n = 3 takes the sphere average from this q on: its direct form loses
+# ~4e-15/q relative to the cancellation of the 1/q in L (measured 4.4e-13
+# at q = 0.01), and smaller q take the lambda-quadrature
+_MIN_Q3 = 0.01
 # past this many angles the n = 2 rule is refused (lambda0 |x| > ~6.9e10)
 _MAX_ANGLES = 2**20
 _BATCH = 2**13  # values per n = 2 kernel call: few calls, and small arrays in each
 
 
 def _on_sphere(p: TestFnParams) -> bool:
-    """Whether the diagonal takes the sphere average: n <= 2, or n = 3 with q > 0."""
-    return p.n < 3 or (p.n == 3 and p.q > 0.0)
+    """Whether the diagonal takes the sphere average: n <= 2, or n = 3, q >= _MIN_Q3."""
+    return p.n < 3 or (p.n == 3 and p.q >= _MIN_Q3)
 
 
-def _kummer_integral(b, lam0: float, w):
-    """int_0^{lam0} e^{lam w} lam^{b-1} dlam = lam0^b / b M(b, b+1; lam0 w), b > 0;
-    a DomainError where lam0^b leaves the double range, or underflows to 0
-    where M is inf (the product would be 0 * inf)."""
-    with np.errstate(over="ignore"):
-        power = pow_or_inf(lam0, b)
-    if not np.all(power < math.inf):
-        raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{np.max(b):.6g} past the double range")
+@functools.cache
+def _cos_rule():
+    """The n = 3 small-radius rule in cos th, built on first use: the
+    12-point reference Gauss-Legendre panel."""
+    return _panels(0.0, 12)[:2]
+
+
+def _kummer_integral(b: float, lam0: float, w):
+    """int_0^{lam0} e^{lam w} lam^{b-1} dlam = lam0^b / b M(b, b+1; lam0 w) for
+    one float b > 0; a DomainError where lam0^b leaves the double range, or
+    underflows to 0 where M is inf (the product would be 0 * inf)."""
+    power = pow_or_inf(lam0, b)
+    if not power < math.inf:
+        raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{b:.6g} past the double range")
     kummer = kummer_m_gap1(b, lam0 * w)
-    if np.any((power == 0.0) & (kummer == math.inf)):
-        raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{np.max(b):.6g} below and "
+    if power == 0.0 and np.any(kummer == math.inf):
+        raise DomainError(f"lambda0={lam0:.12g} puts lambda0^{b:.6g} below and "
                           f"M(b, b+1; lambda0 w) above the double range")
     return power / b * kummer
 
@@ -344,25 +351,23 @@ def _sphere_average(xn: np.ndarray, t, p: TestFnParams) -> np.ndarray:
     * n = 2: 2 int_0^pi K(x cos th - a) dth, by the midpoint rule with
       ``_angles(lam0 x)`` points (even and periodic, so spectrally
       accurate), one count per radius; one kernel call per _BATCH values;
-    * n = 3: (2 pi / x) [L(x - a) - L(-x - a)] with L(w) = int e^{lam w}
-      lam^{q-1} dlam = (lam0^q e^{lam0 w} - w K(w)) / q (by parts, so K is
-      the only kernel; L = lam0^q/q M(q, q+1; lam0 w) directly would now
-      serve too: ``kummer_m_gap1`` is within 1.7e-15 of mpmath there at
-      q = 0.05, 0.375 and 0.9).  Where the difference cancels, the odd
-      part of L is summed instead: 4 pi sum_{j even} x^j / (j+1)! K_j(-a),
-      K_j the integral of lam^{q+j}, all terms positive.  The series is taken for
-      x <= max(1/lam0, a / (10 sqrt C)), C = max(1, (q+1)(q+2)/6): there
-      K_{j+2}/K_j <= min(lam0^2, (q+j+1)(q+j+2)/a^2) makes its 10 terms
-      (j <= 18) exact to ~1e-17, and past it the difference keeps 1e-12
-      (pinned against mpmath).  The K_j of every time are one kernel call,
-      and K at both ends of every radius another.
+    * n = 3: 2 pi int_{-1}^1 K(x mu - a) dmu.  Up to the cut
+      x <= max(1/lam0, a / (10 sqrt C)), C = max(1, (q+1)(q+2)/6), by the
+      12-point Gauss-Legendre rule in mu (``_cos_rule``): there lam x <= 1
+      on [0, lam0], or the weight lam^q e^{-lam a} keeps K(x mu - a) ~
+      (a - x mu)^{-q-1}, whose pole lies at mu >= 10 sqrt C, so the rule is
+      exact to rounding (within 1.5e-15 of mpmath); the nodes of every such
+      radius are one kernel call.  Past it by the direct form
+      (2 pi / x) [L(x - a) - L(-x - a)], L(w) = int e^{lam w} lam^{q-1} dlam
+      = lam0^q/q M(q, q+1; lam0 w), both ends of every radius in one
+      kernel call; the difference loses up to ~4e-15/q to cancellation,
+      hence ``_on_sphere``'s q >= _MIN_Q3.
 
     Every radius is computed alone, so its value does not depend on which
     other radii or times share the call.
     """
     times, at = np.unique(np.broadcast_to(t, xn.shape), return_inverse=True)
-    a_of = np.array([phi_of_t(p.m, tj) + p.R for tj in times.tolist()])
-    a = a_of[at]
+    a = np.array([phi_of_t(p.m, tj) + p.R for tj in times.tolist()])[at]
     q, lam0 = p.q, p.lambda0
     if p.n == 1:
         k_in, k_out = np.split(_kummer_integral(q + 1.0, lam0, np.concatenate((xn - a, -xn - a))),
@@ -377,25 +382,15 @@ def _sphere_average(xn: np.ndarray, t, p: TestFnParams) -> np.ndarray:
                 out[rows] = (2.0 * math.pi / w.shape[1]) * k_rows.reshape(w.shape).sum(axis=1)
         return out
     c = max(1.0, (q + 1.0) * (q + 2.0) / 6.0)
-    series = xn <= np.maximum(1.0 / lam0, a / (10.0 * math.sqrt(c)))
-    if series.any():
-        # K_j(-a), one column per time of a series radius
-        col_times, col = np.unique(at[series], return_inverse=True)
-        coef = _kummer_integral((q + 1.0 + _SERIES_J)[:, None], lam0,
-                                -a_of[col_times]) / _SERIES_FACT[:, None]
-        x2, poly = xn[series] ** 2, np.zeros(col.size)
-        for c_j in coef[::-1, col]:  # Horner, as np.polyval
-            poly = poly * x2 + c_j
-        out[series] = 4.0 * math.pi * poly
-    x, ax = xn[~series], a[~series]
-    if x.size:
-        with np.errstate(over="ignore", invalid="ignore"):  # inf past the double range
-            ends = lam0**q * (np.exp(lam0 * (x - ax)) - np.exp(-lam0 * (x + ax)))
-            # one kernel call for both ends
-            k = _kummer_integral(q + 1.0, lam0, np.concatenate((x - ax, -x - ax)))
-            k_in, k_out = np.split(k, 2)
-            diff = np.where(ends < np.inf, ends - (x - ax) * k_in - (x + ax) * k_out, np.inf)
-            out[~series] = (2.0 * math.pi / (q * x)) * diff
+    small = xn <= np.maximum(1.0 / lam0, a / (10.0 * math.sqrt(c)))
+    if small.any():
+        mu, w = _cos_rule()
+        k = _kummer_integral(q + 1.0, lam0, (xn[small, None] * mu - a[small, None]).ravel())
+        out[small] = 2.0 * math.pi * (k.reshape(-1, mu.size) * w).sum(axis=1)
+    x, ax = xn[~small], a[~small]
+    if x.size:  # both ends in one kernel call
+        l_in, l_out = np.split(_kummer_integral(q, lam0, np.concatenate((x - ax, -x - ax))), 2)
+        out[~small] = (2.0 * math.pi / x) * (l_in - l_out)
     return out
 
 

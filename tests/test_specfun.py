@@ -222,8 +222,23 @@ def test_polynomial_cases_against_mpmath(a, b, z, ref):
     assert err <= detail.error_estimate and err <= 1e-14 * abs(exact), detail
 
 
+@pytest.mark.parametrize("a, b, z", [(25.0, 4.8, 43.0), (24.0, 1.7, -480.0), (40.0, 1.7, -800.0)])
+def test_asymptotic_miss_takes_the_series_side(a, b, z):
+    # past |z| = 40 the asymptotic series of these points grows from its
+    # first terms, so its estimate is not below |M|; the series side, summed
+    # to its own stopping rule, is taken instead (the asymptotic values were
+    # 1.347e29, -2.997e-44 and -2.756e-72; measured 5.2e-16, 2.7e-14 and
+    # 3.4e-14 relative).  At z = -800 e^z underflows alone, so it is taken
+    # in logs
+    with mpmath.workdps(50):
+        exact = mpmath.hyp1f1(a, b, z)
+    detail = kummer_m_detail(a, b, z)
+    err = abs(mpmath.mpf(detail.value) - exact)
+    assert err <= detail.error_estimate and err <= 1e-13 * abs(exact), detail
+
+
 # the kernel of the diagonal test functions: b = q + 1 at the q of the lab's
-# runs, and the n = 3 series' b = q + 1 + j, j = 0, 2, ..., 18, at q = 0.375
+# runs, and b = 1.375 + j, j = 0, 2, ..., 18, out to b ~ 20
 GAP1_B = sorted({0.5, 0.944, 1.0, 1.05, 1.375, *(1.375 + np.arange(0.0, 19.0, 2.0)).tolist()})
 GAP1_Z = np.concatenate((-np.geomspace(1e-4, 1e4, 41), [0.0], np.linspace(0.5, 40.0, 12),
                          [1e-9, 1e-3]))
@@ -264,9 +279,6 @@ def test_gap1_kernel_agrees_with_scalar_kummer():
                 assert abs(detail.value - ref) > detail.error_estimate
                 assert abs(value - ref) <= 4e-15 * abs(ref)
     assert misses == [(b, -63.1, "asymptotic") for b in (15.375, 17.375, 19.375)]
-    # an array of b (the n = 3 series) gives each entry its scalar call's bits
-    bs = np.array(GAP1_B)
-    assert kummer_m_gap1(bs, -3.0).tolist() == [kummer_m_gap1(b, -3.0) for b in GAP1_B]
     with pytest.raises(DomainError):
         kummer_m_gap1(0.0, 1.0)
     with pytest.raises(DomainError):

@@ -613,33 +613,66 @@ def test_sphere_average_refuses_an_underflowed_power_times_an_inf_kernel(n):
 
 
 def test_n3_small_radius_series():
-    # below max(1/lam0, a/(10 sqrt C)) the n = 3 diagonal is the series of the
-    # odd part of L, whose terms are all positive: at x = 0 it is 4 pi K(-a)
-    # itself, and at x = dx = 0.02 it stays within 1e-14 of mpmath where the
-    # closed difference (2 pi/(q x))[lam0^q (e^{lam0(x-a)} - e^{-lam0(x+a)})
-    # - (x-a) K(x-a) - (x+a) K(-x-a)] loses 1.6e-10 at t = 1000
-    q = q_choice(3, 1.6)
+    # below the cut max(1/lam0, a/(10 sqrt C)), C = max(1, (q+1)(q+2)/6), the
+    # n = 3 diagonal is the 12-point Gauss-Legendre rule in cos th,
+    # 2 pi sum_i w_i K(x mu_i - a): within 4e-15 of mpmath at x = 0.02 and
+    # 12 radii up to the cut (measured 1.4e-15), and within 2 ulps of
+    # 4 pi K(-a) at x = 0.  Past it the direct form (2 pi/x)[L(x-a) - L(-x-a)]
+    # loses up to ~4e-15/q (here measured 2.2e-14 at q = 0.05, <= 9.8e-15
+    # from q = 0.375 on); at x = dx = 0.02 it would lose 6.8e-11 at t = 1000
+    lam0 = 0.5
+    for q in (0.05, 0.375, 0.435, 0.586, 0.9, 1.5, 3.0, 7.0, 20.0):
+        p = TestFnParams(q=q, n=3, m=1.0, lambda0=lam0)
+        c = max(1.0, (q + 1.0) * (q + 2.0) / 6.0)
+        for t in (0.0, 10.0, 100.0, 1000.0, 2000.0):
+            a = phi_of_t(p.m, t) + p.R
+            cut = max(1.0 / lam0, a / (10.0 * math.sqrt(c)))
+            k_a = 4.0 * math.pi * testfun._kummer_integral(q + 1.0, lam0, -a)
+            assert abs(eta_q(0.0, t, t, p) - k_a) <= 2.0 * np.spacing(k_a), (q, t)
+            xs = np.concatenate(([0.02], np.linspace(0.0, cut, 13)[1:],
+                                 [np.nextafter(cut, np.inf), 2.0 * cut]))
+            with mpmath.workdps(40):
+                ma = mpmath.mpf(a)
+                ref = np.array([float(2 * mpmath.pi / mpmath.mpf(x)
+                                      * (_kummer_integral(q - 1, lam0, x - ma)
+                                         - _kummer_integral(q - 1, lam0, -(x + ma)))) for x in xs])
+            rel = np.abs(eta_q(xs, t, t, p) - ref) / ref
+            assert np.max(rel[:-2]) <= 4e-15, (q, t)
+            assert np.max(rel[-2:]) <= max(1e-14, 1.5e-15 / q), (q, t)
+            if q == 0.375 and t == 1000.0:
+                x = xs[0]
+                l_in, l_out = (testfun._kummer_integral(q, lam0, w) for w in (x - a, -x - a))
+                direct = 2.0 * math.pi / x * (l_in - l_out)
+                assert abs(direct - ref[0]) > 1e-11 * ref[0]
+
+
+def _diagonal_n3(q, lam0, x, a):
+    """4 pi int_0^{lam0} e^{-lam a} sinh(lam x)/(lam x) lam^q dlam, by mpmath's
+    quadrature: no 1/q to cancel at small q."""
+    q, lam0, x, a = map(mpmath.mpf, (q, lam0, x, a))
+
+    def f(lam):
+        return mpmath.exp(-lam * a) * (mpmath.sinh(lam * x) / (lam * x) if x else 1) * lam**q
+
+    return 4 * mpmath.pi * mpmath.quad(f, sorted({0, *(min(lam0, c / a) for c in (1, 10, 100)),
+                                                  lam0}))
+
+
+@pytest.mark.parametrize("q", [1e-300, 1e-10, 1e-6, 1e-3, 0.01])
+def test_n3_diagonal_at_small_q_matches_mpmath(q):
+    # the direct form loses ~4e-15/q to the cancellation of the 1/q in L, so
+    # below q = 0.01 the diagonal takes the lambda-quadrature (measured
+    # 1.3e-15 there, and 4.4e-13 for the direct form at q = 0.01); at
+    # q = 1e-300 the direct form gave garbage
     p = TestFnParams(q=q, n=3, m=1.0)
-    lam0 = p.lambda0
-    cut = {}
-    for t in (0.0, 10.0, 100.0, 1000.0):
+    assert testfun._on_sphere(p) == (q >= 0.01)
+    for t in (0.05, 1.0, 10.0, 1000.0):
         a = phi_of_t(p.m, t) + p.R
-        cut[t] = max(1.0 / lam0, a / 10.0)  # C = 1 for q <= 1
-        k_a = testfun._kummer_integral(q + 1.0, lam0, -a)
-        assert eta_q(0.0, t, t, p) == 4.0 * math.pi * k_a
-        xs = np.array([0.02, 0.5 * cut[t], cut[t], np.nextafter(cut[t], np.inf), 2.0 * cut[t]])
-        with mpmath.workdps(40):
-            ma = mpmath.mpf(a)
-            ref = np.array([float(2 * mpmath.pi / mpmath.mpf(x)
-                                  * (_kummer_integral(q - 1, lam0, x - ma)
-                                     - _kummer_integral(q - 1, lam0, -(x + ma)))) for x in xs])
-        assert np.max(np.abs(eta_q(xs, t, t, p) - ref) / ref) <= 1e-14, t
-        if t == 1000.0:
-            x = xs[0]
-            k_in, k_out = (testfun._kummer_integral(q + 1.0, lam0, w) for w in (x - a, -x - a))
-            ends = lam0**q * (math.exp(lam0 * (x - a)) - math.exp(-lam0 * (x + a)))
-            closed = 2.0 * math.pi / (q * x) * (ends - (x - a) * k_in - (x + a) * k_out)
-            assert abs(closed - ref[0]) > 1e-11 * ref[0]
+        cut = max(1.0 / p.lambda0, a / 10.0)
+        xs = np.array([0.0, 0.02, cut, np.nextafter(cut, np.inf), 1.5 * cut, 0.95 * a])
+        with mpmath.workdps(30):
+            ref = np.array([float(_diagonal_n3(q, p.lambda0, x, a)) for x in xs])
+        assert np.max(np.abs(eta_q(xs, t, t, p) - ref) / ref) <= 1e-12, t
 
 
 def _ladder_from_16(g, q, lam0, scale, rtol=1e-8):
@@ -741,8 +774,8 @@ def test_lemma22_rows_match_reference_loop(m, n):
 @pytest.mark.parametrize("m, n", [(1.0, 2), (1.0, 3), (0.0, 3)])
 def test_lemma22_diagonal_is_one_sphere_average(monkeypatch, m, n):
     # part iii of every t > 0 is one sphere average: at n = 3 one kernel call
-    # for the series coefficients of every t and one for the ends of every
-    # radius, at n = 2 one per batch of at most _BATCH values, filled
+    # for the rule's nodes at every small radius and one for the ends of
+    # every other radius, at n = 2 one per batch of at most _BATCH values, filled
     # greedily (two neighbours pass _BATCH); part i at t = 0 (s = t = 0)
     # adds one call each for xi_q and eta_q
     p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
