@@ -133,11 +133,12 @@ def _gamma_sign(x: float) -> float:
 
 
 def _gamma_ratio(num: float, den: float):
-    """Gamma(num)/Gamma(den) as (log magnitude, sign); handles negatives."""
+    """Gamma(num)/Gamma(den) as (log magnitude, sign, |lgamma(num)| +
+    |lgamma(den)|, the scale of the log's rounding); handles negatives."""
     if den <= 0 and float(den).is_integer():
-        return -math.inf, 1.0  # 1/Gamma at a pole -> ratio vanishes
-    sign = _gamma_sign(num) * _gamma_sign(den)
-    return math.lgamma(num) - math.lgamma(den), sign
+        return -math.inf, 1.0, 0.0  # 1/Gamma at a pole -> ratio vanishes
+    lg_num, lg_den = math.lgamma(num), math.lgamma(den)
+    return lg_num - lg_den, _gamma_sign(num) * _gamma_sign(den), abs(lg_num) + abs(lg_den)
 
 
 def _asymptotic_negative(a: float, b: float, x: float, max_terms: int = 200):
@@ -160,11 +161,15 @@ def _asymptotic_negative(a: float, b: float, x: float, max_terms: int = 200):
         s += 1
         if abs(term) <= _EPS * abs(total):
             break
-    log_pref, sign = _gamma_ratio(b, b - a)
-    pref, pref_err = _exp_times(log_pref - a * math.log(x), sign)
+    log_pref, sign, lg_size = _gamma_ratio(b, b - a)
+    a_log_x = a * math.log(x)
+    arg = log_pref - a_log_x
+    pref, pref_err = _exp_times(arg, sign)
+    if pref:  # exp turns the absolute rounding of arg into a relative error
+        pref_err += _EPS * (lg_size + abs(a_log_x) + abs(arg)) * abs(pref)
     value = pref * total
     # bound for the dropped exponentially small branch e^{-x} Gamma(b)/Gamma(a)
-    log_exp_branch, _ = _gamma_ratio(b, a)
+    log_exp_branch = _gamma_ratio(b, a)[0]
     dropped = math.exp(min(700.0, log_exp_branch - x + (a - b) * math.log(x)))
     err = abs(pref) * (abs(term) + 4.0 * _EPS * abs(total)) + pref_err * abs(total) + dropped
     return value, err
@@ -178,11 +183,7 @@ def _eval_negative(a: float, b: float, z: float) -> KummerEval:
     if x <= _DIRECT_NEG_CUT:
         val, err = _taylor_series(a, b, z)
         return KummerEval(val, "series", err)
-    candidates = []
-    if x < _BLEND_HI:
-        ref, ref_err = _taylor_series(b - a, b, x)
-        scale = math.exp(z)
-        candidates.append(KummerEval(scale * ref, "series-kummer", scale * ref_err))
+    candidates = [_reflected_series(a, b, z)] if x < _BLEND_HI else []
     if x > _BLEND_LO:
         asy, asy_err = _asymptotic_negative(a, b, x)
         candidates.append(KummerEval(asy, "asymptotic", asy_err))
@@ -212,17 +213,23 @@ def _eval_positive(a: float, b: float, z: float) -> KummerEval:
 
 
 def _reflected_series(a: float, b: float, z: float) -> KummerEval:
-    """M(a,b;z) = e^z M(b-a,b;-z), the reflected series summed, e^z in logs."""
+    """M(a,b;z) = e^z M(b-a,b;-z), the reflected series summed, times e^z by ``_exp_times``."""
     ref, ref_err = _taylor_series(b - a, b, -z)
     val, round_err = _exp_times(z, ref)
     return KummerEval(val, "series-kummer", _exp_times(z, ref_err)[0] + round_err)
 
 
 def _exp_times(z: float, x: float) -> tuple[float, float]:
-    """(e^z x, its rounding error) in log space, so e^z alone may exceed the
-    double range; the product is inf only when it does itself."""
+    """(e^z x, its rounding error): the plain product, within 2 eps, where
+    e^z and the product are normal doubles, else in log space, so e^z alone
+    may leave the double range; the product is inf only when it does itself."""
     if x == 0.0:
         return 0.0, 0.0
+    if z < _LOG_MAX:
+        scale = math.exp(z)
+        val = scale * x
+        if scale >= _TINY and _TINY <= abs(val) < math.inf:
+            return val, 2.0 * _EPS * abs(val)
     log_mag = z + math.log(abs(x))
     if log_mag > _LOG_MAX:
         return math.copysign(math.inf, x), math.inf
@@ -236,7 +243,9 @@ def _exp_times(z: float, x: float) -> tuple[float, float]:
 def kummer_m_detail(a: float, b: float, z: float) -> KummerEval:
     """M(a,b;z) together with the regime used and an error estimate.
 
-    Every estimate includes the rounding of the returned value itself.
+    Every estimate includes the rounding of the returned value itself.  A
+    DomainError naming the point where the regime's sums leave the double
+    range and give nan (inf - inf or 0 * inf), e.g. (3, 1, -1e300).
     """
     validate_kummer_params(a, b)
     if not math.isfinite(z):
@@ -255,6 +264,9 @@ def kummer_m_detail(a: float, b: float, z: float) -> KummerEval:
         ev = _eval_negative(a, b, z)
     else:
         ev = _eval_positive(a, b, z)
+    if math.isnan(ev.value):
+        raise DomainError(f"M(a, b; z) at a={a:.12g}, b={b:.12g}, z={z:.12g} has no double "
+                          f"value: its {ev.regime} sums leave the double range")
     return ev._replace(error_estimate=ev.error_estimate + _ROUND_FLOOR * abs(ev.value))
 
 

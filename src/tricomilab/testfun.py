@@ -30,12 +30,13 @@ panel of weight lam^q (Golub-Welsch), on which e^{-lam a} changes by at
 most a factor e^2.  Every panel doubles its order from 8 to
 16, 32, 64, 128 points.  Each level is a row-wise sum over the lambda
 nodes, one sum per (s, radius) row, and each row keeps the first level
-that meets rtol.  k depends on t alone, so every time s of one t shares
-the rule: ``_test_fn`` takes an array of times s, with one row of radii
-per s, and makes one quadrature per t and kernel, with one profile block
-and one kernel call per Gauss level.  A row's value does not depend on
-which other radii or times share the call.  On the envelope runs every
-row stops at 16 points.
+that meets rtol.  k depends on t alone, so all times s of one t share the
+rule: ``_value``, the one batched evaluator, takes one t per row of s and
+makes one sphere average for the diagonal rows where it applies and one
+quadrature (``_test_fn``) per distinct t of the others, with one profile
+block and one kernel call per Gauss level.  A row's value does not depend
+on which other rows share the call.  On the envelope runs every row stops
+at 16 points.
 
 Three blocks are built once and shared read-only, each from a pure builder
 under a bounded ``functools.lru_cache`` (the four most recent entries): the
@@ -219,11 +220,11 @@ def _exp_profile(lam: np.ndarray, x_norm: np.ndarray, phi_s, p: TestFnParams):
     return out
 
 
-def _radii(x_norm, t: float, s):
+def _radii(x_norm, t, s):
     """The times s as a 1-d array and the radii as one row per time, shape
     (S, X): one time takes scalar or 1-d radii, an array of times one row of
-    radii each.  A DomainError unless the radii are finite and >= 0 and
-    t >= s >= 0."""
+    radii each.  t is one time, or an array like s with one t per row.  A
+    DomainError unless the radii are finite and >= 0 and t >= s >= 0."""
     ss = np.atleast_1d(np.asarray(s, dtype=float))
     xn = np.asarray(x_norm, dtype=float)
     if np.ndim(s) == 0:
@@ -394,18 +395,22 @@ def _sphere_average(xn: np.ndarray, t, p: TestFnParams) -> np.ndarray:
     return out
 
 
-def _value(kernel, x_norm, t: float, s, p: TestFnParams, rtol: float = 1e-8):
+def _value(kernel, x_norm, t, s, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the test function of ``kernel`` at radii
-    x_norm for one time s or an array of times (see ``_radii``): the sphere
-    average on the diagonal rows s = t where ``_on_sphere``, with error 0,
-    and one lambda-quadrature to rtol for all other rows."""
+    x_norm for one time s, or for an array of times s with one row of radii
+    and one t each (see ``_radii``): one sphere average, with error 0, for
+    the diagonal rows s = t where ``_on_sphere``, and one lambda-quadrature
+    to rtol per distinct t of the other rows."""
     ss, xn = _radii(x_norm, t, s)
+    ts = np.broadcast_to(t, ss.shape)
     val, err = np.empty_like(xn), np.zeros_like(xn)
-    sphere = (ss == t) & _on_sphere(p)
+    sphere = (ss == ts) & _on_sphere(p)
     if sphere.any():
-        val[sphere] = _sphere_average(xn[sphere].ravel(), t, p).reshape(xn[sphere].shape)
-    if not sphere.all():
-        val[~sphere], err[~sphere] = _test_fn(kernel, xn[~sphere], t, ss[~sphere], p, rtol)
+        val[sphere] = _sphere_average(xn[sphere].ravel(), np.repeat(ts[sphere], xn.shape[1]),
+                                      p).reshape(xn[sphere].shape)
+    for tj in np.unique(ts[~sphere]).tolist():
+        rows = (ts == tj) & ~sphere
+        val[rows], err[rows] = _test_fn(kernel, xn[rows], tj, ss[rows], p, rtol)
     return _unrows(val, err, x_norm, s)
 
 
@@ -491,6 +496,11 @@ class Lemma22Report:
         return [r for r in self.rows if r.part == part]
 
 
+def _kernel_of(part: str):
+    """The propagator kernel of a part's test function: xi_q's for i-xi, else eta_q's."""
+    return kernel_phi1_scaled if part == "i-xi" else kernel_phi2_ratio_scaled
+
+
 def lemma22_report(
     p: TestFnParams, grid: Lemma22Grid, rtol: float = 1e-8
 ) -> Lemma22Report:
@@ -507,118 +517,68 @@ def lemma22_report(
 
     Constants are the inf (i, ii) or sup (iii) of value/envelope over the
     grid; hypothesis-violating grid points are excluded and counted, and so
-    are the points whose quadrature missed rtol (``unconverged``).  The
-    diagonal s = t (part iii, and part i at t = 0) is the sphere average of
-    ``eta_q`` where it applies, a closed form with no rtol, taken for
-    every t in one call.  An envelope that is not a normal double (<.>^{-q}
-    underflows at large q and t) is a DomainError naming q, the part and
-    t; every envelope of the grid is checked before any value is computed.
+    are the points whose quadrature missed rtol (``unconverged``).  An
+    envelope that is not a normal double (<.>^{-q} underflows at large q and
+    t) is a DomainError naming q, the part and t; every envelope of the grid
+    is checked before any value is computed.
 
-    Each t makes at most two lambda-quadratures: xi_q at s = 0 (part
-    i-xi), and eta_q over the times (0, s_1, ..., s_k) of parts i-eta and
-    ii, plus part iii's diagonal where the sphere average does not apply.
-    A row's value does not depend on which other radii or times share its
-    quadrature or sphere average, so the rows equal one ``xi_q``/``eta_q``
-    call per (part, t, s).
+    The grid is listed as blocks of rows (parts, t, s, radii, envelopes),
+    and two ``_value`` calls give xi_q over part i's (t, 0) and eta_q over
+    every distinct (t, s): the diagonal s = t (part iii, and part i at
+    t = 0) is one sphere average where it applies (a closed form, no rtol),
+    and each t makes at most two lambda-quadratures.  A row's value does
+    not depend on which other rows share its call, so the rows equal one
+    ``xi_q``/``eta_q`` call per (part, t, s).
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
-    rows: list[Lemma22Row] = []
-    excluded = 0
-    unconverged = 0
-
-    lower_ok = q > -alpha
-    upper_ok = q > (n - 3.0) / 2.0
-
-    def measure(kernel, xs, t, s):
-        """Values at radii xs (see ``_value``); the points that missed rtol
-        are counted."""
-        nonlocal unconverged
-        vals, err = _value(kernel, xs, t, s, p, rtol)
-        unconverged += np.count_nonzero(_misses(vals, err, rtol))
-        return vals
-
-    def envelope(part, t, env):
-        if not env >= _TINY:  # every envelope is <= 1: it can only underflow
-            raise DomainError(f"the part {part} envelope underflows at t={t:.12g} "
-                              f"(q={q:.12g})")
-        return env
-
-    def add(part, t, s, x, v, env):
-        rows.append(Lemma22Row(part, t, s, float(x), float(v), env, float(v) / env))
-
+    beta = (m + 4.0) / (2.0 * (m + 2.0))
     xf = np.asarray(grid.x_fractions)
-    sphere = _on_sphere(p)
-    plans = []
-    for t in sorted({float(v) for v in grid.t_values}):
+    times = sorted({float(v) for v in grid.t_values})
+
+    blocks = []  # (parts, t, s, radii, one envelope per part) in row order
+    for t in times:
         phi_t = phi_of_t(m, t)
-        # the radii of each eta_q row of this t, by s: part i at s = 0, part
-        # ii's s and (off the sphere average) part iii's diagonal share one
-        # quadrature
-        radii = {}
-        part_ii = []
-        # parts i-xi / i-eta: s = 0, |x| <= R
-        xs = xf * p.R
-        if lower_ok:
-            env_i = (envelope("i-xi", t, bracket(phi_t) ** (-alpha)),
-                     envelope("i-eta", t, bracket(phi_t) ** (-(m + 4.0) / (2.0 * (m + 2.0)))))
-            radii[0.0] = xs
-        else:
-            env_i = None
-            excluded += 2 * len(xs)
+        if q > -alpha:  # parts i (s = 0, |x| <= R) and ii (0 <= s < t, |x| <= phi(s) + R)
+            blocks.append((("i-xi", "i-eta"), t, 0.0, xf * p.R,
+                           (bracket(phi_t) ** (-alpha), bracket(phi_t) ** (-beta))))
+            for s in (frac * t for frac in grid.s_fractions):
+                if 0.0 <= s < t:
+                    phi_s = phi_of_t(m, s)
+                    blocks.append((("ii",), t, s, xf * (phi_s + p.R), (bracket(t) ** (
+                        -1.0 - m / 4.0) * bracket(phi_s) ** (-q - 1.0 + beta),)))
+        if t > 0.0 and q > (n - 3.0) / 2.0:  # part iii: the diagonal, |x| <= phi(t) + R
+            xs = xf * (phi_t + p.R)
+            blocks.append((("iii",), t, t, xs, ([bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(
+                phi_t - x) ** ((n - 3.0) / 2.0 - q) for x in xs],)))
+    for parts, t, _, _, envs in blocks:  # every envelope is <= 1: it can only underflow
+        for part, env in zip(parts, envs):
+            if not np.all(np.asarray(env) >= _TINY):
+                raise DomainError(f"the part {part} envelope underflows at t={t:.12g} "
+                                  f"(q={q:.12g})")
 
-        # part ii: 0 <= s < t
-        for frac in grid.s_fractions:
-            s = frac * t
-            if not (lower_ok and 0.0 <= s < t):
-                excluded += len(xf)
-                continue
-            phi_s = phi_of_t(m, s)
-            env = envelope("ii", t, bracket(t) ** (-1.0 - m / 4.0) * bracket(phi_s) ** (
-                -q - 1.0 + (m + 4.0) / (2.0 * (m + 2.0))
-            ))
-            # phi(0) = 0, so at s = 0 these are part i's radii and its row
-            part_ii.append((s, env))
-            radii.setdefault(s, xf * (phi_s + p.R))
+    # (t, s) -> radii per kernel; part i's and part ii's s = 0 have bit-equal
+    # radii (phi(0) = 0), so they share one eta_q row
+    radii = {kernel_phi1_scaled: {}, kernel_phi2_ratio_scaled: {}}
+    for parts, t, s, xs, _ in blocks:
+        for part in parts:
+            radii[_kernel_of(part)].setdefault((t, s), xs)
+    values, unconverged = {}, 0
+    for kernel, rows_at in radii.items():
+        if rows_at:
+            ts, ss = np.array(list(rows_at)).T
+            vals, err = _value(kernel, np.array(list(rows_at.values())), ts, ss, p, rtol)
+            unconverged += np.count_nonzero(_misses(vals, err, rtol))
+            values.update(((kernel, t, s), v) for (t, s), v in zip(rows_at, vals.tolist()))
 
-        # part iii: diagonal, t > 0
-        if t > 0.0 and upper_ok:
-            xs3 = xf * (phi_t + p.R)
-            diag = (xs3, [envelope("iii", t, bracket(phi_t) ** (-(n - 1.0) / 2.0) * bracket(
-                phi_t - x) ** ((n - 3.0) / 2.0 - q)) for x in xs3])
-            if not sphere:
-                radii[t] = xs3
-        else:
-            diag = None
-            excluded += len(xf)
-        plans.append((t, xs, env_i, part_ii, diag, radii))
-
-    # part iii on the sphere average: one call for every t
-    diags = [(t, diag[0]) for t, _, _, _, diag, _ in plans if diag]
-    on_sphere = {}
-    if sphere and diags:
-        ts = [t for t, _ in diags]
-        vals = _sphere_average(np.concatenate([xs3 for _, xs3 in diags]), np.repeat(ts, len(xf)), p)
-        unconverged += np.count_nonzero(_misses(vals, 0.0, rtol))
-        on_sphere = dict(zip(ts, np.split(vals, len(ts))))
-
-    for t, xs, env_i, part_ii, diag, radii in plans:
-        if env_i:
-            vals_xi = measure(kernel_phi1_scaled, xs, t, 0.0)
-        eta = {t: on_sphere[t]} if t in on_sphere else {}
-        if radii:
-            eta.update(zip(radii, measure(kernel_phi2_ratio_scaled, np.array(list(radii.values())),
-                                          t, np.array(list(radii)))))
-        if env_i:
-            for x, vx, ve in zip(xs, vals_xi, eta[0.0]):
-                add("i-xi", t, 0.0, x, vx, env_i[0])
-                add("i-eta", t, 0.0, x, ve, env_i[1])
-        for s, env in part_ii:
-            for x, v in zip(radii[s], eta[s]):
-                add("ii", t, s, x, v, env)
-        if diag:
-            for x, env, v in zip(*diag, eta[t]):
-                add("iii", t, t, x, v, env)
+    rows: list[Lemma22Row] = []
+    for parts, t, s, xs, envs in blocks:
+        cols = [(part, values[_kernel_of(part), t, s], np.broadcast_to(env, xs.shape).tolist())
+                for part, env in zip(parts, envs)]
+        for j, x in enumerate(xs.tolist()):
+            rows.extend(Lemma22Row(part, t, s, x, v[j], env[j], v[j] / env[j])
+                        for part, v, env in cols)
+    excluded = len(times) * (len(grid.s_fractions) + 3) * len(xf) - len(rows)
 
     constants = {}
     # numpy's reductions, unlike min and max, return nan if any ratio is nan

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -62,6 +63,11 @@ def test_invalid_parameters_raise():
         kummer_m(0.5, -2.0, 0.1)
     # degenerate a = b at a pole location is allowed
     assert kummer_m(-1.0, -1.0, 0.5) == pytest.approx(math.exp(0.5))
+    # the regime's sums give inf - inf or 0 * inf here, so no nan is returned
+    for a, b, z in ((3.0, 1.0, -1e300), (-2.0, 40.0, 1e300), (1e6, 800.0, -800.0),
+                    (-480.0, 1.0, 700.0), (800.0, 1e-300, -2.0)):
+        with pytest.raises(DomainError, match=re.escape(f"a={a:.12g}, b={b:.12g}, z={z:.12g}")):
+            kummer_m_detail(a, b, z)
 
 
 def test_kummer_transformation_grid():
@@ -227,7 +233,7 @@ def test_asymptotic_miss_takes_the_series_side(a, b, z):
     # past |z| = 40 the asymptotic series of these points grows from its
     # first terms, so its estimate is not below |M|; the series side, summed
     # to its own stopping rule, is taken instead (the asymptotic values were
-    # 1.347e29, -2.997e-44 and -2.756e-72; measured 5.2e-16, 2.7e-14 and
+    # 1.347e29, -2.997e-44 and -2.756e-72; measured 5.2e-16, 8.7e-15 and
     # 3.4e-14 relative).  At z = -800 e^z underflows alone, so it is taken
     # in logs
     with mpmath.workdps(50):

@@ -250,7 +250,9 @@ def test_near_divergent_weight_finite():
 def test_lemma22_report_small_grid():
     q = q_choice(3, p_crit(1, 3))
     p = TestFnParams(q=q, lambda0=0.5, R=1.0, n=3, m=1.0)
-    grid = Lemma22Grid(t_values=(0.0, 1.0, 10.0), s_fractions=(0.0, 0.5), x_fractions=(0.0, 0.9))
+    # a negative fraction puts s < 0, outside part ii's 0 <= s < t
+    grid = Lemma22Grid(t_values=(0.0, 1.0, 10.0), s_fractions=(0.0, 0.5, -0.5),
+                       x_fractions=(0.0, 0.9))
     rep = lemma22_report(p, grid)
     assert rep.constants["i-xi"] > 0
     assert rep.constants["i-eta"] > 0
@@ -258,7 +260,10 @@ def test_lemma22_report_small_grid():
     assert math.isfinite(rep.constants["iii"])
     # part iii rows exclude t = 0 (hypothesis t > 0)
     assert all(r.t > 0 for r in rep.rows_for("iii"))
-    assert rep.excluded > 0
+    assert sorted({(r.t, r.s) for r in rep.rows_for("ii")}) == [(1.0, 0.0), (1.0, 0.5),
+                                                                 (10.0, 0.0), (10.0, 5.0)]
+    # per radius: every fraction at t = 0, s < 0 at t = 1 and 10, part iii at t = 0
+    assert rep.excluded == 2 * (3 + 1 + 1 + 1)
     # ratios are value/envelope by construction
     row = rep.rows_for("i-xi")[0]
     assert row.ratio == pytest.approx(row.value / row.envelope, rel=1e-12)
@@ -285,6 +290,9 @@ def test_hypothesis_violations_raise_or_exclude():
         xi_q(0.5, 1.0, 2.0, TestFnParams(q=0.0))  # s > t
     with pytest.raises(DomainError):
         eta_q(-0.5, 1.0, 0.0, TestFnParams(q=0.0))  # negative radius
+    with pytest.raises(DomainError):  # s > t on the second row
+        testfun._value(kernel_phi1_scaled, np.zeros((2, 1)), np.array([1.0, 2.0]),
+                       np.array([0.5, 2.5]), TestFnParams(q=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -773,11 +781,11 @@ def test_lemma22_rows_match_reference_loop(m, n):
 
 @pytest.mark.parametrize("m, n", [(1.0, 2), (1.0, 3), (0.0, 3)])
 def test_lemma22_diagonal_is_one_sphere_average(monkeypatch, m, n):
-    # part iii of every t > 0 is one sphere average: at n = 3 one kernel call
-    # for the rule's nodes at every small radius and one for the ends of
-    # every other radius, at n = 2 one per batch of at most _BATCH values, filled
-    # greedily (two neighbours pass _BATCH); part i at t = 0 (s = t = 0)
-    # adds one call each for xi_q and eta_q
+    # eta_q's diagonal, part iii of every t > 0 and part i-eta at t = 0
+    # (s = t = 0), is one sphere average: at n = 3 one kernel call for the
+    # rule's nodes at every small radius and one for the ends of every other
+    # radius, at n = 2 one per batch of at most _BATCH values, filled
+    # greedily (two neighbours pass _BATCH); xi_q at t = 0 adds one call
     p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
     grid = Lemma22Grid.log_default(t_max=1000.0, nt=24, ns=7, nx=7)
     calls = []
@@ -789,20 +797,32 @@ def test_lemma22_diagonal_is_one_sphere_average(monkeypatch, m, n):
 
     monkeypatch.setattr(testfun, "kummer_m_gap1", counted)
     rep = lemma22_report(p, grid)
-    diagonal = calls[:-2]  # the two t = 0 calls come last
+    diagonal = calls[1:]  # xi_q's t = 0 call comes first
     assert max(calls) <= testfun._BATCH and len(rep.rows_for("iii")) == 24 * 7
     assert len(diagonal) == 2 if n == 3 else len(diagonal) <= 2 * -(-sum(diagonal) // testfun._BATCH)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_sphere_average_of_many_times_matches_one_call_per_time(n):
-    # radii at different times in one call get the bits of one call per time
-    p = TestFnParams(q=0.3, n=n, m=1.0)
-    ts = np.array([0.5, 2.0, 40.0, 900.0])
+@pytest.mark.parametrize("n, q", [(1, 0.3), (2, 0.3), (3, 0.3), (3, 0.005), (4, 0.3)],
+                         ids=["1", "2", "3", "3-0.005", "4"])
+def test_sphere_average_of_many_times_matches_one_call_per_time(n, q):
+    # radii at different times in one call get the bits of one call per time:
+    # in the sphere average, and in _value over diagonal rows (the sphere
+    # average, or the quadrature at n = 4 and at n = 3 with q < _MIN_Q3) and
+    # rows at s = 0.3 t (one quadrature per t)
+    p = TestFnParams(q=q, n=n, m=1.0)
+    ts = np.array([40.0, 0.5, 900.0, 2.0])
     xs = [np.linspace(0.0, phi_of_t(p.m, t) + p.R, 9) for t in ts]
-    batch = testfun._sphere_average(np.concatenate(xs), np.repeat(ts, 9), p)
-    single = np.concatenate([testfun._sphere_average(x, float(t), p) for x, t in zip(xs, ts)])
-    assert batch.tobytes() == single.tobytes()
+    if testfun._on_sphere(p):
+        batch = testfun._sphere_average(np.concatenate(xs), np.repeat(ts, 9), p)
+        single = np.concatenate([testfun._sphere_average(x, float(t), p) for x, t in zip(xs, ts)])
+        assert batch.tobytes() == single.tobytes()
+    radii, s = np.repeat(xs, 2, axis=0), np.column_stack((ts, 0.3 * ts))
+    for kernel in (kernel_phi1_scaled, kernel_phi2_ratio_scaled):
+        batch = testfun._value(kernel, radii, np.repeat(ts, 2), s.ravel(), p)
+        for i, t in enumerate(ts.tolist()):
+            single = testfun._value(kernel, radii[2 * i:2 * i + 2], t, s[i], p)
+            for got, want in zip(batch, single):
+                assert got[2 * i:2 * i + 2].tobytes() == want.tobytes(), (kernel.__name__, t)
 
 
 @pytest.mark.parametrize("n", [3, 4])
