@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -49,6 +50,8 @@ OUTDIR_ENV = "TRICOMILAB_OUTDIR"
 
 def fmt(x) -> str:
     """Deterministic 12-significant-digit rendering of floats."""
+    if type(x) is float:  # the common cell, ahead of the isinstance chain
+        return f"{x:.12g}"
     if isinstance(x, bool):
         return "true" if x else "false"
     if x is None:
@@ -272,7 +275,7 @@ def _emit(args: argparse.Namespace, cfg: dict, doc: dict, columns=None, rows=Non
             doc = {}
         echo = config_echo(args.command, cfg)
         lines = [f"# {k} = {fmt(v)}" for part in (echo, doc) for k, v in _flat(part)]
-        lines += [",".join(columns), *(",".join(fmt(v) for v in row) for row in rows)]
+        lines += [",".join(columns), *(",".join(map(fmt, row)) for row in rows)]
         text = "\n".join(lines) + "\n"
     _write(args.output, text)
     return EXIT_OK
@@ -368,7 +371,7 @@ def _cmd_testfun(cfg: dict, args: argparse.Namespace) -> int:
         "excluded_points": report.excluded,
         "unconverged_points": report.unconverged,
     }
-    return _emit(args, cfg, doc, *_table(tfmod.Lemma22Row, report.rows))
+    return _emit(args, cfg, doc, tfmod.Lemma22Row._fields, report.rows)
 
 
 def _engine_ctx(cfg: dict, p_default) -> tuple[dict, expmod.ExponentContext]:
@@ -419,10 +422,9 @@ def _cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     result = dataclasses.asdict(record)
     del result["eps"]  # the config's model.eps
     f_map = dict(zip(series.f_times.tolist(), series.f_values.tolist()))
-    rows = [
-        (t, series.max_u[i], series.g[i], f_map.get(t), series.support_radius[i])
-        for i, t in enumerate(series.t.tolist())
-    ]
+    ts = series.t.tolist()
+    rows = list(zip(ts, series.max_u.tolist(), series.g.tolist(), map(f_map.get, ts),
+                    series.support_radius.tolist()))
     return _emit(args, cfg, {"result": result}, ["t", "max_u", "g", "f", "support_radius"], rows)
 
 
@@ -538,7 +540,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parse_args leaves
+    it unchanged (the ``--set`` default list is copied, not appended to)."""
     parser = argparse.ArgumentParser(
         prog="tricomilab",
         description="Numerical laboratory for the semilinear generalized "

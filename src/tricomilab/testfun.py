@@ -31,12 +31,13 @@ most a factor e^2.  Every panel doubles its order from 8 to
 16, 32, 64, 128 points.  Each level is a row-wise sum over the lambda
 nodes, one sum per (s, radius) row, and each row keeps the first level
 that meets rtol.  k depends on t alone, so all times s of one t share the
-rule: ``_value``, the one batched evaluator, takes one t per row of s and
-makes one sphere average for the diagonal rows where it applies and one
-quadrature (``_test_fn``) per distinct t of the others, with one profile
-block and one kernel call per Gauss level.  A row's value does not depend
-on which other rows share the call.  On the envelope runs every row stops
-at 16 points.
+rule: ``_value``, the one batched evaluator, takes one t and one kernel
+(or one kernel for all rows) per row of s, and makes one sphere average
+for the diagonal rows where it applies and one quadrature (``_test_fn``)
+per distinct t of the others, with one rule, one profile block and one
+call per kernel per Gauss level; xi_q's and eta_q's rows of one t thus
+share one time-t block.  A row's value does not depend on which other
+rows share the call.  On the envelope runs every row stops at 16 points.
 
 Three blocks are built once and shared read-only, each from a pure builder
 under a bounded ``functools.lru_cache`` (the four most recent entries): the
@@ -56,6 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,19 +251,24 @@ def _unrows(val, err, x_norm, s):
 def _test_fn(kernel, x_norm, t: float, s, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the lambda-integral of the profile times
     kernel(t, s, lam, m), at radii x_norm for one time s, or for a 1-d array
-    of times s with one row of radii per time (see ``_radii``).
+    of times s with one row of radii per time (see ``_radii``).  ``kernel``
+    is one kernel, or a sequence of one kernel per row of s.
 
-    All rows share one quadrature: each Gauss level makes one profile block
-    and one kernel call over every s.  A row's value does not depend on
-    which other radii or times share the call.  The kernels are exactly 1
-    on the diagonal s = t, so a diagonal row is the profile's integral.
+    All rows share one quadrature: each Gauss level makes one lambda-rule,
+    one profile block and, per distinct kernel, one kernel call over the s
+    of its rows.  A row's value does not depend on which other radii,
+    times or kernels share the call.  The kernels are exactly 1 on the
+    diagonal s = t, so a diagonal row is the profile's integral.
     """
     ss, xn = _radii(x_norm, t, s)
+    ks = np.broadcast_to(np.array(kernel, dtype=object), ss.shape)
+    kernels = [(k, ks == k) for k in dict.fromkeys(ks.tolist())]  # (kernel, its rows)
     phi_s = [phi_of_t(p.m, sj) for sj in ss.tolist()]
 
     def g(lam):
-        out = _exp_profile(lam, xn, phi_s, p)  # fresh, so the kernel multiplies in place
-        out *= kernel(t, ss, lam, p.m)[:, None, :]
+        out = _exp_profile(lam, xn, phi_s, p)  # fresh, so the kernels multiply in place
+        for k, rows in kernels:
+            out[rows] *= k(t, ss[rows], lam, p.m)[:, None, :]
         return out
 
     # scale and rtol by keyword: bench/spans.py reads a fourth positional
@@ -398,11 +405,14 @@ def _sphere_average(xn: np.ndarray, t, p: TestFnParams) -> np.ndarray:
 def _value(kernel, x_norm, t, s, p: TestFnParams, rtol: float = 1e-8):
     """(value, error estimate) of the test function of ``kernel`` at radii
     x_norm for one time s, or for an array of times s with one row of radii
-    and one t each (see ``_radii``): one sphere average, with error 0, for
-    the diagonal rows s = t where ``_on_sphere``, and one lambda-quadrature
-    to rtol per distinct t of the other rows."""
+    and one t each (see ``_radii``); ``kernel`` is one kernel, or a sequence
+    of one kernel per row of s.  One sphere average, with error 0, for the
+    diagonal rows s = t where ``_on_sphere`` (xi_q = eta_q there, so the
+    kernel does not matter), and one lambda-quadrature to rtol per distinct
+    t of the other rows, shared by their kernels."""
     ss, xn = _radii(x_norm, t, s)
     ts = np.broadcast_to(t, ss.shape)
+    ks = np.broadcast_to(np.array(kernel, dtype=object), ss.shape)
     val, err = np.empty_like(xn), np.zeros_like(xn)
     sphere = (ss == ts) & _on_sphere(p)
     if sphere.any():
@@ -410,7 +420,7 @@ def _value(kernel, x_norm, t, s, p: TestFnParams, rtol: float = 1e-8):
                                       p).reshape(xn[sphere].shape)
     for tj in np.unique(ts[~sphere]).tolist():
         rows = (ts == tj) & ~sphere
-        val[rows], err[rows] = _test_fn(kernel, xn[rows], tj, ss[rows], p, rtol)
+        val[rows], err[rows] = _test_fn(ks[rows], xn[rows], tj, ss[rows], p, rtol)
     return _unrows(val, err, x_norm, s)
 
 
@@ -449,11 +459,10 @@ class Lemma22Grid:
             raise DomainError(f"t_max must be finite and > 0, got {t_max}")
         if nt < 1 or ns < 0 or nx < 0:
             raise DomainError(f"need nt >= 1 and ns, nx >= 0, got nt={nt}, ns={ns}, nx={nx}")
-        ts = (0.0,) + tuple(np.geomspace(0.05, t_max, nt))
         return cls(
-            t_values=ts,
-            s_fractions=tuple(np.linspace(0.0, 0.8, ns)),
-            x_fractions=tuple(np.linspace(0.0, 0.95, nx)),
+            t_values=(0.0, *np.geomspace(0.05, t_max, nt).tolist()),
+            s_fractions=tuple(np.linspace(0.0, 0.8, ns).tolist()),
+            x_fractions=tuple(np.linspace(0.0, 0.95, nx).tolist()),
         )
 
     def refined(self) -> "Lemma22Grid":
@@ -474,8 +483,7 @@ class Lemma22Grid:
         )
 
 
-@dataclass(frozen=True)
-class Lemma22Row:
+class Lemma22Row(NamedTuple):
     part: str
     t: float
     s: float
@@ -523,12 +531,13 @@ def lemma22_report(
     is checked before any value is computed.
 
     The grid is listed as blocks of rows (parts, t, s, radii, envelopes),
-    and two ``_value`` calls give xi_q over part i's (t, 0) and eta_q over
-    every distinct (t, s): the diagonal s = t (part iii, and part i at
-    t = 0) is one sphere average where it applies (a closed form, no rtol),
-    and each t makes at most two lambda-quadratures.  A row's value does
-    not depend on which other rows share its call, so the rows equal one
-    ``xi_q``/``eta_q`` call per (part, t, s).
+    and one ``_value`` call gives xi_q over part i's (t, 0) and eta_q over
+    every distinct (t, s), one kernel per row: the diagonal s = t (part
+    iii, and part i at t = 0) is one sphere average where it applies (a
+    closed form, no rtol), and each t makes one lambda-quadrature for both
+    test functions.  A row's value does not depend on which other rows
+    share its call, so the rows equal one ``xi_q``/``eta_q`` call per
+    (part, t, s).
     """
     m, n, q = p.m, p.n, p.q
     alpha = m / (2.0 * (m + 2.0))
@@ -557,19 +566,19 @@ def lemma22_report(
                 raise DomainError(f"the part {part} envelope underflows at t={t:.12g} "
                                   f"(q={q:.12g})")
 
-    # (t, s) -> radii per kernel; part i's and part ii's s = 0 have bit-equal
+    # (kernel, t, s) -> radii; part i's and part ii's s = 0 have bit-equal
     # radii (phi(0) = 0), so they share one eta_q row
-    radii = {kernel_phi1_scaled: {}, kernel_phi2_ratio_scaled: {}}
+    radii = {}
     for parts, t, s, xs, _ in blocks:
         for part in parts:
-            radii[_kernel_of(part)].setdefault((t, s), xs)
+            radii.setdefault((_kernel_of(part), t, s), xs)
     values, unconverged = {}, 0
-    for kernel, rows_at in radii.items():
-        if rows_at:
-            ts, ss = np.array(list(rows_at)).T
-            vals, err = _value(kernel, np.array(list(rows_at.values())), ts, ss, p, rtol)
-            unconverged += np.count_nonzero(_misses(vals, err, rtol))
-            values.update(((kernel, t, s), v) for (t, s), v in zip(rows_at, vals.tolist()))
+    if radii:
+        kernels, ts, ss = zip(*radii)
+        vals, err = _value(kernels, np.array(list(radii.values())), np.array(ts), np.array(ss),
+                           p, rtol)
+        unconverged = np.count_nonzero(_misses(vals, err, rtol))
+        values = dict(zip(radii, vals.tolist()))
 
     rows: list[Lemma22Row] = []
     for parts, t, s, xs, envs in blocks:

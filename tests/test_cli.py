@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -7,6 +8,7 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from tricomilab.cli import (
@@ -17,6 +19,7 @@ from tricomilab.cli import (
     EXIT_OK,
     EXIT_REPORT_GAP,
     OUTDIR_ENV,
+    build_parser,
     dispatch,
     fmt,
     resolve_config,
@@ -453,6 +456,41 @@ def test_float_formatting_12_digits():
     assert fmt(True) == "true"
     assert fmt(None) == ""
     assert fmt(100000000.0) == "100000000"
+
+
+@pytest.mark.parametrize("value, text", [
+    (2.4142135623730951, "2.41421356237"), (np.float64(2.4142135623730951), "2.41421356237"),
+    (7, "7"), (np.int64(-7), "-7"), (True, "true"), (False, "false"), (None, ""),
+    ("abc", "abc"), (math.nan, "nan"), (np.float64(math.nan), "nan"), (math.inf, "inf"),
+    (-math.inf, "-inf"), (np.float64(-math.inf), "-inf"), (-0.0, "-0"),
+    (np.float64(-0.0), "-0"), (1e-300, "1e-300"), (np.float64(1e-300), "1e-300"),
+], ids=repr)
+def test_fmt_pins_every_cell_type(value, text):
+    # a Python float takes fmt's first branch, every other type the
+    # isinstance chain: both render the same number to the same string
+    assert fmt(value) == text
+
+
+def test_one_parser_serves_every_dispatch(tmp_path):
+    # the parser is built once per process: no --set list of one dispatch
+    # leaks into the next, and a usage error still exits 2
+    argvs = (["kummer", "--set", "specfun.a=2", "--set", "specfun.z=-3"],
+             ["kummer", "--set", "specfun.b=1.5"])
+
+    def written(argv, name):
+        out = tmp_path / name
+        assert run_cli(argv + ["--output", str(out)]) == EXIT_OK
+        return out.read_bytes()
+
+    alone = []
+    for k, argv in enumerate(argvs):
+        build_parser.cache_clear()
+        alone.append(written(argv, f"alone{k}"))
+    parser = build_parser()
+    for k in range(4):
+        assert written(argvs[k % 2], f"run{k}") == alone[k % 2]
+    assert run_cli(["kummer", "--set"]) == EXIT_CONFIG == 2
+    assert build_parser() is parser and parser.parse_args(["kummer"]).overrides == []
 
 
 def test_iterate_csv_columns(tmp_path):

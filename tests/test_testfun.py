@@ -781,11 +781,11 @@ def test_lemma22_rows_match_reference_loop(m, n):
 
 @pytest.mark.parametrize("m, n", [(1.0, 2), (1.0, 3), (0.0, 3)])
 def test_lemma22_diagonal_is_one_sphere_average(monkeypatch, m, n):
-    # eta_q's diagonal, part iii of every t > 0 and part i-eta at t = 0
-    # (s = t = 0), is one sphere average: at n = 3 one kernel call for the
-    # rule's nodes at every small radius and one for the ends of every other
-    # radius, at n = 2 one per batch of at most _BATCH values, filled
-    # greedily (two neighbours pass _BATCH); xi_q at t = 0 adds one call
+    # the diagonal, part iii of every t > 0 and part i of both test functions
+    # at t = 0 (s = t = 0), is one sphere average: at n = 3 one kernel call
+    # for the rule's nodes at every small radius and one for the ends of
+    # every other radius, at n = 2 one per batch of at most _BATCH values,
+    # filled greedily (two neighbours pass _BATCH)
     p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
     grid = Lemma22Grid.log_default(t_max=1000.0, nt=24, ns=7, nx=7)
     calls = []
@@ -797,9 +797,8 @@ def test_lemma22_diagonal_is_one_sphere_average(monkeypatch, m, n):
 
     monkeypatch.setattr(testfun, "kummer_m_gap1", counted)
     rep = lemma22_report(p, grid)
-    diagonal = calls[1:]  # xi_q's t = 0 call comes first
     assert max(calls) <= testfun._BATCH and len(rep.rows_for("iii")) == 24 * 7
-    assert len(diagonal) == 2 if n == 3 else len(diagonal) <= 2 * -(-sum(diagonal) // testfun._BATCH)
+    assert len(calls) == 2 if n == 3 else len(calls) <= 2 * -(-sum(calls) // testfun._BATCH)
 
 
 @pytest.mark.parametrize("n, q", [(1, 0.3), (2, 0.3), (3, 0.3), (3, 0.005), (4, 0.3)],
@@ -826,9 +825,9 @@ def test_sphere_average_of_many_times_matches_one_call_per_time(n, q):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_lemma22_takes_at_most_two_quadratures_per_time(monkeypatch, n):
-    # xi_q at s = 0, and eta_q over every s of part i and ii (and, off the
-    # sphere average at n = 4, part iii's diagonal): one lambda-quadrature each
+def test_lemma22_takes_one_quadrature_per_time(monkeypatch, n):
+    # xi_q at s = 0 and eta_q over every s of part i and ii (and, off the
+    # sphere average at n = 4, part iii's diagonal) share one lambda-quadrature
     m = 1.0
     p = TestFnParams(q=q_choice(n, p_crit(m, n)), n=n, m=m)
     assert p.q > (n - 3.0) / 2.0  # part iii is measured
@@ -844,7 +843,33 @@ def test_lemma22_takes_at_most_two_quadratures_per_time(monkeypatch, n):
     lemma22_report(p, grid)
     for t in grid.t_values:
         calls = scales.count(phi_of_t(m, t) + p.R)
-        assert calls == (2 if t > 0.0 or not testfun._on_sphere(p) else 0), (t, calls)
+        assert calls == (1 if t > 0.0 or not testfun._on_sphere(p) else 0), (t, calls)
+
+
+def test_lemma22_builds_each_time_block_and_rule_once(monkeypatch):
+    # both test functions of one t share its Gauss ladder, so no time-t block
+    # or lambda-rule is evicted and built again within a report
+    p = TestFnParams(q=q_choice(3, p_crit(1, 3)), n=3, m=1.0)
+    grid = Lemma22Grid.log_default(t_max=1000.0, nt=24, ns=7, nx=7)
+    asked = {"block": set(), "rule": set()}
+
+    def recorded(name, fn):
+        def wrapper(*key):
+            asked[name].add(key)
+            return fn(*key)
+
+        return wrapper
+
+    block, rule = tricomi_ode._time_block_of, testfun._graded_rule
+    monkeypatch.setattr(tricomi_ode, "_time_block_of", recorded("block", block))
+    monkeypatch.setattr(testfun, "_graded_rule", recorded("rule", rule))
+    block.cache_clear()
+    rule.cache_clear()
+    lemma22_report(p, grid)
+    # one block per (t, level): 24 times t > 0, at least two levels each
+    assert len({key[0] for key in asked["block"]}) == 24 and len(asked["block"]) >= 48
+    assert block.cache_info().misses == len(asked["block"])
+    assert rule.cache_info().misses == len(asked["rule"]) >= 2
 
 
 def test_reference_panels_built_once_per_weight_and_level(monkeypatch):
